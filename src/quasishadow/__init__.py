@@ -41,14 +41,12 @@ from .solver import (
     OrbitOperators,
     ShadowResult,
     SolverConfig,
-    apply_beta,
-    build_operators,
     estimate_contraction,
     iterate_phi,
     shadow,
+    shadow_batch,
     shadow_tau2,
     shadow_tau3,
-    solve_p,
     tau2_lipschitz,
     transversal_slide,
 )
@@ -88,8 +86,6 @@ __all__ = [
     "SplitConfig",
     "Splitting",
     "SplittingError",
-    "apply_beta",
-    "build_operators",
     "build_semiconjugacy",
     "cat_circle_system",
     "center_flow",
@@ -109,9 +105,9 @@ __all__ = [
     "minimal_rep",
     "perturbation_size",
     "shadow",
+    "shadow_batch",
     "shadow_tau2",
     "shadow_tau3",
-    "solve_p",
     "splitting_at",
     "tau2_lipschitz",
     "transversal_slide",

@@ -16,9 +16,13 @@ import numpy as np
 
 from .errors import QuasiShadowError, SearchError
 from .orbits import NearReturn, PseudoOrbit, make_cyclic, measure_defect
-from .solver import ShadowResult, SolverConfig, shadow
-from .systems import C, CatCircleSystem, leaf_dist, splitting_at
+from .solver import ContractionEstimates, ShadowResult, SolverConfig, shadow, shadow_batch
+from .systems import C, CatCircleSystem, Splitting, leaf_dist, splitting_at
 from .torus import dist, expmap, logmap, minimal_rep, wrap
+
+# grid points solved as one batch: large enough that per-call overhead
+# vanishes, small enough that the batch's arrays stay a few megabytes
+_GRID_CHUNK = 32
 
 
 @dataclass
@@ -221,6 +225,58 @@ def perturbation_size(sys_f: CatCircleSystem, sys_g: CatCircleSystem, points) ->
     return float(np.max(dist(sys_f.forward(points), sys_g.forward(points))))
 
 
+def _centers(
+    sys_f: CatCircleSystem,
+    cfg: SolverConfig,
+    pts: np.ndarray,
+    gaps: np.ndarray,
+    split: Splitting | None,
+    members: list,
+    start: int,
+    window: int,
+    est: ContractionEstimates | None,
+) -> tuple[dict, ContractionEstimates | None]:
+    """Trace the windows pts[b, start : start + 2 window + 1] of the members b as pseudo orbits of f.
+
+    ``gaps[b, j]`` is the one-step error dist(f(pts[b, j]), pts[b, j + 1]).
+    Returns {b: (y_0, correction_0) or the error of the window} and the
+    probed constants.  While ``est`` is None the windows are solved one at
+    a time, each probed on its own, until one solves; its constants serve
+    the remaining windows, which are solved as one batch.
+    """
+    n = 2 * window + 1
+
+    def solve(batch, est):
+        orbits = []
+        for b in batch:
+            seg = gaps[b, start : start + n - 1]
+            j = int(np.argmax(seg))
+            orbits.append(
+                PseudoOrbit(
+                    pts[b, start : start + n],
+                    k_start=-window,
+                    defect=float(seg[j]),
+                    defect_index=j - window,
+                )
+            )
+        sub = None if split is None else split[batch, start : start + n]
+        return shadow_batch(sys_f, orbits, cfg, est, sub)
+
+    results: list = []
+    while est is None and len(results) < len(members):
+        results += solve(members[len(results) : len(results) + 1], None)
+        if isinstance(results[-1], ShadowResult):
+            est = results[-1].diagnostics
+    if len(results) < len(members):
+        results += solve(members[len(results) :], est)
+    centers = {
+        b: res if isinstance(res, QuasiShadowError)
+        else (res.y[window].copy(), res.corrections[window].copy())
+        for b, res in zip(members, results)
+    }
+    return centers, est
+
+
 def build_semiconjugacy(
     sys_f: CatCircleSystem,
     sys_g: CatCircleSystem,
@@ -234,8 +290,17 @@ def build_semiconjugacy(
     [-window, window], is a pseudo orbit of f; its tracing sequence gives
     h(x) = y_0 and the solved center corrections.  A second solve centered
     at g(x) supplies the data for the semiconjugacy residual
-    dist(h(g(x)), tau_{g(x)}(f(h(x)))).  Failed grid points are collected,
-    not fatal.
+    dist(h(g(x)), tau_{g(x)}(f(h(x)))).
+
+    The grid is solved in chunks of ``_GRID_CHUNK`` points, each as two
+    :func:`shadow_batch` calls (the x-windows, then the g(x)-windows of the
+    points whose x-window solved).  The two windows of a point share 2W of
+    their 2W + 1 points, so the numerical splitting is computed once on the
+    2W + 2 points of its g-orbit and sliced for both.  The probed
+    admissibility constants come from the first grid point whose x-window
+    solves (each earlier point is probed on its own) and are reused for
+    every later window.  A grid point fails with the first error of its
+    x-window, else of its g(x)-window; failures are collected, not fatal.
     """
     cfg = cfg if cfg is not None else SolverConfig(variant="tau1")
     cfg = replace(cfg, variant="tau1")
@@ -257,34 +322,34 @@ def build_semiconjugacy(
     center_g = np.full((n_pts, 3), np.nan)
     displacement = np.full(n_pts, np.nan)
     residuals = np.full(n_pts, np.nan)
-    failures: list = []
-    rho0 = cfg.chart.rho0
-    # probe constants once; the grid windows are structurally identical
-    admissibility = None
-    for p in range(n_pts):
-        try:
-            orb_x = PseudoOrbit(rows[: 2 * window + 1, p], k_start=-window)
-            orb_x.defect, orb_x.defect_index = measure_defect(sys_f, orb_x)
-            res_x = shadow(sys_f, orb_x, cfg, admissibility=admissibility)
-            admissibility = res_x.diagnostics
-            orb_gx = PseudoOrbit(rows[1 : 2 * window + 2, p], k_start=-window)
-            orb_gx.defect, orb_gx.defect_index = measure_defect(sys_f, orb_gx)
-            res_gx = shadow(sys_f, orb_gx, cfg, admissibility=admissibility)
-        except QuasiShadowError as exc:
-            failures.append((p, f"{type(exc).__name__}: {exc}"))
-            continue
-        h_x = res_x.y[window]
-        h_gx = res_gx.y[window]
-        u0 = res_gx.corrections[window]
-        gx = rows[window + 1, p]
-        target = expmap(gx, u0 + logmap(gx, sys_f.forward(h_x), rho0), rho0)
-        values[p] = h_x
-        values_g[p] = h_gx
-        center_g[p] = u0
-        displacement[p] = dist(grid[p], h_x)
-        residuals[p] = dist(h_gx, target)
+    errors: dict = {}
+    est = None
+    for lo in range(0, n_pts, _GRID_CHUNK):
+        chunk = np.arange(lo, min(lo + _GRID_CHUNK, n_pts))
+        pts = rows[:, chunk].swapaxes(0, 1)
+        split = None
+        if sys_f.splitting_mode != "analytic":
+            split = splitting_at(sys_f, pts, strict=False)
+        gaps = dist(sys_f.forward(pts[:, :-1]), pts[:, 1:])
+        at_x, est = _centers(sys_f, cfg, pts, gaps, split, list(range(len(chunk))), 0, window, est)
+        solved = [b for b, res in at_x.items() if not isinstance(res, QuasiShadowError)]
+        at_g, est = _centers(sys_f, cfg, pts, gaps, split, solved, 1, window, est)
+        for b, res in at_x.items():
+            if isinstance(res, QuasiShadowError):
+                errors[chunk[b]] = res
+        for b, res in at_g.items():
+            if isinstance(res, QuasiShadowError):
+                errors[chunk[b]] = res
+                continue
+            values[chunk[b]] = at_x[b][0]
+            values_g[chunk[b]], center_g[chunk[b]] = res
 
-    ok = ~np.isnan(displacement)
+    rho0 = cfg.chart.rho0
+    ok = ~np.isnan(values[:, 0])
+    gx = rows[window + 1, ok]
+    target = expmap(gx, center_g[ok] + logmap(gx, sys_f.forward(values[ok]), rho0), rho0)
+    displacement[ok] = dist(grid[ok], values[ok])
+    residuals[ok] = dist(values_g[ok], target)
     if ok.any():
         split = splitting_at(sys_f, grid[ok])
         log_h = logmap(grid[ok], values[ok], rho0)
@@ -307,7 +372,7 @@ def build_semiconjugacy(
         residual_max=res_max,
         residual_mean=res_mean,
         center_residual=center_res,
-        failures=failures,
+        failures=[(int(p), f"{type(exc).__name__}: {exc}") for p, exc in sorted(errors.items())],
     )
 
 
@@ -349,7 +414,7 @@ def verify_semiconjugacy(
     }
 
 
-def _covering_radius(probes: np.ndarray, points: np.ndarray, chunk: int = 256) -> float:
+def _covering_radius(probes: np.ndarray, points: np.ndarray, chunk: int = 64) -> float:
     """max over probes of the distance to the nearest point of ``points``."""
     worst = 0.0
     for lo in range(0, len(probes), chunk):

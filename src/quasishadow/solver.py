@@ -12,9 +12,10 @@ and P w = -u + (id - A) v.  In frame coordinates the stable block of
 edge, the unstable block a backward recursion pinned at the right edge;
 cyclic orbits close both recursions exactly with a rank-one correction.
 
-Sequence iterates are stored as coefficient arrays c of shape (W, 3) in
-the per-point (stable, center, unstable) frames; norms are taken on the
-assembled ambient vectors.  The sup norm is max_k |w_k|, the solver norm
+Sequence iterates are stored as coefficient arrays c of shape (W, 3), or
+(B, W, 3) for a batch of B orbits solved together, in the per-point
+(stable, center, unstable) frames; norms are taken on the assembled
+ambient vectors.  The sup norm is max_k |w_k|, the solver norm
 is max_k |center_k| + max_k |transversal_k|.
 
 Variants: ``tau1`` translates by a center vector u_k, ``tau2`` slides
@@ -31,9 +32,26 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import AdmissibilityError, ChartError, ConfigError, ConvergenceError
+from .errors import (
+    AdmissibilityError,
+    ChartError,
+    ConfigError,
+    ConvergenceError,
+    QuasiShadowError,
+)
 from .orbits import PseudoOrbit
-from .systems import C, S, U, CatCircleSystem, SplitConfig, center_flow, splitting_at
+from .systems import (
+    ANALYTIC,
+    C,
+    S,
+    U,
+    CatCircleSystem,
+    SplitConfig,
+    Splitting,
+    center_flow,
+    splitting_at,
+    splitting_error,
+)
 from .torus import ChartConfig, dist, expmap, logmap, minimal_rep, wrap
 
 VARIANTS = ("tau1", "tau2", "tau3")
@@ -43,19 +61,29 @@ _SCAN_BLOCK = 64
 _SCAN_TINY = 1e-3
 
 
+def _align(mult: np.ndarray, ndim: int) -> np.ndarray:
+    """Reshape step-major multipliers (L, *orbits) to broadcast against (L, ..., *orbits)."""
+    return mult.reshape(mult.shape[:1] + (1,) * (ndim - mult.ndim) + mult.shape[1:])
+
+
 def _affine_scan(mult: np.ndarray, rhs: np.ndarray, init=0.0) -> np.ndarray:
     """First-order recursion s_j = mult[j] * s_{j-1} + rhs[j], s_{-1} = init.
 
-    ``mult`` has shape (L,); ``rhs`` may carry trailing batch axes (L, ...).
-    Evaluated block-wise with cumulative products so the python-level loop
-    runs over L/block chunks.
+    ``mult`` has shape (L,) or (L, B) with per-orbit multipliers; ``rhs``
+    has shape (L, ..., B), its middle axes batching several right-hand
+    sides per orbit.  Evaluated block-wise with cumulative products so the
+    python-level loop runs over L/block chunks.  The plain-loop fallback
+    for multipliers below _SCAN_TINY is decided per block over all B
+    orbits at once, so a tiny multiplier on one orbit switches its
+    neighbours in the batch to the loop as well; their results then differ
+    from a solve on their own by rounding only.  Cat-map multipliers
+    (about 0.38 and 1/2.62) never trigger it.
     """
     mult = np.asarray(mult, float)
     rhs = np.asarray(rhs, float)
     L = mult.shape[0]
     out = np.empty(rhs.shape)
     carry = np.zeros(rhs.shape[1:]) + init
-    tail = (1,) * (rhs.ndim - 1)
     for lo in range(0, L, _SCAN_BLOCK):
         hi = min(lo + _SCAN_BLOCK, L)
         m = mult[lo:hi]
@@ -64,7 +92,7 @@ def _affine_scan(mult: np.ndarray, rhs: np.ndarray, init=0.0) -> np.ndarray:
                 carry = mult[j] * carry + rhs[j]
                 out[j] = carry
             continue
-        q = np.cumprod(m).reshape((hi - lo,) + tail)
+        q = _align(np.cumprod(m, axis=0), rhs.ndim)
         block = q * (carry + np.cumsum(rhs[lo:hi] / q, axis=0))
         out[lo:hi] = block
         carry = block[-1]
@@ -77,7 +105,7 @@ def _reversed_scan(mult: np.ndarray, rhs: np.ndarray, init=0.0) -> np.ndarray:
     Returns t_0 .. t_{L-1} for steps j = 1 .. L (arrays indexed from 0).
     """
     m = 1.0 / mult[::-1]
-    r = -rhs[::-1] * m.reshape(m.shape + (1,) * (rhs.ndim - 1))
+    r = -rhs[::-1] * _align(m, rhs.ndim)
     return _affine_scan(m, r, init=init)[::-1]
 
 
@@ -217,56 +245,118 @@ class ShadowResult:
                 writer.writerow(row)
 
 
-class OrbitOperators:
-    """Charts, frames and transfer blocks along one pseudo orbit.
+def _rows(frames: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Frames at the given point rows; a constant 3x3 frame serves every row."""
+    return frames if frames.ndim == 2 else frames[..., rows, :, :]
 
-    Step j maps the tangent space at point ``step_src[j]`` to the one at
-    ``step_dst[j]``: windows have W - 1 steps targeting points 1 .. W-1
-    (row 0 of step-aligned outputs stays zero), cyclic orbits have W steps
-    with the wrap-around targeting point 0.  ``alpha`` and ``beta_u`` are
-    the scalar stable/unstable block multipliers in frame coordinates.
+
+def _fiber_slide(frames: np.ndarray, d_base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Move along the vertical fiber that turns a base offset into a transversal vector.
+
+    Solves d_base = a e_s + c e_u for the base parts of the stable and
+    unstable columns of ``frames`` (a 2x2 linear solve per point) and
+    returns the coefficients (a, 0, c) and the ambient move a e_s + c e_u.
+    """
+    E = frames[..., :2, :][..., [S, U]]
+    det = E[..., 0, 0] * E[..., 1, 1] - E[..., 0, 1] * E[..., 1, 0]
+    a = (E[..., 1, 1] * d_base[..., 0] - E[..., 0, 1] * d_base[..., 1]) / det
+    c = (-E[..., 1, 0] * d_base[..., 0] + E[..., 0, 0] * d_base[..., 1]) / det
+    w = np.zeros(a.shape + (3,))
+    w[..., S] = a
+    w[..., U] = c
+    return w, np.einsum("...ij,...j->...i", frames, w)
+
+
+class OrbitOperators:
+    """Charts, frames and transfer blocks along pseudo orbits of one length.
+
+    ``points`` has shape (W, 3) for one orbit or (B, W, 3) for B orbits
+    with the same boundary type; the orbit axis leads every per-orbit
+    array below, and coefficient arrays given to the methods have shape
+    (..., [B,] W, 3), where further leading axes batch several sequences
+    per orbit (probes).  Step j maps the tangent space at the j-th point
+    that ``step_src`` selects to the one at the j-th point of ``step_dst``:
+    windows have W - 1 steps targeting points 1 .. W-1 (row 0 of
+    step-aligned outputs stays zero), cyclic orbits have W steps with the
+    wrap-around targeting point 0.  Both are slices except the cyclic
+    sources, so the step-aligned point rows are views.
+    ``alpha`` and ``beta_u``, shape ([B,] L), are the scalar stable/unstable
+    block multipliers in frame coordinates.
+
+    With the analytic splitting (kappa = 0) ``frames`` and ``frames_inv``
+    are one constant 3x3 frame and its inverse, and the transfer matrix
+    behind the multipliers is a single 3x3 product.  Otherwise they have
+    shape ([B,] W, 3, 3) and come from ``split`` when it is given (the
+    numerical splitting at ``points``), else from :func:`splitting_at`.
     """
 
     def __init__(
         self,
         sys: CatCircleSystem,
-        orbit: PseudoOrbit,
+        points,
+        cyclic: bool = False,
         chart: ChartConfig | None = None,
-        split_cfg: SplitConfig | None = None,
+        split: Splitting | None = None,
     ) -> None:
         self.sys = sys
-        self.orbit = orbit
         self.chart = chart if chart is not None else ChartConfig()
-        X = orbit.points
-        W = len(X)
-        if not orbit.cyclic and W < 2:
+        X = np.asarray(points, float)
+        W = X.shape[-2]
+        if not cyclic and W < 2:
             raise ValueError("orbit windows need at least two points")
+        self.points = X
         self.n_points = W
-        self.cyclic = orbit.cyclic
-        split = splitting_at(sys, X, split_cfg)
+        self.cyclic = cyclic
+        if cyclic:
+            self.step_src = (np.arange(W) - 1) % W
+            self.step_dst = slice(0, W)
+        else:
+            self.step_src = slice(0, W - 1)
+            self.step_dst = slice(1, W)
+        if sys.splitting_mode == "analytic":
+            split = ANALYTIC
+        elif split is None:
+            split = splitting_at(sys, X)
         self.frames = split.frames
         self.frames_inv = split.frames_inv
-        if orbit.cyclic:
-            self.step_src = (np.arange(W) - 1) % W
-            self.step_dst = np.arange(W)
+        if self.frames.ndim == 2:
+            # kappa = 0: the differential is the same at every point
+            M = self.frames_inv @ sys.differential(np.zeros(3)) @ self.frames
+            steps = X.shape[:-2] + (W if cyclic else W - 1,)
+            self.alpha = np.full(steps, M[S, S])
+            self.beta_u = np.full(steps, M[U, U])
         else:
-            self.step_src = np.arange(W - 1)
-            self.step_dst = np.arange(1, W)
-        self.jac = sys.differential(X[self.step_src])
-        M = self.frames_inv[self.step_dst] @ self.jac @ self.frames[self.step_src]
-        self.alpha = np.ascontiguousarray(M[:, S, S])
-        self.beta_u = np.ascontiguousarray(M[:, U, U])
+            jac = sys.differential(X[..., self.step_src, :])
+            M = (
+                self.frames_inv[..., self.step_dst, :, :]
+                @ jac
+                @ self.frames[..., self.step_src, :, :]
+            )
+            self.alpha = np.ascontiguousarray(M[..., S, S])
+            self.beta_u = np.ascontiguousarray(M[..., U, U])
         with np.errstate(divide="ignore"):
             inv_beta = np.where(self.beta_u != 0.0, 1.0 / np.abs(self.beta_u), np.inf)
-        self.lambda_tilde = float(max(np.abs(self.alpha).max(), inv_beta.max()))
+        lam = np.maximum(np.abs(self.alpha).max(axis=-1), inv_beta.max(axis=-1))
+        self.lambda_tilde = float(lam) if lam.ndim == 0 else lam
+
+    def take(self, idx) -> OrbitOperators:
+        """The operators of a subset of the orbits; ``idx`` indexes the orbit axis."""
+        sub = object.__new__(OrbitOperators)
+        sub.__dict__.update(self.__dict__)
+        for name in ("points", "alpha", "beta_u", "lambda_tilde"):
+            setattr(sub, name, getattr(self, name)[idx])
+        if self.frames.ndim > 2:
+            sub.frames = self.frames[idx]
+            sub.frames_inv = self.frames_inv[idx]
+        return sub
 
     # -- norms ---------------------------------------------------------
 
     def assemble(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.einsum("kij,...kj->...ki", self.frames, coeffs)
+        return np.einsum("...ij,...j->...i", self.frames, coeffs)
 
     def coeffs_of(self, ambient: np.ndarray) -> np.ndarray:
-        return np.einsum("kij,...kj->...ki", self.frames_inv, ambient)
+        return np.einsum("...ij,...j->...i", self.frames_inv, ambient)
 
     def norm_sup(self, coeffs: np.ndarray):
         n = np.linalg.norm(self.assemble(coeffs), axis=-1).max(axis=-1)
@@ -289,47 +379,39 @@ class OrbitOperators:
         is ignored.  Raises ChartError when an intermediate point leaves
         the chart, which signals defect or epsilon too large.
         """
-        X = self.orbit.points
+        X = self.points
+        src, dst = self.step_src, self.step_dst
         rho, rho0 = self.chart.rho, self.chart.rho0
-        us = v_coeffs[..., self.step_src, :].copy()
+        us = v_coeffs[..., src, :].copy()
         us[..., C] = 0.0
-        v_amb = np.einsum("kij,...kj->...ki", self.frames[self.step_src], us)
+        v_amb = np.einsum("...ij,...j->...i", _rows(self.frames, src), us)
         norms = np.linalg.norm(v_amb, axis=-1)
         if norms.size and float(norms.max()) > rho:
             raise ChartError(
                 f"transversal component of size {float(norms.max()):.6g} "
                 f"left the working ball of radius {rho}"
             )
-        z = self.sys.forward(wrap(X[self.step_src] + v_amb))
-        dst = X[self.step_dst]
+        z = self.sys.forward(wrap(X[..., src, :] + v_amb))
         out = np.zeros(v_coeffs.shape)
         if variant == "tau2":
-            w = self._slide_coeffs(z, self.step_dst)
+            w = self._slide_coeffs(z, dst)[0]
         else:
-            w_amb = logmap(dst, z, rho0)
-            w = np.einsum("kij,...kj->...ki", self.frames_inv[self.step_dst], w_amb)
-        out[..., self.step_dst, :] = w
+            w_amb = logmap(X[..., dst, :], z, rho0)
+            w = np.einsum("...ij,...j->...i", _rows(self.frames_inv, dst), w_amb)
+        out[..., dst, :] = w
         return out
 
-    def _slide_coeffs(self, z: np.ndarray, dst_rows: np.ndarray) -> np.ndarray:
-        """Coefficients of the fiber slide of z onto the transversal disk at x_dst."""
-        X = self.orbit.points
-        d_base = minimal_rep(z[..., :2] - X[dst_rows, :2])
-        E = self.frames[dst_rows][:, :2][:, :, [S, U]]
-        det = E[:, 0, 0] * E[:, 1, 1] - E[:, 0, 1] * E[:, 1, 0]
-        a = (E[:, 1, 1] * d_base[..., 0] - E[:, 0, 1] * d_base[..., 1]) / det
-        c = (-E[:, 1, 0] * d_base[..., 0] + E[:, 0, 0] * d_base[..., 1]) / det
-        w = np.zeros(d_base.shape[:-1] + (3,))
-        w[..., S] = a
-        w[..., U] = c
-        amb = np.einsum("kij,...kj->...ki", self.frames[dst_rows], w)
-        n = np.linalg.norm(amb, axis=-1)
+    def _slide_coeffs(self, z: np.ndarray, dst_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Fiber slide of z onto the transversal disks at the dst rows: (coefficients, move)."""
+        d_base = minimal_rep(z[..., :2] - self.points[..., dst_rows, :2])
+        w, move = _fiber_slide(_rows(self.frames, dst_rows), d_base)
+        n = np.linalg.norm(move, axis=-1)
         if n.size and float(n.max()) > self.chart.rho0:
             raise ChartError(
                 f"fiber slide of size {float(n.max()):.6g} left the chart "
                 f"of radius {self.chart.rho0}"
             )
-        return w
+        return w, move
 
     def apply_transfer(self, v_coeffs: np.ndarray) -> np.ndarray:
         """The block operator A: stable and unstable one-step transfer."""
@@ -342,19 +424,27 @@ class OrbitOperators:
         return self.apply_beta(v_coeffs, variant) - self.apply_transfer(v_coeffs)
 
     def _solve_block(self, mult: np.ndarray, rhs_pts: np.ndarray) -> np.ndarray:
-        """Solve v_k - mult_k v_{k-1} = r_k for one 1-d block.
+        """Solve v_k - mult_k v_{k-1} = r_k for one 1-d block of every orbit.
 
         The recursion direction follows the block's contraction direction:
-        forward when all |mult| < 1, backward when all |mult| > 1.
+        forward when all |mult| < 1, backward when all |mult| > 1; orbits
+        solved together must share it.
         """
-        r = np.moveaxis(rhs_pts, -1, 0)  # (W or n_steps aligned below, batch...)
-        lo, hi = float(np.min(np.abs(mult))), float(np.max(np.abs(mult)))
+        r = np.moveaxis(rhs_pts, -1, 0)  # (W or n_steps aligned below, batch..., [B])
+        size = np.abs(mult)
+        lo, hi = size.min(axis=-1), size.max(axis=-1)
         forward = hi < 1.0
-        if not forward and lo <= 1.0:
+        straddle = np.flatnonzero(~forward & (lo <= 1.0))
+        if straddle.size:
+            i = straddle[0]
             raise AdmissibilityError(
-                f"block multipliers straddle 1 (|m| in [{lo:.6g}, {hi:.6g}]); "
+                f"block multipliers straddle 1 (|m| in [{lo.flat[i]:.6g}, {hi.flat[i]:.6g}]); "
                 "not partially hyperbolic at this scale"
             )
+        if np.any(forward) != np.all(forward):
+            raise ValueError("orbits solved together must contract in the same direction")
+        forward = bool(np.all(forward))
+        mult = np.moveaxis(mult, -1, 0)  # (L, [B])
         if not self.cyclic:
             out = np.zeros(r.shape)
             if forward:
@@ -378,7 +468,7 @@ class OrbitOperators:
                 part[:-1] = _reversed_scan(mult[1:], r[1:])
                 hom[:-1] = _reversed_scan(mult[1:], np.zeros(mult[1:].shape), init=1.0)
             hom[-1] = 1.0
-            hom_b = hom.reshape(hom.shape + (1,) * (r.ndim - 1))
+            hom_b = _align(hom, r.ndim)
             closure = (r[0] - part[0]) / (hom_b[0] - mult[0])
             out = part + closure * hom_b
         return np.moveaxis(out, 0, -1)
@@ -397,24 +487,6 @@ class OrbitOperators:
         if variant == "tau2":
             out[..., C] = 0.0
         return out
-
-
-def build_operators(
-    sys: CatCircleSystem,
-    orbit: PseudoOrbit,
-    chart: ChartConfig | None = None,
-    split_cfg: SplitConfig | None = None,
-) -> OrbitOperators:
-    """Assemble frames, charts and transfer blocks along the orbit."""
-    return OrbitOperators(sys, orbit, chart, split_cfg)
-
-
-def apply_beta(ops: OrbitOperators, v_coeffs: np.ndarray, variant: str = "tau1") -> np.ndarray:
-    return ops.apply_beta(v_coeffs, variant)
-
-
-def solve_p(ops: OrbitOperators, rhs: np.ndarray) -> np.ndarray:
-    return ops.solve_p(rhs)
 
 
 def _scaled_draw(
@@ -449,7 +521,7 @@ def estimate_contraction(
     factor of Phi on transversal pairs.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    ops = ops if ops is not None else build_operators(sys, orbit, cfg.chart)
+    ops = ops if ops is not None else OrbitOperators(sys, orbit.points, orbit.cyclic, cfg.chart)
     rng = np.random.default_rng(cfg.probe_seed if seed is None else seed)
     eps = cfg.epsilon
     probes = max(2, int(probes))
@@ -480,7 +552,7 @@ def estimate_contraction(
     observed = float(np.max(ops.norm_one(phi_a - phi_b) / ops.norm_one(u_a - u_b)))
 
     defect = float(orbit.defect)
-    lam = ops.lambda_tilde
+    lam = float(ops.lambda_tilde)
     if lam < 1.0 and observed < 1.0:
         predicted = big_l_pt * defect / ((1.0 - lam) * (1.0 - observed))
     else:
@@ -509,7 +581,6 @@ def shadow(
     orbit: PseudoOrbit,
     cfg: SolverConfig | None = None,
     initial: np.ndarray | None = None,
-    admissibility: ContractionEstimates | None = None,
 ) -> ShadowResult:
     """Trace ``orbit`` with the variant requested in ``cfg``.
 
@@ -517,139 +588,257 @@ def shadow(
     epsilon ball), iterates Phi until the solver-norm update drops below
     ``fixed_point_tol``, and verifies the step relation of the variant.
     An admissibility check runs first and refuses orbits whose measured
-    defect cannot be traced within epsilon; passing ``admissibility``
-    reuses probe constants measured on a structurally identical orbit
-    (the block norms and the defect of this orbit are still checked).
+    defect cannot be traced within epsilon.  This is the one-orbit case of
+    :func:`shadow_batch`; the first check the orbit fails is raised.
+    """
+    out = shadow_batch(sys, [orbit], cfg, initial=initial)[0]
+    if isinstance(out, QuasiShadowError):
+        raise out
+    return out
+
+
+def shadow_batch(
+    sys: CatCircleSystem,
+    orbits: list[PseudoOrbit],
+    cfg: SolverConfig | None = None,
+    est: ContractionEstimates | None = None,
+    split: Splitting | None = None,
+    initial: np.ndarray | None = None,
+) -> list:
+    """Trace orbits of one length and boundary type together, as one batch.
+
+    Returns one entry per orbit: its :class:`ShadowResult`, or the
+    :class:`QuasiShadowError` of the first check it failed.  The checks run
+    per orbit in this order: boundary policy, leaf-mode wrap gap, splitting
+    convergence, lambda_tilde < 1, probing, observed contraction < 1,
+    predicted radius < epsilon; then, in every Phi step, the chart checks
+    of beta, the straddle check of the block solves and the epsilon ball,
+    then ``max_iterations`` and the chart checks of the result.  An orbit
+    that fails leaves the others untouched.
+
+    Without ``est`` every orbit is probed for its own constants
+    (:func:`estimate_contraction`); with it every orbit reuses them, with
+    its own defect.  ``split`` is the numerical splitting at the stacked
+    points, from ``splitting_at(..., strict=False)``; it is computed when
+    not given.  ``initial`` (shape (W, 3)) starts every orbit.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    if cfg.boundary_policy != "auto":
-        want_cyclic = cfg.boundary_policy == "cyclic"
-        if want_cyclic != orbit.cyclic:
-            raise ConfigError(
+    out: list = [None] * len(orbits)
+    cyclic = orbits[0].cyclic
+    if cfg.boundary_policy != "auto" and (cfg.boundary_policy == "cyclic") != cyclic:
+        return [
+            ConfigError(
                 f"boundary policy {cfg.boundary_policy!r} does not match "
-                f"orbit cyclic={orbit.cyclic}"
+                f"orbit cyclic={cyclic}"
             )
-    if orbit.leaf_mode and cfg.variant != "tau2":
-        gap = _point_wrap_gap(sys, orbit)
-        if gap > cfg.chart.rho:
-            raise AdmissibilityError(
-                f"leaf-mode orbit has pointwise wrap gap {gap:.6g} > rho="
-                f"{cfg.chart.rho}; only the fiber-sliding variant (tau2) applies"
+        ] * len(orbits)
+    gaps = np.zeros(len(orbits))
+    for b, orbit in enumerate(orbits):
+        if orbit.leaf_mode and cfg.variant != "tau2":
+            gaps[b] = _point_wrap_gap(sys, orbit)
+            if gaps[b] > cfg.chart.rho:
+                out[b] = AdmissibilityError(
+                    f"leaf-mode orbit has pointwise wrap gap {gaps[b]:.6g} > rho="
+                    f"{cfg.chart.rho}; only the fiber-sliding variant (tau2) applies"
+                )
+    points = np.stack([orbit.points for orbit in orbits])
+    if sys.splitting_mode != "analytic":
+        split = split if split is not None else splitting_at(sys, points, strict=False)
+        for b in range(len(orbits)):
+            if out[b] is None:
+                out[b] = splitting_error(split.change[b], sys.split_config)
+    idx = np.array([b for b, o in enumerate(out) if o is None], dtype=int)
+    if not idx.size:
+        return out
+    if idx.size < len(orbits):
+        points = points[idx]
+        split = None if split is None else split[idx]
+    ops = OrbitOperators(sys, points, cyclic, cfg.chart, split)
+
+    ests = {}
+    for i, b in enumerate(idx):
+        orbit, lam = orbits[b], ops.lambda_tilde[i]
+        if lam >= 1.0:
+            out[b] = AdmissibilityError(
+                f"stable/unstable block norm {lam:.6g} >= 1; "
+                "not partially hyperbolic at this scale"
             )
-    ops = build_operators(sys, orbit, cfg.chart)
-    if ops.lambda_tilde >= 1.0:
-        raise AdmissibilityError(
-            f"stable/unstable block norm {ops.lambda_tilde:.6g} >= 1; "
-            "not partially hyperbolic at this scale"
+            continue
+        if est is None:
+            try:
+                ests[b] = estimate_contraction(
+                    sys,
+                    orbit,
+                    cfg,
+                    probes=cfg.admissibility_probes,
+                    ops=ops.take(i),
+                )
+            except QuasiShadowError as exc:
+                out[b] = exc
+                continue
+        else:
+            ests[b] = replace(est, defect=float(orbit.defect))
+        observed = ests[b].observed_contraction
+        defect = max(float(orbit.defect), gaps[b])
+        if observed >= 1.0:
+            out[b] = AdmissibilityError(f"no contraction: observed factor {observed:.6g} >= 1")
+            continue
+        predicted = ests[b].norm_equivalence_pointwise * defect / (
+            (1.0 - lam) * (1.0 - observed)
         )
-    if admissibility is None:
-        est = estimate_contraction(
-            sys, orbit, cfg, probes=cfg.admissibility_probes, ops=ops
-        )
-    else:
-        est = replace(admissibility, defect=float(orbit.defect))
-    defect = float(orbit.defect)
-    if orbit.leaf_mode and cfg.variant != "tau2":
-        defect = max(defect, _point_wrap_gap(sys, orbit))
-    if est.observed_contraction >= 1.0:
-        raise AdmissibilityError(
-            f"no contraction: observed factor {est.observed_contraction:.6g} >= 1"
-        )
-    predicted = est.norm_equivalence_pointwise * defect / (
-        (1.0 - ops.lambda_tilde) * (1.0 - est.observed_contraction)
-    )
-    if predicted >= cfg.epsilon:
-        raise AdmissibilityError(
-            f"defect {defect:.6g} predicts tracing radius {predicted:.6g} "
-            f">= epsilon {cfg.epsilon}; reduce the defect or raise epsilon"
-        )
+        if predicted >= cfg.epsilon:
+            out[b] = AdmissibilityError(
+                f"defect {defect:.6g} predicts tracing radius {predicted:.6g} "
+                f">= epsilon {cfg.epsilon}; reduce the defect or raise epsilon"
+            )
+    admitted = np.array([out[b] is None for b in idx])
+    if not admitted.any():
+        return out
+    if not admitted.all():
+        ops, idx = ops.take(admitted), idx[admitted]
 
     W = ops.n_points
     if initial is None:
-        w = np.zeros((W, 3))
+        w = np.zeros((idx.size, W, 3))
     else:
-        w = np.array(initial, float)
-        if w.shape != (W, 3):
+        w0 = np.array(initial, float)
+        if w0.shape != (W, 3):
             raise ValueError(f"initial guess must have shape ({W}, 3)")
-        if ops.norm_one(w) > cfg.epsilon:
+        if np.any(ops.norm_one(w0) > cfg.epsilon):
             raise ValueError("initial guess lies outside the epsilon ball")
         if cfg.variant == "tau2":
-            w[:, C] = 0.0
+            w0[:, C] = 0.0
+        w = np.broadcast_to(w0, (idx.size, W, 3)).copy()
 
-    deltas = []
-    for _ in range(cfg.max_iterations):
-        w_new = ops.phi(w, cfg.variant)
-        delta = ops.norm_one(w_new - w)
-        deltas.append(delta)
-        w = w_new
-        if ops.norm_one(w) > cfg.epsilon:
-            raise ConvergenceError(
-                f"iterate of solver norm {ops.norm_one(w):.6g} escaped the "
-                f"epsilon ball ({cfg.epsilon})"
-            )
-        if delta < cfg.fixed_point_tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"no fixed point within {cfg.max_iterations} iterations "
-            f"(last update {deltas[-1]:.3g})"
+    history, failed = _iterate(ops, cfg, w)
+    for a, exc in failed.items():
+        out[idx[a]] = exc
+    fin = np.array([a for a in range(idx.size) if a not in failed], dtype=int)
+    if not fin.size:
+        return out
+    sub = ops if fin.size == idx.size else ops.take(fin)
+    fields, ok, errors = _isolate(lambda o, v: _extract(sys, o, cfg, v), sub, w[fin])
+    for i, exc in errors.items():
+        out[idx[fin[i]]] = exc
+    if not ok.any():
+        return out
+    y, trans, corrections, trace, center, step = fields
+    for j, a in enumerate(fin[ok]):
+        b = idx[a]
+        deltas = np.asarray(history[a])
+        out[b] = ShadowResult(
+            variant=cfg.variant,
+            ks=orbits[b].ks,
+            x=orbits[b].points.copy(),
+            y=y[j],
+            trans=trans[j],
+            corrections=corrections[j],
+            diagnostics=replace(
+                ests[b], iterations=len(deltas), final_residual=float(deltas[-1])
+            ),
+            max_trace_dist=float(trace[j]),
+            step_residual=float(step[j]),
+            center_residual=float(center[j]),
+            delta_history=deltas,
+            cyclic=cyclic,
         )
+    return out
 
-    return _extract(sys, orbit, ops, cfg, est, w, np.asarray(deltas))
+
+def _iterate(ops: OrbitOperators, cfg: SolverConfig, w: np.ndarray) -> tuple[list, dict]:
+    """Phi iterations from ``w`` (updated in place) until every orbit converges or fails.
+
+    An orbit stops at its first update below ``fixed_point_tol``.  Returns
+    the update norms of each orbit and {position: error} for the orbits
+    that failed.
+    """
+    act, sub = np.arange(len(w)), ops  # orbits still iterating, and their operators
+    history: list = [[] for _ in range(len(w))]
+    failed: dict = {}
+    for _ in range(cfg.max_iterations):
+        w_new, ok, errors = _isolate(lambda o, v: o.phi(v, cfg.variant), sub, w[act])
+        failed.update((act[i], exc) for i, exc in errors.items())
+        if not ok.all():
+            act, sub = act[ok], sub.take(ok)
+        if not act.size:
+            break
+        delta = sub.norm_one(w_new - w[act])
+        w[act] = w_new
+        size = sub.norm_one(w_new)
+        escaped = size > cfg.epsilon
+        for j, a in enumerate(act):
+            history[a].append(delta[j])
+            if escaped[j]:
+                failed[a] = ConvergenceError(
+                    f"iterate of solver norm {size[j]:.6g} escaped the "
+                    f"epsilon ball ({cfg.epsilon})"
+                )
+        going = ~escaped & ~(delta < cfg.fixed_point_tol)
+        if not going.all():
+            act, sub = act[going], sub.take(going)
+        if not act.size:
+            break
+    for a in act:
+        failed[a] = ConvergenceError(
+            f"no fixed point within {cfg.max_iterations} iterations "
+            f"(last update {history[a][-1]:.3g})"
+        )
+    return history, failed
 
 
-def _extract(
-    sys: CatCircleSystem,
-    orbit: PseudoOrbit,
-    ops: OrbitOperators,
-    cfg: SolverConfig,
-    est: ContractionEstimates,
-    w: np.ndarray,
-    deltas: np.ndarray,
-) -> ShadowResult:
-    X = orbit.points
+def _isolate(step, ops: OrbitOperators, arg: np.ndarray):
+    """``step(ops, arg)`` on a batch; when it raises, the failing orbits are found alone.
+
+    Returns the result for the orbits that pass, their mask and
+    {position: error} for the others.  Orbits of a batch do not interact
+    (up to the rounding note in :func:`_affine_scan`), so the passing
+    orbits get the values they get on their own.
+    """
+    try:
+        return step(ops, arg), np.ones(len(arg), bool), {}
+    except QuasiShadowError:
+        pass
+    errors = {}
+    for i in range(len(arg)):
+        try:
+            step(ops.take([i]), arg[i : i + 1])
+        except QuasiShadowError as exc:
+            errors[i] = exc
+    ok = np.ones(len(arg), bool)
+    ok[list(errors)] = False
+    return (step(ops.take(ok), arg[ok]) if ok.any() else None), ok, errors
+
+
+def _extract(sys: CatCircleSystem, ops: OrbitOperators, cfg: SolverConfig, w: np.ndarray):
+    """Tracing points, center bookkeeping and per-orbit residuals of solved iterates.
+
+    Returns y, the transversal parts v, the corrections, and per orbit the
+    largest trace distance, center residual and step residual.
+    """
+    X = ops.points
+    rho0 = cfg.chart.rho0
     us = w.copy()
-    us[:, C] = 0.0
+    us[..., C] = 0.0
     v_amb = ops.assemble(us)
-    y = expmap(X, v_amb, cfg.chart.rho0)
-    max_trace = float(np.max(dist(X, y)))
-    center_res = float(np.max(np.abs(ops.coeffs_of(v_amb)[:, C])))
+    y = expmap(X, v_amb, rho0)
+    max_trace = dist(X, y).max(axis=-1)
+    center_res = np.abs(ops.coeffs_of(v_amb)[..., C]).max(axis=-1)
 
     src, dst = ops.step_src, ops.step_dst
-    fy = sys.forward(y[src])
+    fy = sys.forward(y[..., src, :])
+    x_dst = X[..., dst, :]
     if cfg.variant == "tau1":
-        u_amb = ops.frames[:, :, C] * w[:, C, None]
-        corrections = u_amb
-        targets = expmap(
-            X[dst],
-            u_amb[dst] + logmap(X[dst], fy, cfg.chart.rho0),
-            cfg.chart.rho0,
-        )
+        corrections = ops.frames[..., C] * w[..., C, None]
+        targets = expmap(x_dst, corrections[..., dst, :] + logmap(x_dst, fy, rho0), rho0)
     elif cfg.variant == "tau3":
-        corrections = w[:, C].copy()
-        targets = center_flow(fy, corrections[dst])
+        corrections = w[..., C].copy()
+        targets = center_flow(fy, corrections[..., dst])
     else:
-        slid = ops._slide_coeffs(fy, dst)
-        targets = wrap(X[dst] + np.einsum("kij,kj->ki", ops.frames[dst], slid))
-        corrections = np.zeros(len(X))
-        corrections[dst] = minimal_rep(targets[:, 2] - fy[:, 2])
-    step_residual = float(np.max(dist(y[dst], targets)))
-
-    est = replace(est, iterations=len(deltas), final_residual=float(deltas[-1]))
-    return ShadowResult(
-        variant=cfg.variant,
-        ks=orbit.ks.copy(),
-        x=X.copy(),
-        y=y,
-        trans=v_amb,
-        corrections=corrections,
-        diagnostics=est,
-        max_trace_dist=max_trace,
-        step_residual=step_residual,
-        center_residual=center_res,
-        delta_history=deltas,
-        cyclic=orbit.cyclic,
-    )
+        targets = wrap(x_dst + ops._slide_coeffs(fy, dst)[1])
+        corrections = np.zeros(X.shape[:-1])
+        corrections[..., dst] = minimal_rep(targets[..., 2] - fy[..., 2])
+    step_residual = dist(y[..., dst, :], targets).max(axis=-1)
+    return y, v_amb, corrections, max_trace, center_res, step_residual
 
 
 def iterate_phi(
@@ -695,14 +884,8 @@ def transversal_slide(sys: CatCircleSystem, x, z, split_cfg: SplitConfig | None 
     """
     x = wrap(x)
     z = np.asarray(z, float)
-    split = splitting_at(sys, x, split_cfg)
-    E = split.frames[:2][:, [S, U]]
-    det = E[0, 0] * E[1, 1] - E[0, 1] * E[1, 0]
-    d_base = minimal_rep(z[..., :2] - x[:2])
-    a = (E[1, 1] * d_base[..., 0] - E[0, 1] * d_base[..., 1]) / det
-    c = (-E[1, 0] * d_base[..., 0] + E[0, 0] * d_base[..., 1]) / det
-    move = a[..., None] * split.frames[:, S] + c[..., None] * split.frames[:, U]
-    return wrap(x + move)
+    frames = splitting_at(sys, x, split_cfg).frames
+    return wrap(x + _fiber_slide(frames, minimal_rep(z[..., :2] - x[:2]))[1])
 
 
 def tau2_lipschitz(

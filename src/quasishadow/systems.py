@@ -137,10 +137,14 @@ class CatCircleSystem:
 
     def differential(self, x) -> np.ndarray:
         """Exact Jacobian of the chart map at x, shape (..., 3, 3)."""
-        x = np.asarray(x, float)
-        out = np.zeros(x.shape[:-1] + (3, 3))
+        return self._jacobian(np.asarray(x, float)[..., 0])
+
+    def _jacobian(self, b1) -> np.ndarray:
+        """The differential at points whose first base coordinate is b1; nothing else enters."""
+        b1 = np.asarray(b1, float)
+        out = np.zeros(b1.shape + (3, 3))
         out[..., :2, :2] = CAT
-        out[..., 2, 0] = 2.0 * np.pi * self.kappa * np.cos(2.0 * np.pi * x[..., 0])
+        out[..., 2, 0] = 2.0 * np.pi * self.kappa * np.cos(2.0 * np.pi * b1)
         out[..., 2, 2] = 1.0
         return out
 
@@ -194,11 +198,19 @@ class Splitting:
     ``frames[..., :, i]`` is the unit direction of bundle i in the
     (stable, center, unstable) order; ``frames_inv @ vector`` gives
     splitting coordinates.  Projections are onto one bundle along the sum
-    of the other two.
+    of the other two.  ``change[..., 0]`` and ``change[..., 1]`` hold how
+    far the stable and unstable power-iteration directions moved on their
+    last step at each point (None for the analytic splitting).
     """
 
     frames: np.ndarray
     frames_inv: np.ndarray
+    change: np.ndarray | None = None
+
+    def __getitem__(self, key) -> "Splitting":
+        """The splitting at a subset of the points; ``key`` indexes the point axes."""
+        change = None if self.change is None else self.change[key]
+        return Splitting(self.frames[key], self.frames_inv[key], change)
 
     def projector(self, bundle: int) -> np.ndarray:
         cols = self.frames[..., :, bundle]
@@ -212,65 +224,103 @@ class Splitting:
         return np.einsum("...ij,...j->...i", self.frames, np.asarray(coeffs, float))
 
 
-def _power_direction(sys: CatCircleSystem, x: np.ndarray, cfg: SplitConfig, unstable: bool) -> np.ndarray:
+_FRAME = np.stack([E_STABLE, E_CENTER, E_UNSTABLE], axis=-1)
+# the kappa = 0 splitting: one frame at every point
+ANALYTIC = Splitting(_FRAME, np.linalg.inv(_FRAME))
+
+
+def _power_direction(
+    sys: CatCircleSystem, x: np.ndarray, cfg: SplitConfig, unstable: bool
+) -> tuple[np.ndarray, np.ndarray]:
     """Invariant direction by normalized push along an orbit segment of length n_iter.
 
-    Convergence is judged at the target point: the full iteration must
-    agree there with the iteration seeded one orbit step closer (one push
-    shorter).
+    Convergence is judged at the target point: the full iteration is
+    compared there with the iteration seeded one orbit step closer (one
+    push shorter).  Returns the directions and, per point, how far they
+    moved between the two (zero when n_iter <= 1).
     """
     n = cfg.n_iter
-    traj = [np.asarray(x, float)]
+    x = np.asarray(x, float)
     step = sys.inverse if unstable else sys.forward
+    # the differential depends on b_1 alone, so only that column of the
+    # orbit segment is kept
+    b1 = [x[..., 0]]
+    z = x
     for _ in range(n):
-        traj.append(step(traj[-1]))
+        z = step(z)
+        b1.append(z[..., 0].copy())
     seed = E_UNSTABLE if unstable else E_STABLE
-    v = np.broadcast_to(seed, traj[0].shape).copy()  # seeded at the far end
-    w = np.broadcast_to(seed, traj[0].shape).copy()  # seeded one step in, lags one push
+    v = np.broadcast_to(seed, x.shape).copy()  # seeded at the far end
+    w = np.broadcast_to(seed, x.shape).copy()  # seeded one step in, lags one push
     for j in range(n, 0, -1):
         if unstable:
-            jac = sys.differential(traj[j])
+            jac = sys._jacobian(b1[j])
             v = np.einsum("...ij,...j->...i", jac, v)
             if j < n:
                 w = np.einsum("...ij,...j->...i", jac, w)
         else:
-            jac = sys.differential(traj[j - 1])
+            jac = sys._jacobian(b1[j - 1])
             v = np.linalg.solve(jac, v[..., None])[..., 0]
             if j < n:
                 w = np.linalg.solve(jac, w[..., None])[..., 0]
         v = v / np.linalg.norm(v, axis=-1, keepdims=True)
         if j < n:
             w = w / np.linalg.norm(w, axis=-1, keepdims=True)
+    change = np.zeros(v.shape[:-1])
     if n > 1:
         sgn = np.sign(np.einsum("...i,...i->...", v, w))
         sgn = np.where(sgn == 0.0, 1.0, sgn)
-        change = float(np.max(np.linalg.norm(v - sgn[..., None] * w, axis=-1)))
-        if change > cfg.direction_tol:
-            kind = "unstable" if unstable else "stable"
-            raise SplittingError(
-                f"{kind} direction moved by {change:.3g} on the last of "
-                f"{n} power-iteration steps (tol {cfg.direction_tol:g})"
-            )
+        change = np.linalg.norm(v - sgn[..., None] * w, axis=-1)
     # orient toward the unperturbed eigendirection
     sign = np.sign(np.einsum("...i,i->...", v, seed))
     sign = np.where(sign == 0.0, 1.0, sign)
-    return v * sign[..., None]
+    return v * sign[..., None], change
 
 
-def splitting_at(sys: CatCircleSystem, x, cfg: SplitConfig | None = None) -> Splitting:
-    """Invariant splitting frames at x (vectorized over leading axes)."""
+def splitting_error(change: np.ndarray | None, cfg: SplitConfig) -> SplittingError | None:
+    """The error for a set of points whose power iteration has not converged, else None.
+
+    ``change`` is ``Splitting.change`` at those points; the stable
+    direction is judged first, and the message names the largest move.
+    """
+    if change is None:
+        return None
+    for col, kind in ((0, "stable"), (1, "unstable")):
+        worst = float(np.max(change[..., col]))
+        if worst > cfg.direction_tol:
+            return SplittingError(
+                f"{kind} direction moved by {worst:.3g} on the last of "
+                f"{cfg.n_iter} power-iteration steps (tol {cfg.direction_tol:g})"
+            )
+    return None
+
+
+def splitting_at(
+    sys: CatCircleSystem, x, cfg: SplitConfig | None = None, strict: bool = True
+) -> Splitting:
+    """Invariant splitting frames at x (vectorized over leading axes).
+
+    With ``strict`` a :class:`SplittingError` is raised when the power
+    iteration has not converged at some point; otherwise the caller judges
+    ``change`` point by point (see :func:`splitting_error`).
+    """
     cfg = cfg if cfg is not None else sys.split_config
     x = np.asarray(x, float)
     shape = x.shape[:-1] + (3, 3)
     if sys.splitting_mode == "analytic":
-        frame = np.stack([E_STABLE, E_CENTER, E_UNSTABLE], axis=-1)
-        frames = np.broadcast_to(frame, shape).copy()
-    else:
-        e_s = _power_direction(sys, x, cfg, unstable=False)
-        e_u = _power_direction(sys, x, cfg, unstable=True)
-        e_c = np.broadcast_to(E_CENTER, x.shape)
-        frames = np.stack([e_s, e_c, e_u], axis=-1)
-    return Splitting(frames, np.linalg.inv(frames))
+        return Splitting(
+            np.broadcast_to(ANALYTIC.frames, shape).copy(),
+            np.broadcast_to(ANALYTIC.frames_inv, shape).copy(),
+        )
+    e_s, change_s = _power_direction(sys, x, cfg, unstable=False)
+    e_u, change_u = _power_direction(sys, x, cfg, unstable=True)
+    e_c = np.broadcast_to(E_CENTER, x.shape)
+    frames = np.stack([e_s, e_c, e_u], axis=-1)
+    split = Splitting(frames, np.linalg.inv(frames), np.stack([change_s, change_u], axis=-1))
+    err = splitting_error(split.change, cfg) if strict else None
+    if err is not None:
+        raise err
+    return split
 
 
 def verify_rates(sys: CatCircleSystem, points, cfg: SplitConfig | None = None) -> HyperbolicityRates:

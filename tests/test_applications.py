@@ -1,9 +1,16 @@
+import re
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quasishadow as qs
+from quasishadow import solver
 from quasishadow.applications import grid_points
-from quasishadow.errors import SearchError
+from quasishadow.errors import QuasiShadowError, SearchError
 
 from oracles import dense_tau1_cyclic, dense_tau1_window, periodic_base_point, scan_near_return
 
@@ -187,6 +194,114 @@ def test_semiconjugacy_collects_failures(product_sys):
     assert len(cmap.failures) == 8
     assert all(isinstance(i, int) for i, _ in cmap.failures)
     assert np.isnan(cmap.residual_max)
+
+
+def _per_window_semiconjugacy(sys_f, sys_g, grid, cfg, window):
+    """Reference for build_semiconjugacy: one single-orbit solve per window, grid point by grid point.
+
+    Probed constants come from the first grid point whose x-window solves
+    and are reused for every later window.
+    """
+    cfg = replace(cfg, variant="tau1")
+    rows = np.empty((2 * window + 2, len(grid), 3))
+    rows[window] = grid
+    z = grid
+    for j in range(window + 1):
+        z = sys_g.forward(z)
+        rows[window + 1 + j] = z
+    z = grid
+    for j in range(window):
+        z = sys_g.inverse(z)
+        rows[window - 1 - j] = z
+
+    def solve(points, est):
+        orbit = qs.PseudoOrbit(points, k_start=-window)
+        orbit.defect, orbit.defect_index = qs.measure_defect(sys_f, orbit)
+        if est is None:
+            return qs.shadow(sys_f, orbit, cfg)
+        res = qs.shadow_batch(sys_f, [orbit], cfg, est)[0]
+        if isinstance(res, QuasiShadowError):
+            raise res
+        return res
+
+    out = {key: np.full((len(grid), 3), np.nan) for key in ("values", "values_at_g", "center_at_g")}
+    out["residuals"] = np.full(len(grid), np.nan)
+    failures = []
+    est = None
+    for p in range(len(grid)):
+        try:
+            res_x = solve(rows[: 2 * window + 1, p], est)
+            est = res_x.diagnostics
+            res_g = solve(rows[1:, p], est)
+        except QuasiShadowError as exc:
+            failures.append((p, f"{type(exc).__name__}: {exc}"))
+            continue
+        gx = rows[window + 1, p]
+        u0 = res_g.corrections[window]
+        target = qs.expmap(gx, u0 + qs.logmap(gx, sys_f.forward(res_x.y[window])))
+        out["values"][p] = res_x.y[window]
+        out["values_at_g"][p] = res_g.y[window]
+        out["center_at_g"][p] = u0
+        out["residuals"][p] = qs.dist(res_g.y[window], target)
+    return out, failures
+
+
+def _assert_matches_per_window(sys_f, sys_g, grid, window, cfg=None):
+    cfg = cfg if cfg is not None else _cfg()
+    probe = mock.patch.object(solver, "estimate_contraction", wraps=solver.estimate_contraction)
+    with probe as probed:
+        cmap = qs.build_semiconjugacy(sys_f, sys_g, grid, cfg, window=window)
+    with probe as probed_ref:
+        ref, failures = _per_window_semiconjugacy(sys_f, sys_g, grid, cfg, window)
+    assert probed.call_count == probed_ref.call_count
+    assert cmap.failures == failures
+    for key, want in ref.items():
+        assert np.array_equal(getattr(cmap, key), want, equal_nan=True), key
+    return cmap
+
+
+def test_semiconjugacy_skew_matches_per_window_loop():
+    sys_f = qs.cat_circle_system(0.3, 0.02)
+    moved = qs.cat_circle_system(0.3, 0.02, shift=(1e-3, 2e-4, 0.0))
+    cmap = _assert_matches_per_window(sys_f, moved, grid_points(2), 30)
+    assert not cmap.failures
+    assert cmap.residual_max <= 1e-9
+
+
+def test_semiconjugacy_mixed_failures_match_per_window_loop(product_sys):
+    skewed = qs.cat_circle_system(0.3, 0.05)
+    cmap = _assert_matches_per_window(product_sys, skewed, grid_points(3), 10)
+    assert len(cmap.failures) == 24
+    assert all(msg.startswith("AdmissibilityError: ") for _, msg in cmap.failures)
+    survivors = np.flatnonzero(~np.isnan(cmap.displacement))
+    assert survivors.tolist() == [0, 1, 2]
+    assert np.array_equal(cmap.grid[survivors, :2], np.zeros((3, 2)))
+
+
+def test_semiconjugacy_splitting_failures_per_point():
+    # 26 power-iteration steps miss a 2e-12 tolerance at some orbit points
+    # only; each grid point fails exactly when one of its windows holds one
+    shallow = dict(n_split=26, direction_tol=2e-12, validate=False)
+    sys_f = qs.cat_circle_system(0.3, 0.02, **shallow)
+    moved = qs.cat_circle_system(0.3, 0.02, shift=(1e-3, 2e-4, 0.0), **shallow)
+    cmap = _assert_matches_per_window(sys_f, moved, grid_points(3), 1)
+    assert 0 < len(cmap.failures) < 27
+    pattern = r"SplittingError: stable direction moved by \S+ on the last of 26 power-iteration steps \(tol 2e-12\)"
+    assert all(re.fullmatch(pattern, msg) for _, msg in cmap.failures)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    alpha=st.floats(0.0, 1.0, exclude_max=True),
+    kappa=st.sampled_from([0.0, 0.02]),
+    translation=st.tuples(*[st.floats(-1e-3, 1e-3)] * 3),
+    per_axis=st.integers(2, 4),
+    window=st.integers(1, 6),
+)
+def test_semiconjugacy_batches_match_per_window_loop(alpha, kappa, translation, per_axis, window):
+    sys_f = qs.cat_circle_system(alpha, kappa)
+    sys_g = qs.cat_circle_system(alpha, kappa, shift=translation, validate=False)
+    _assert_matches_per_window(sys_f, sys_g, grid_points(per_axis), window)
 
 
 def test_grid_points_shape():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,15 +24,15 @@ def _noisy(sys, n=200, noise=1e-4, seed=5):
 
 def test_beta_zero_on_true_orbit(product_sys):
     orbit = qs.true_orbit_window(product_sys, (0.11, 0.23, 0.5), 30)
-    ops = qs.build_operators(product_sys, orbit)
-    out = qs.apply_beta(ops, np.zeros((len(orbit), 3)))
+    ops = qs.OrbitOperators(product_sys, orbit.points)
+    out = ops.apply_beta(np.zeros((len(orbit), 3)))
     assert np.array_equal(out, np.zeros((len(orbit), 3)))
 
 
 def test_beta_zero_matches_defects(product_sys):
     orbit = _noisy(product_sys, n=50)
-    ops = qs.build_operators(product_sys, orbit)
-    beta0 = qs.apply_beta(ops, np.zeros((len(orbit), 3)))
+    ops = qs.OrbitOperators(product_sys, orbit.points)
+    beta0 = ops.apply_beta(np.zeros((len(orbit), 3)))
     amb = ops.assemble(beta0)
     norms = np.linalg.norm(amb[1:], axis=-1)
     gaps = qs.dist(product_sys.forward(orbit.points[:-1]), orbit.points[1:])
@@ -40,12 +42,12 @@ def test_beta_zero_matches_defects(product_sys):
 
 def test_beta_affine_for_product_system(product_sys, rng):
     orbit = _noisy(product_sys, n=40)
-    ops = qs.build_operators(product_sys, orbit)
+    ops = qs.OrbitOperators(product_sys, orbit.points)
     W = len(orbit)
     v = rng.standard_normal((W, 3)) * 5e-3
     v[:, C] = 0.0
-    beta_v = qs.apply_beta(ops, v)
-    beta_0 = qs.apply_beta(ops, np.zeros((W, 3)))
+    beta_v = ops.apply_beta(v)
+    beta_0 = ops.apply_beta(np.zeros((W, 3)))
     # the linear part acts diagonally in the eigenframe
     expected = np.zeros((W, 3))
     expected[1:, S] = LAM * v[:-1, S]
@@ -55,11 +57,11 @@ def test_beta_affine_for_product_system(product_sys, rng):
 
 def test_beta_rejects_large_transversal(product_sys):
     orbit = _noisy(product_sys, n=10)
-    ops = qs.build_operators(product_sys, orbit)
+    ops = qs.OrbitOperators(product_sys, orbit.points)
     v = np.zeros((len(orbit), 3))
     v[:, U] = 0.2  # above the working radius
     with pytest.raises(ChartError):
-        qs.apply_beta(ops, v)
+        ops.apply_beta(v)
 
 
 # -- transfer blocks -----------------------------------------------------
@@ -67,7 +69,7 @@ def test_beta_rejects_large_transversal(product_sys):
 
 def test_transfer_blocks_product(product_sys):
     orbit = _noisy(product_sys, n=50)
-    ops = qs.build_operators(product_sys, orbit)
+    ops = qs.OrbitOperators(product_sys, orbit.points)
     assert np.allclose(ops.alpha, LAM, atol=1e-12)
     assert np.allclose(ops.beta_u, MU, atol=1e-12)
     assert abs(ops.lambda_tilde - LAM) < 1e-12
@@ -75,7 +77,7 @@ def test_transfer_blocks_product(product_sys):
 
 def test_transfer_annihilates_center(product_sys, rng):
     orbit = _noisy(product_sys, n=20)
-    ops = qs.build_operators(product_sys, orbit)
+    ops = qs.OrbitOperators(product_sys, orbit.points)
     pure_center = np.zeros((len(orbit), 3))
     pure_center[:, C] = rng.standard_normal(len(orbit))
     assert np.array_equal(ops.apply_transfer(pure_center), np.zeros((len(orbit), 3)))
@@ -87,8 +89,9 @@ def test_cross_blocks_small_for_tight_pseudo_orbits(skew_sys):
     sums = {}
     for noise in (1e-4, 1e-3):
         orbit = _noisy(skew_sys, n=100, noise=noise)
-        ops = qs.build_operators(skew_sys, orbit)
-        M = ops.frames_inv[ops.step_dst] @ ops.jac @ ops.frames[ops.step_src]
+        ops = qs.OrbitOperators(skew_sys, orbit.points)
+        jac = skew_sys.differential(orbit.points[ops.step_src])
+        M = ops.frames_inv[ops.step_dst] @ jac @ ops.frames[ops.step_src]
         off = np.abs(M).sum(axis=(1, 2)) - np.abs(np.einsum("kii->ki", M)).sum(axis=1)
         sums[noise] = float(off.max())
     assert sums[1e-4] < 1e-2
@@ -100,7 +103,7 @@ def test_cross_blocks_small_for_tight_pseudo_orbits(skew_sys):
 
 def test_solve_p_identity_when_transfer_vanishes(product_sys, rng):
     orbit = _noisy(product_sys, n=15)
-    ops = qs.build_operators(product_sys, orbit)
+    ops = qs.OrbitOperators(product_sys, orbit.points)
     ops.alpha = np.zeros_like(ops.alpha)
     ops.beta_u = np.zeros_like(ops.beta_u)
     rhs = rng.standard_normal((len(orbit), 3))
@@ -113,7 +116,7 @@ def test_solve_p_identity_when_transfer_vanishes(product_sys, rng):
 
 def test_solve_p_matches_dense_window(product_sys, rng):
     orbit = _noisy(product_sys, n=50, seed=11)
-    ops = qs.build_operators(product_sys, orbit)
+    ops = qs.OrbitOperators(product_sys, orbit.points)
     rhs = rng.standard_normal((len(orbit), 3)) * 1e-3
     out = ops.solve_p(rhs)
     s_dense = dense_stable_window(ops.alpha, rhs[:, S])
@@ -128,7 +131,7 @@ def test_solve_p_matches_dense_cyclic(product_sys, rng):
     pts = product_sys.orbit(nr.point, 29)
     orbit = qs.PseudoOrbit(pts, cyclic=True)
     orbit.defect, orbit.defect_index = qs.measure_defect(product_sys, orbit)
-    ops = qs.build_operators(product_sys, orbit)
+    ops = qs.OrbitOperators(product_sys, orbit.points, cyclic=True)
     rhs = rng.standard_normal((30, 3)) * 1e-3
     out = ops.solve_p(rhs)
     assert np.max(np.abs(out[:, S] - dense_block_cyclic(ops.alpha, rhs[:, S]))) < 1e-12
@@ -137,7 +140,7 @@ def test_solve_p_matches_dense_cyclic(product_sys, rng):
 
 def test_solve_p_straddling_multipliers_rejected(product_sys, rng):
     orbit = _noisy(product_sys, n=10)
-    ops = qs.build_operators(product_sys, orbit)
+    ops = qs.OrbitOperators(product_sys, orbit.points)
     ops.beta_u = np.linspace(0.5, 1.5, len(ops.beta_u))
     with pytest.raises(AdmissibilityError):
         ops.solve_p(rng.standard_normal((len(orbit), 3)))
@@ -338,7 +341,7 @@ def test_norm_equivalence_product(product_sys, rng):
     # orthogonal splitting: sqrt(2) pointwise, 2 for the split-supremum norm
     assert est.norm_equivalence_pointwise <= np.sqrt(2.0) + 1e-9
     assert est.norm_equivalence <= 2.0 + 1e-9
-    ops = qs.build_operators(product_sys, orbit)
+    ops = qs.OrbitOperators(product_sys, orbit.points)
     draws = rng.standard_normal((32, len(orbit), 3)) * 1e-3
     assert np.all(ops.norm_sup(draws) <= ops.norm_one(draws) + 1e-15)
     assert np.all(ops.norm_one(draws) <= (2.0 + 1e-9) * ops.norm_sup(draws))
@@ -357,10 +360,44 @@ def test_contraction_estimates_bounds(product_sys, skew_sys):
 def test_contraction_estimate_reused(product_sys):
     orbit = _noisy(product_sys, n=30)
     est = qs.estimate_contraction(product_sys, orbit, probes=8)
-    res = qs.shadow(product_sys, orbit, admissibility=est)
+    res = qs.shadow_batch(product_sys, [orbit], est=est)[0]
     assert res.diagnostics.defect == orbit.defect
     ref = qs.shadow(product_sys, orbit)
     assert np.array_equal(res.y, ref.y)
+
+
+def test_shadow_batch_failures_stay_per_orbit(product_sys):
+    # the middle orbit jumps across the torus once; constants that admit any
+    # defect let it into the Phi steps, where its chart check fails
+    good = [_noisy(product_sys, n=20, seed=s) for s in (1, 2)]
+    pts = good[0].points.copy()
+    pts[20] = qs.wrap(pts[20] + 0.5)
+    bad = qs.PseudoOrbit(pts, k_start=-20)
+    bad.defect, bad.defect_index = qs.measure_defect(product_sys, bad)
+    est = qs.estimate_contraction(product_sys, good[0], probes=8)
+    est = replace(est, norm_equivalence_pointwise=1e-9)
+    out = qs.shadow_batch(product_sys, [good[0], bad, good[1]], est=est)
+    alone = [qs.shadow_batch(product_sys, [orbit], est=est)[0] for orbit in (good[0], bad, good[1])]
+    assert isinstance(out[1], ChartError)
+    assert str(out[1]) == str(alone[1])
+    for res, ref in ((out[0], alone[0]), (out[2], alone[2])):
+        assert res.to_json_dict() == ref.to_json_dict()
+
+
+def test_shadow_batch_stops_each_orbit_at_its_own_fixed_point(product_sys):
+    true = qs.true_orbit_window(product_sys, (0.11, 0.23, 0.5), 20)
+    noisy = _noisy(product_sys, n=20)
+    cfg = qs.SolverConfig(max_iterations=1)
+    out = qs.shadow_batch(product_sys, [true, noisy, true], cfg)
+    assert out[0].to_json_dict() == qs.shadow(product_sys, true, cfg).to_json_dict()
+    assert out[0].diagnostics.iterations == 1
+    with pytest.raises(ConvergenceError) as exc:
+        qs.shadow(product_sys, noisy, cfg)
+    assert isinstance(out[1], ConvergenceError) and str(out[1]) == str(exc.value)
+    # with room to iterate, every orbit keeps its own iteration count
+    out = qs.shadow_batch(product_sys, [true, noisy])
+    assert [r.diagnostics.iterations for r in out] == [1, 2]
+    assert out[1].to_json_dict() == qs.shadow(product_sys, noisy).to_json_dict()
 
 
 def test_result_serialization(tmp_path, product_sys):
