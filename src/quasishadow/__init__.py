@@ -42,11 +42,8 @@ from .solver import (
     ShadowResult,
     SolverConfig,
     estimate_contraction,
-    iterate_phi,
     shadow,
     shadow_batch,
-    shadow_tau2,
-    shadow_tau3,
     tau2_lipschitz,
     transversal_slide,
 )
@@ -97,7 +94,6 @@ __all__ = [
     "find_periodic_center_leaf_from_leaf_return",
     "generate_noisy",
     "grid_points",
-    "iterate_phi",
     "leaf_dist",
     "logmap",
     "make_cyclic",
@@ -106,8 +102,6 @@ __all__ = [
     "perturbation_size",
     "shadow",
     "shadow_batch",
-    "shadow_tau2",
-    "shadow_tau3",
     "splitting_at",
     "tau2_lipschitz",
     "transversal_slide",

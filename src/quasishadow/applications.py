@@ -18,7 +18,7 @@ from .errors import QuasiShadowError, SearchError
 from .orbits import NearReturn, PseudoOrbit, make_cyclic, measure_defect
 from .solver import ContractionEstimates, ShadowResult, SolverConfig, shadow, shadow_batch
 from .systems import C, CatCircleSystem, Splitting, leaf_dist, splitting_at
-from .torus import dist, expmap, logmap, minimal_rep, wrap
+from .torus import RHO0_DEFAULT, dist, expmap, logmap, minimal_rep, wrap
 
 # grid points solved as one batch: large enough that per-call overhead
 # vanishes, small enough that the batch's arrays stay a few megabytes
@@ -41,16 +41,6 @@ class PeriodicCenterLeaf:
     trace_max: float
     result: ShadowResult
     chain_start: np.ndarray | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "point": self.point.tolist(),
-            "period": self.period,
-            "leaf_residual": self.leaf_residual,
-            "trace_max": self.trace_max,
-            "chain_start": None if self.chain_start is None else self.chain_start.tolist(),
-            "result": self.result.to_json_dict(),
-        }
 
 
 def _closing_config(cfg: SolverConfig | None) -> SolverConfig:
@@ -182,23 +172,6 @@ class ConjugacyMap:
     residual_mean: float
     center_residual: float
     failures: list
-
-    def to_json_dict(self) -> dict:
-        return {
-            "grid": self.grid.tolist(),
-            "values": self.values.tolist(),
-            "values_at_g": self.values_at_g.tolist(),
-            "center_at_g": self.center_at_g.tolist(),
-            "window": self.window,
-            "displacement": self.displacement.tolist(),
-            "residuals": self.residuals.tolist(),
-            "perturbation_size": self.perturbation_size,
-            "max_displacement": self.max_displacement,
-            "residual_max": self.residual_max,
-            "residual_mean": self.residual_mean,
-            "center_residual": self.center_residual,
-            "failures": [[int(i), msg] for i, msg in self.failures],
-        }
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -381,7 +354,7 @@ def verify_semiconjugacy(
     sys_f: CatCircleSystem,
     sys_g: CatCircleSystem,
     probe_points=None,
-    rho0: float = 0.5,
+    rho0: float = RHO0_DEFAULT,
 ) -> dict:
     """Recompute the intertwining residuals from the stored map data.
 
@@ -415,7 +388,9 @@ def verify_semiconjugacy(
 
 
 def _covering_radius(probes: np.ndarray, points: np.ndarray, chunk: int = 64) -> float:
-    """max over probes of the distance to the nearest point of ``points``."""
+    """max over probes of the distance to the nearest point of ``points`` (inf when empty)."""
+    if len(points) == 0:
+        return float("inf")
     worst = 0.0
     for lo in range(0, len(probes), chunk):
         block = probes[lo : lo + chunk]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import itertools
 import json
 import os
@@ -33,8 +34,18 @@ from .applications import (
 from .errors import ConfigError, QuasiShadowError
 from .orbits import RNG_KIND, find_near_return, generate_noisy
 from .solver import SolverConfig, shadow
-from .systems import cat_circle_system
+from .systems import SplitConfig, cat_circle_system
 from .torus import ChartConfig
+
+# schema type of a list of exactly three numbers (a point or a translation)
+_VEC3 = "3-vector"
+
+
+def _defaults(cls, skip=()) -> dict:
+    """Schema entries (type, default) for the fields of a config dataclass."""
+    fields = [f for f in dataclasses.fields(cls) if f.name not in skip]
+    return {f.name: (type(f.default), f.default) for f in fields}
+
 
 _SCHEMA: dict = {
     "kind": (str, None),
@@ -42,29 +53,19 @@ _SCHEMA: dict = {
         "name": (str, "cat_circle"),
         "alpha": (float, 0.0),
         "kappa": (float, 0.0),
-        "shift": (list, [0.0, 0.0, 0.0]),
+        "shift": (_VEC3, [0.0, 0.0, 0.0]),
         "splitting_mode": (str, "auto"),
-        "n_split": (int, 40),
+        "n_split": (int, SplitConfig.n_iter),
     },
-    "solver": {
-        "variant": (str, "tau1"),
-        "epsilon": (float, 0.04),
-        "fixed_point_tol": (float, 1e-12),
-        "max_iterations": (int, 200),
-        "boundary_policy": (str, "auto"),
-        "rho0": (float, 0.5),
-        "rho": (float, 0.05),
-        "admissibility_probes": (int, 8),
-        "probe_seed": (int, 20240),
-    },
+    "solver": _defaults(SolverConfig, skip=("chart",)) | _defaults(ChartConfig),
     "orbit": {
-        "x0": (list, [0.1, 0.2, 0.3]),
+        "x0": (_VEC3, [0.1, 0.2, 0.3]),
         "n_steps": (int, 200),
         "noise": (float, 1e-4),
         "seed": (int, 0),
     },
     "close": {
-        "x0": (list, [0.1, 0.2, 0.3]),
+        "x0": (_VEC3, [0.1, 0.2, 0.3]),
         "max_n": (int, 5000),
         "threshold": (float, 1e-3),
         "mode": (str, "leaf"),
@@ -74,7 +75,7 @@ _SCHEMA: dict = {
         "window": (int, 100),
         "alpha_shift": (float, 0.0),
         "kappa_shift": (float, 0.0),
-        "translation": (list, [0.0, 0.0, 0.0]),
+        "translation": (_VEC3, [0.0, 0.0, 0.0]),
     },
     "sweep": {
         "noise": (list, []),
@@ -113,6 +114,10 @@ def _coerce(value, want, path):
         if not isinstance(value, str):
             raise ConfigError(f"{path}: expected a string, got {value!r}")
         return value
+    if want is _VEC3:
+        if not isinstance(value, list) or len(value) != 3:
+            raise ConfigError(f"{path}: expected a list of 3 numbers, got {value!r}")
+        return [_coerce(v, float, f"{path}[{i}]") for i, v in enumerate(value)]
     if want is list:
         if not isinstance(value, list):
             raise ConfigError(f"{path}: expected a list, got {value!r}")
@@ -159,29 +164,20 @@ def resolve_config(raw: dict) -> dict:
 def _build_system(section: dict, validate: bool = True):
     if section["name"] != "cat_circle":
         raise ConfigError(f"unknown system {section['name']!r}")
-    shift = section["shift"]
-    if len(shift) != 3:
-        raise ConfigError("system.shift must have 3 entries")
     return cat_circle_system(
         section["alpha"],
         section["kappa"],
-        shift=None if all(v == 0.0 for v in shift) else shift,
+        shift=section["shift"] if any(section["shift"]) else None,
         splitting_mode=section["splitting_mode"],
         n_split=section["n_split"],
         validate=validate,
     )
 
 
-def _solver_config(section: dict, variant: str | None = None) -> SolverConfig:
+def _solver_config(section: dict) -> SolverConfig:
     return SolverConfig(
-        variant=variant if variant is not None else section["variant"],
-        epsilon=section["epsilon"],
-        fixed_point_tol=section["fixed_point_tol"],
-        max_iterations=section["max_iterations"],
-        boundary_policy=section["boundary_policy"],
+        **{key: v for key, v in section.items() if key not in ("rho0", "rho")},
         chart=ChartConfig(section["rho0"], section["rho"]),
-        admissibility_probes=section["admissibility_probes"],
-        probe_seed=section["probe_seed"],
     )
 
 
@@ -204,6 +200,13 @@ def _report(kind: str, config: dict, results: dict, checks: list, started: float
         "passed": all(c["passed"] for c in checks),
         "runtime_seconds": time.time() - started,
     }
+
+
+def to_json(obj):
+    """``obj`` with dataclasses turned into dicts of their fields and arrays into lists."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj
 
 
 def write_report(report: dict, path) -> None:
@@ -229,7 +232,7 @@ def run_shadow(config: dict, out_dir: Path | None = None, stem: str = "shadow") 
         "center_residual": res.center_residual,
         "correction_max": float(np.max(res.correction_norms())),
         "iterations": res.diagnostics.iterations,
-        "diagnostics": res.diagnostics.to_json_dict(),
+        "diagnostics": to_json(res.diagnostics),
     }
     bounds = config["bounds"]
     checks = [
@@ -248,9 +251,7 @@ def run_shadow(config: dict, out_dir: Path | None = None, stem: str = "shadow") 
 def run_close(config: dict, out_dir: Path | None = None, stem: str = "close") -> dict:
     started = time.time()
     system = _build_system(config["system"])
-    base_cfg = _solver_config(config["solver"])
-    variant = base_cfg.variant if base_cfg.variant in ("tau2", "tau3") else "tau2"
-    cfg = _solver_config(config["solver"], variant=variant)
+    cfg = _solver_config(config["solver"])
     cl = config["close"]
     near = find_near_return(system, cl["x0"], cl["max_n"], cl["threshold"], cl["mode"])
     leaf = find_periodic_center_leaf(system, near, cfg)
@@ -262,7 +263,7 @@ def run_close(config: dict, out_dir: Path | None = None, stem: str = "close") ->
         "representative": leaf.point.tolist(),
         "leaf_residual": leaf.leaf_residual,
         "trace_max": leaf.trace_max,
-        "diagnostics": leaf.result.diagnostics.to_json_dict(),
+        "diagnostics": to_json(leaf.result.diagnostics),
     }
     bounds = config["bounds"]
     checks = [
@@ -285,7 +286,7 @@ def run_stability(config: dict, out_dir: Path | None = None, stem: str = "stabil
     pert["kappa"] = pert["kappa"] + st["kappa_shift"]
     pert["shift"] = [a + b for a, b in zip(pert["shift"], st["translation"])]
     sys_g = _build_system(pert)
-    cfg = _solver_config(config["solver"], variant="tau1")
+    cfg = _solver_config(config["solver"])
     grid = grid_points(st["grid_per_axis"])
     cmap = build_semiconjugacy(sys_f, sys_g, grid, cfg, window=st["window"])
     probes = (grid + 0.5 / st["grid_per_axis"]) % 1.0

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,19 +51,6 @@ class PseudoOrbit:
 
     def point(self, k: int) -> np.ndarray:
         return self.points[k - self.k_start]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "points": self.points.tolist(),
-            "cyclic": self.cyclic,
-            "k_start": self.k_start,
-            "leaf_mode": self.leaf_mode,
-            "defect": self.defect,
-            "defect_index": self.defect_index,
-            "noise": self.noise,
-            "seed": self.seed,
-            "rng": RNG_KIND,
-        }
 
     def write_csv(self, path) -> None:
         d = self.points.shape[1]

@@ -161,22 +161,6 @@ class ContractionEstimates:
     iterations: int = 0
     final_residual: float = float("nan")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "norm_equivalence": self.norm_equivalence,
-            "norm_equivalence_pointwise": self.norm_equivalence_pointwise,
-            "lambda_tilde": self.lambda_tilde,
-            "eta_lipschitz": self.eta_lipschitz,
-            "p_inv_norm": self.p_inv_norm,
-            "observed_contraction": self.observed_contraction,
-            "defect": self.defect,
-            "predicted_radius": self.predicted_radius,
-            "sufficient_condition": self.sufficient_condition,
-            "probes": self.probes,
-            "iterations": self.iterations,
-            "final_residual": self.final_residual,
-        }
-
 
 @dataclass
 class ShadowResult:
@@ -199,23 +183,6 @@ class ShadowResult:
     center_residual: float
     delta_history: np.ndarray
     cyclic: bool
-
-    def to_json_dict(self) -> dict:
-        key = {"tau1": "u", "tau2": "slide", "tau3": "tau"}[self.variant]
-        return {
-            "variant": self.variant,
-            "cyclic": self.cyclic,
-            "k": self.ks.tolist(),
-            "x": self.x.tolist(),
-            "y": self.y.tolist(),
-            "v": self.trans.tolist(),
-            key: self.corrections.tolist(),
-            "max_trace_dist": self.max_trace_dist,
-            "step_residual": self.step_residual,
-            "center_residual": self.center_residual,
-            "delta_history": self.delta_history.tolist(),
-            "diagnostics": self.diagnostics.to_json_dict(),
-        }
 
     def correction_norms(self) -> np.ndarray:
         if self.corrections.ndim == 2:
@@ -839,41 +806,6 @@ def _extract(sys: CatCircleSystem, ops: OrbitOperators, cfg: SolverConfig, w: np
         corrections[..., dst] = minimal_rep(targets[..., 2] - fy[..., 2])
     step_residual = dist(y[..., dst, :], targets).max(axis=-1)
     return y, v_amb, corrections, max_trace, center_res, step_residual
-
-
-def iterate_phi(
-    sys: CatCircleSystem,
-    orbit: PseudoOrbit,
-    cfg: SolverConfig | None = None,
-    initial: np.ndarray | None = None,
-) -> ShadowResult:
-    """Center-translation tracing (the tau1 variant)."""
-    cfg = replace(cfg if cfg is not None else SolverConfig(), variant="tau1")
-    return shadow(sys, orbit, cfg, initial)
-
-
-def shadow_tau2(
-    sys: CatCircleSystem,
-    orbit: PseudoOrbit,
-    cfg: SolverConfig | None = None,
-    initial: np.ndarray | None = None,
-) -> ShadowResult:
-    """Fiber-slide tracing: y_k lies on the transversal disk and on the fiber of f(y_{k-1})."""
-    cfg = replace(cfg if cfg is not None else SolverConfig(), variant="tau2")
-    return shadow(sys, orbit, cfg, initial)
-
-
-def shadow_tau3(
-    sys: CatCircleSystem,
-    orbit: PseudoOrbit,
-    cfg: SolverConfig | None = None,
-    initial: np.ndarray | None = None,
-) -> ShadowResult:
-    """Center-flow tracing: y_k is reached from f(y_{k-1}) by flowing for time tau_k."""
-    if sys.center_dimension != 1:
-        raise ConfigError("flow-time tracing needs a one-dimensional center")
-    cfg = replace(cfg if cfg is not None else SolverConfig(), variant="tau3")
-    return shadow(sys, orbit, cfg, initial)
 
 
 def transversal_slide(sys: CatCircleSystem, x, z, split_cfg: SplitConfig | None = None) -> np.ndarray:

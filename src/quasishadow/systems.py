@@ -76,12 +76,10 @@ class CatCircleSystem:
     """Partially hyperbolic skew product on T^3 (see module docstring).
 
     ``alpha`` is the fiber rotation, ``kappa`` the skew strength, ``shift``
-    an optional rigid translation.  ``rates`` holds the nominal rates of
-    the unperturbed base (exact for kappa = 0); measured rates come from
+    an optional rigid translation.  Measured rates come from
     :func:`verify_rates`.
     """
 
-    dimension = 3
     center_dimension = 1
 
     def __init__(
@@ -105,23 +103,12 @@ class CatCircleSystem:
             raise ValueError("analytic splitting is only exact for kappa = 0")
         self.splitting_mode = splitting_mode
         self.split_config = split_config if split_config is not None else SplitConfig()
-        self.rates = HyperbolicityRates(LAM, 1.0, 1.0, MU)
 
     def __repr__(self) -> str:
         return (
             f"CatCircleSystem(alpha={self.alpha!r}, kappa={self.kappa!r}, "
             f"shift={self.shift.tolist()!r}, splitting_mode={self.splitting_mode!r})"
         )
-
-    def params(self) -> dict:
-        return {
-            "name": "cat_circle",
-            "alpha": self.alpha,
-            "kappa": self.kappa,
-            "shift": self.shift.tolist(),
-            "splitting_mode": self.splitting_mode,
-            "n_split": self.split_config.n_iter,
-        }
 
     def forward(self, x) -> np.ndarray:
         x = np.asarray(x, float)
@@ -165,8 +152,8 @@ def cat_circle_system(
     *,
     shift=None,
     splitting_mode: str = "auto",
-    n_split: int = 40,
-    direction_tol: float = 1e-12,
+    n_split: int = SplitConfig.n_iter,
+    direction_tol: float = SplitConfig.direction_tol,
     validate: bool = True,
     sample_seed: int = 7,
     n_samples: int = 50,

@@ -34,7 +34,7 @@ def test_criterion_1_zero_defect_fixed_point():
     for kappa in (0.0, 0.02):
         sys = qs.cat_circle_system(alpha=0.3, kappa=kappa)
         orbit = qs.generate_noisy(sys, X0, 200, 0.0, seed=1)
-        res = qs.iterate_phi(sys, orbit)
+        res = qs.shadow(sys, orbit)
         v_max = float(np.max(np.linalg.norm(res.trans, axis=-1)))
         u_max = float(np.max(np.linalg.norm(res.corrections, axis=-1)))
         oks.append(
@@ -70,7 +70,7 @@ def test_criterion_3_linear_oracle_equivalence():
     oks = []
     for n in (50, 200):
         orbit = _noisy(sys, n=n)
-        res = qs.iterate_phi(sys, orbit)
+        res = qs.shadow(sys, orbit)
         y_o, v_o, u_o = dense_tau1_window(orbit.points, sys.alpha)
         worst = max(
             float(np.max(qs.dist(res.y, y_o))),
@@ -90,7 +90,7 @@ def test_criterion_3_linear_oracle_equivalence():
 def test_criterion_4_tracing_bounds():
     sys0 = qs.cat_circle_system(alpha=0.3, kappa=0.0)
     orbit0 = _noisy(sys0)
-    res0 = qs.iterate_phi(sys0, orbit0)
+    res0 = qs.shadow(sys0, orbit0)
     est = res0.diagnostics
     derived = 2.0 * est.norm_equivalence_pointwise / (1.0 - est.lambda_tilde)
     ok_const = _line(
@@ -105,7 +105,7 @@ def test_criterion_4_tracing_bounds():
     )
     sys2 = qs.cat_circle_system(alpha=0.3, kappa=0.02)
     orbit2 = _noisy(sys2)
-    res2 = qs.iterate_phi(sys2, orbit2)
+    res2 = qs.shadow(sys2, orbit2)
     ok_skew = _line(
         "4. tracing bound (kappa=0.02)",
         res2.max_trace_dist <= 8.0 * orbit2.defect,
@@ -120,10 +120,10 @@ def test_criterion_5_normalization_and_uniqueness():
     for kappa in (0.0, 0.02):
         sys = qs.cat_circle_system(alpha=0.3, kappa=kappa)
         orbit = _noisy(sys)
-        res_a = qs.iterate_phi(sys, orbit)
+        res_a = qs.shadow(sys, orbit)
         start = rng.standard_normal((len(orbit), 3))
         start *= 0.01 / np.linalg.norm(start, axis=1).max()
-        res_b = qs.iterate_phi(sys, orbit, initial=start)
+        res_b = qs.shadow(sys, orbit, initial=start)
         agree = max(
             float(np.max(qs.dist(res_a.y, res_b.y))),
             float(np.max(np.abs(res_a.corrections - res_b.corrections))),
@@ -141,9 +141,9 @@ def test_criterion_5_normalization_and_uniqueness():
 def test_criterion_6_variant_consistency():
     sys = qs.cat_circle_system(alpha=0.3, kappa=0.0)
     orbit = _noisy(sys)
-    r1 = qs.iterate_phi(sys, orbit)
-    r2 = qs.shadow_tau2(sys, orbit)
-    r3 = qs.shadow_tau3(sys, orbit)
+    r1 = qs.shadow(sys, orbit)
+    r2 = qs.shadow(sys, orbit, qs.SolverConfig(variant="tau2"))
+    r3 = qs.shadow(sys, orbit, qs.SolverConfig(variant="tau3"))
     d12 = float(np.max(qs.dist(r1.y, r2.y)))
     d23 = float(np.max(qs.dist(r2.y, r3.y)))
     closed_form = np.array(

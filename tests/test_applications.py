@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import quasishadow as qs
 from quasishadow import solver
 from quasishadow.applications import grid_points
+from quasishadow.cli import to_json
 from quasishadow.errors import QuasiShadowError, SearchError
 
 from oracles import dense_tau1_cyclic, dense_tau1_window, periodic_base_point, scan_near_return
@@ -315,7 +316,7 @@ def test_conjugacy_map_serialization(tmp_path, product_sys):
 
     moved = qs.cat_circle_system(0.3, 0.0, shift=(1e-3, 0.0, 0.0))
     cmap = qs.build_semiconjugacy(product_sys, moved, grid_points(2), _cfg(), window=20)
-    payload = cmap.to_json_dict()
+    payload = to_json(cmap)
     json.dumps(payload)
     assert len(payload["values"]) == 8
     path = tmp_path / "map.csv"
@@ -331,6 +332,8 @@ def test_periodic_leaf_serialization():
     sys0 = qs.cat_circle_system(alpha=0.0, kappa=0.0)
     nr = qs.find_near_return(sys0, (0.0, 0.0, 0.3), 10, 0.5, mode="leaf")
     leaf = qs.find_periodic_center_leaf(sys0, nr)
-    payload = leaf.to_json_dict()
+    payload = to_json(leaf)
     json.dumps(payload)
     assert payload["period"] == 1
+    assert payload["chain_start"] is None
+    assert payload["result"]["ks"] == leaf.result.ks.tolist()

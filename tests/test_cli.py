@@ -1,6 +1,7 @@
+import gzip
 import json
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 import quasishadow as qs
@@ -32,6 +33,40 @@ def test_resolve_config_fills_all_defaults():
     assert cfg["solver"]["fixed_point_tol"] == 1e-12
     assert cfg["bounds"]["max_trace_dist"] == 0.04
     assert cfg["bounds"]["center_residual"] == 1e-10
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("config", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.stem)
+def test_resolved_configs_match_shipped_reports(config):
+    # the schema defaults come from the config dataclasses; a changed default
+    # would change the config echoed by every shipped report
+    shipped = ROOT / "perfbench" / "reference" / "shipped" / f"{config.stem}_report.json.gz"
+    with gzip.open(shipped, "rt") as fh:
+        recorded = json.load(fh)["config"]
+    resolved = resolve_config(json.loads(config.read_text()))
+    assert json.dumps(resolved, sort_keys=True) == json.dumps(recorded, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "kind, section, key, value",
+    [
+        ("stability", "system", "shift", [0.0, 0.0]),
+        ("shadow", "orbit", "x0", [0.1, 0.2]),
+        ("close", "close", "x0", [0.1, 0.2, 0.3, 0.4]),
+        ("stability", "stability", "translation", [1e-3, 0.0, 0.0, 0.5]),
+        ("sweep", "orbit", "x0", 0.1),
+    ],
+)
+def test_resolve_config_checks_3_vectors(tmp_path, capsys, kind, section, key, value):
+    payload = {"kind": kind, section: {key: value}}
+    with pytest.raises(qs.ConfigError, match=f"{section}.{key}"):
+        resolve_config(payload)
+    cfg = _write(tmp_path, "vec.json", payload)
+    assert main([kind, "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 2
+    assert f"ConfigError: {section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "vec_report.json").exists()
 
 
 def test_resolve_config_rejects_unknown_keys():
@@ -167,6 +202,27 @@ def test_stability_run(tmp_path):
     assert report["results"]["residual_max"] <= 1e-6
     assert report["results"]["failures"] == 0
     assert (tmp_path / "stab_map.csv").exists()
+
+
+def test_stability_all_points_fail(tmp_path):
+    # a base translation of 0.2 is far beyond the tracing radius, so every
+    # grid point fails; the report still records them and the run fails
+    payload = {
+        "kind": "stability",
+        "system": {"alpha": 0.3, "kappa": 0.0},
+        "stability": {"grid_per_axis": 2, "window": 10, "translation": [0.2, 0.0, 0.0]},
+        "solver": {"admissibility_probes": 4},
+    }
+    cfg = _write(tmp_path, "allfail.json", payload)
+    assert main(["stability", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 1
+    report = json.loads((tmp_path / "allfail_report.json").read_text())
+    assert report["results"]["failures"] == 8
+    assert report["results"]["verification"]["pairs_checked"] == 0
+    assert report["results"]["verification"]["density_radius"] == float("inf")
+    checks = {c["name"]: c["passed"] for c in report["checks"]}
+    assert checks["density_radius"] is False and checks["failures"] is False
+    rows = (tmp_path / "allfail_map.csv").read_text().strip().splitlines()
+    assert len(rows) == 9 and rows[1].endswith("nan,nan")
 
 
 def _sweep_config(**sweep):

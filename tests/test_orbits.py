@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import quasishadow as qs
+from quasishadow.cli import to_json
 from quasishadow.errors import SearchError
 
 from oracles import product_map, scan_near_return
@@ -134,8 +135,9 @@ def test_make_cyclic_leaf_mode_measures_fiberwise(product_sys):
 
 def test_orbit_serialization_roundtrip(tmp_path, product_sys):
     orbit = qs.generate_noisy(product_sys, (0.11, 0.23, 0.5), 5, 1e-4, seed=9)
-    payload = orbit.to_json_dict()
+    payload = to_json(orbit)
     assert payload["seed"] == 9
+    assert payload["k_start"] == -5 and "rng" not in payload
     assert np.array_equal(np.asarray(payload["points"]), orbit.points)
     path = tmp_path / "orbit.csv"
     orbit.write_csv(path)

@@ -1,9 +1,11 @@
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import quasishadow as qs
+from quasishadow.cli import to_json
 from quasishadow.errors import AdmissibilityError, ChartError, ConfigError, ConvergenceError
 from quasishadow.systems import C, LAM, MU, S, U
 
@@ -158,7 +160,7 @@ def test_p_inverse_norm_bound(product_sys, skew_sys):
 
 def test_true_orbit_fixed_point_is_zero(product_sys):
     orbit = qs.true_orbit_window(product_sys, (0.11, 0.23, 0.5), 100)
-    res = qs.iterate_phi(product_sys, orbit)
+    res = qs.shadow(product_sys, orbit)
     assert res.diagnostics.iterations == 1
     assert res.max_trace_dist == 0.0
     assert np.array_equal(res.corrections, np.zeros((len(orbit), 3)))
@@ -167,7 +169,7 @@ def test_true_orbit_fixed_point_is_zero(product_sys):
 
 def test_fixed_point_matches_dense_oracle(product_sys):
     orbit = _noisy(product_sys, n=50)
-    res = qs.iterate_phi(product_sys, orbit)
+    res = qs.shadow(product_sys, orbit)
     y_o, v_o, u_o = dense_tau1_window(orbit.points, product_sys.alpha)
     assert np.max(qs.dist(res.y, y_o)) < 1e-10
     assert np.max(np.abs(res.trans - v_o)) < 1e-10
@@ -176,7 +178,7 @@ def test_fixed_point_matches_dense_oracle(product_sys):
 
 def test_tracing_bound_product(product_sys):
     orbit = _noisy(product_sys)
-    res = qs.iterate_phi(product_sys, orbit)
+    res = qs.shadow(product_sys, orbit)
     assert res.max_trace_dist <= 5.0 * orbit.defect
     assert res.step_residual <= 10.0 * 1e-12
     assert res.center_residual <= 1e-10
@@ -184,7 +186,7 @@ def test_tracing_bound_product(product_sys):
 
 def test_tracing_bound_skew(skew_sys):
     orbit = _noisy(skew_sys)
-    res = qs.iterate_phi(skew_sys, orbit)
+    res = qs.shadow(skew_sys, orbit)
     assert res.max_trace_dist <= 8.0 * orbit.defect
     assert res.step_residual <= 10.0 * 1e-12
 
@@ -192,10 +194,10 @@ def test_tracing_bound_skew(skew_sys):
 def test_uniqueness_from_two_admissible_starts(product_sys, skew_sys, rng):
     for sys in (product_sys, skew_sys):
         orbit = _noisy(sys, n=60)
-        res_a = qs.iterate_phi(sys, orbit)
+        res_a = qs.shadow(sys, orbit)
         w0 = rng.standard_normal((len(orbit), 3))
         w0 *= 0.01 / np.linalg.norm(w0, axis=1).max()
-        res_b = qs.iterate_phi(sys, orbit, initial=w0)
+        res_b = qs.shadow(sys, orbit, initial=w0)
         tol = 1e-12
         assert np.max(qs.dist(res_a.y, res_b.y)) <= 2.0 * tol
         assert np.max(np.abs(res_a.corrections - res_b.corrections)) <= 2.0 * tol
@@ -203,7 +205,7 @@ def test_uniqueness_from_two_admissible_starts(product_sys, skew_sys, rng):
 
 def test_monotone_convergence(skew_sys):
     orbit = _noisy(skew_sys)
-    res = qs.iterate_phi(skew_sys, orbit)
+    res = qs.shadow(skew_sys, orbit)
     deltas = res.delta_history
     assert len(deltas) >= 2
     ratios = deltas[1:] / deltas[:-1]
@@ -215,20 +217,20 @@ def test_invalid_initial_guess_rejected(product_sys, rng):
     orbit = _noisy(product_sys, n=20)
     big = np.full((len(orbit), 3), 1.0)
     with pytest.raises(ValueError):
-        qs.iterate_phi(product_sys, orbit, initial=big)
+        qs.shadow(product_sys, orbit, initial=big)
 
 
 def test_admissibility_refuses_large_defect(product_sys):
     orbit = _noisy(product_sys, n=50, noise=0.04)
     with pytest.raises(AdmissibilityError):
-        qs.iterate_phi(product_sys, orbit, qs.SolverConfig(epsilon=0.04))
+        qs.shadow(product_sys, orbit, qs.SolverConfig(epsilon=0.04))
 
 
 def test_max_iterations_exhausted(skew_sys):
     orbit = _noisy(skew_sys, n=50)
     cfg = qs.SolverConfig(max_iterations=1)
     with pytest.raises(ConvergenceError):
-        qs.iterate_phi(skew_sys, orbit, cfg)
+        qs.shadow(skew_sys, orbit, cfg)
 
 
 def test_boundary_policy_mismatch(product_sys):
@@ -244,7 +246,7 @@ def test_window_edge_decay(product_sys):
     for half in (8, 16, 24):
         sl = qs.PseudoOrbit(big.points[40 - half : 40 + half + 1], k_start=-half)
         sl.defect, sl.defect_index = qs.measure_defect(product_sys, sl)
-        centers[half] = qs.iterate_phi(product_sys, sl).y[half]
+        centers[half] = qs.shadow(product_sys, sl).y[half]
     d8 = qs.dist(centers[8], centers[24])
     d16 = qs.dist(centers[16], centers[24])
     assert d8 < 1e-5
@@ -270,7 +272,7 @@ def test_tau2_lipschitz_measured(product_sys, skew_sys):
 
 def test_tau2_solution_structure(product_sys):
     orbit = _noisy(product_sys)
-    res = qs.shadow_tau2(product_sys, orbit)
+    res = qs.shadow(product_sys, orbit, qs.SolverConfig(variant="tau2"))
     # on the transversal disk: no center component
     assert res.center_residual <= 1e-10
     # on the fiber of the mapped predecessor: base coordinates agree
@@ -282,20 +284,20 @@ def test_tau2_solution_structure(product_sys):
 def test_tau1_tau2_consistency(product_sys, skew_sys):
     for sys in (product_sys, skew_sys):
         orbit = _noisy(sys)
-        r1 = qs.iterate_phi(sys, orbit)
-        r2 = qs.shadow_tau2(sys, orbit)
+        r1 = qs.shadow(sys, orbit)
+        r2 = qs.shadow(sys, orbit, qs.SolverConfig(variant="tau2"))
         assert np.max(qs.dist(r1.y, r2.y)) < 1e-9
 
 
 def test_tau3_true_orbit_zero_times(product_sys):
     orbit = qs.true_orbit_window(product_sys, (0.11, 0.23, 0.5), 50)
-    res = qs.shadow_tau3(product_sys, orbit)
+    res = qs.shadow(product_sys, orbit, qs.SolverConfig(variant="tau3"))
     assert np.array_equal(res.corrections, np.zeros(len(orbit)))
 
 
 def test_tau3_times_match_theta_defects(product_sys):
     orbit = _noisy(product_sys)
-    res = qs.shadow_tau3(product_sys, orbit)
+    res = qs.shadow(product_sys, orbit, qs.SolverConfig(variant="tau3"))
     closed_form = np.array(
         [
             -qs.logmap(orbit.points[k + 1], product_sys.forward(orbit.points[k]))[2]
@@ -309,15 +311,15 @@ def test_tau3_times_match_theta_defects(product_sys):
 def test_tau3_matches_tau2(product_sys, skew_sys):
     for sys in (product_sys, skew_sys):
         orbit = _noisy(sys)
-        r2 = qs.shadow_tau2(sys, orbit)
-        r3 = qs.shadow_tau3(sys, orbit)
+        r2 = qs.shadow(sys, orbit, qs.SolverConfig(variant="tau2"))
+        r3 = qs.shadow(sys, orbit, qs.SolverConfig(variant="tau3"))
         assert np.max(qs.dist(r2.y, r3.y)) < 1e-10
 
 
 def test_step_residuals_per_variant(product_sys):
     orbit = _noisy(product_sys)
-    for solve in (qs.iterate_phi, qs.shadow_tau2, qs.shadow_tau3):
-        res = solve(product_sys, orbit)
+    for variant in ("tau1", "tau2", "tau3"):
+        res = qs.shadow(product_sys, orbit, qs.SolverConfig(variant=variant))
         assert res.step_residual <= 10.0 * 1e-12
 
 
@@ -326,8 +328,8 @@ def test_leaf_mode_big_rotation_needs_tau2(product_sys):
     nr = qs.find_near_return(product_sys, (0.1, 0.2, 0.3), 5000, 1e-3, mode="leaf")
     cyc = qs.make_cyclic(product_sys, nr)
     with pytest.raises(AdmissibilityError):
-        qs.iterate_phi(product_sys, cyc)
-    res = qs.shadow_tau2(product_sys, cyc)
+        qs.shadow(product_sys, cyc)
+    res = qs.shadow(product_sys, cyc, qs.SolverConfig(variant="tau2"))
     assert res.max_trace_dist <= 1e-10
     assert res.step_residual <= 1e-10
 
@@ -381,7 +383,7 @@ def test_shadow_batch_failures_stay_per_orbit(product_sys):
     assert isinstance(out[1], ChartError)
     assert str(out[1]) == str(alone[1])
     for res, ref in ((out[0], alone[0]), (out[2], alone[2])):
-        assert res.to_json_dict() == ref.to_json_dict()
+        assert to_json(res) == to_json(ref)
 
 
 def test_shadow_batch_stops_each_orbit_at_its_own_fixed_point(product_sys):
@@ -389,7 +391,7 @@ def test_shadow_batch_stops_each_orbit_at_its_own_fixed_point(product_sys):
     noisy = _noisy(product_sys, n=20)
     cfg = qs.SolverConfig(max_iterations=1)
     out = qs.shadow_batch(product_sys, [true, noisy, true], cfg)
-    assert out[0].to_json_dict() == qs.shadow(product_sys, true, cfg).to_json_dict()
+    assert to_json(out[0]) == to_json(qs.shadow(product_sys, true, cfg))
     assert out[0].diagnostics.iterations == 1
     with pytest.raises(ConvergenceError) as exc:
         qs.shadow(product_sys, noisy, cfg)
@@ -397,20 +399,22 @@ def test_shadow_batch_stops_each_orbit_at_its_own_fixed_point(product_sys):
     # with room to iterate, every orbit keeps its own iteration count
     out = qs.shadow_batch(product_sys, [true, noisy])
     assert [r.diagnostics.iterations for r in out] == [1, 2]
-    assert out[1].to_json_dict() == qs.shadow(product_sys, noisy).to_json_dict()
+    assert to_json(out[1]) == to_json(qs.shadow(product_sys, noisy))
 
 
 def test_result_serialization(tmp_path, product_sys):
     import json
 
     orbit = _noisy(product_sys, n=10)
-    for solve, key in ((qs.iterate_phi, "u"), (qs.shadow_tau2, "slide"), (qs.shadow_tau3, "tau")):
-        res = solve(product_sys, orbit)
-        payload = res.to_json_dict()
-        assert key in payload
+    for variant, shape in (("tau1", (len(orbit), 3)), ("tau2", (len(orbit),)), ("tau3", (len(orbit),))):
+        res = qs.shadow(product_sys, orbit, qs.SolverConfig(variant=variant))
+        payload = to_json(res)
+        assert payload["variant"] == variant
+        assert np.asarray(payload["corrections"]).shape == shape
         assert len(payload["y"]) == len(orbit)
+        assert payload["diagnostics"] == dataclasses.asdict(res.diagnostics)
         json.dumps(payload)  # arrays and diagnostics are json-ready
-    res = qs.iterate_phi(product_sys, orbit)
+    res = qs.shadow(product_sys, orbit)
     path = tmp_path / "trace.csv"
     res.write_csv(path)
     rows = path.read_text().strip().splitlines()
