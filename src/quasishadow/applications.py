@@ -43,11 +43,18 @@ class PeriodicCenterLeaf:
     chain_start: np.ndarray | None = None
 
 
+# the semiconjugacy traces with tau1 whatever variant is requested
+SEMICONJUGACY_VARIANT = "tau1"
+
+
+def closing_variant(variant: str) -> str:
+    """The variant a closing solve runs for a requested one: tau1 cannot slide along fibers."""
+    return "tau2" if variant == "tau1" else variant
+
+
 def _closing_config(cfg: SolverConfig | None) -> SolverConfig:
-    cfg = cfg if cfg is not None else SolverConfig(variant="tau2")
-    if cfg.variant == "tau1":
-        cfg = replace(cfg, variant="tau2")
-    return cfg
+    cfg = cfg if cfg is not None else SolverConfig()
+    return replace(cfg, variant=closing_variant(cfg.variant))
 
 
 def _leaf_residual(sys: CatCircleSystem, p: np.ndarray, period: int) -> float:
@@ -275,8 +282,7 @@ def build_semiconjugacy(
     every later window.  A grid point fails with the first error of its
     x-window, else of its g(x)-window; failures are collected, not fatal.
     """
-    cfg = cfg if cfg is not None else SolverConfig(variant="tau1")
-    cfg = replace(cfg, variant="tau1")
+    cfg = replace(cfg if cfg is not None else SolverConfig(), variant=SEMICONJUGACY_VARIANT)
     grid = wrap(np.asarray(grid, float).reshape(-1, 3))
     n_pts = len(grid)
     rows = np.empty((2 * window + 2, n_pts, 3))

@@ -26,14 +26,16 @@ import numpy as np
 
 from . import __version__
 from .applications import (
+    SEMICONJUGACY_VARIANT,
     build_semiconjugacy,
+    closing_variant,
     find_periodic_center_leaf,
     grid_points,
     verify_semiconjugacy,
 )
 from .errors import ConfigError, QuasiShadowError
 from .orbits import RNG_KIND, find_near_return, generate_noisy
-from .solver import SolverConfig, shadow
+from .solver import VARIANTS, SolverConfig, shadow
 from .systems import SplitConfig, cat_circle_system
 from .torus import ChartConfig
 
@@ -77,11 +79,6 @@ _SCHEMA: dict = {
         "kappa_shift": (float, 0.0),
         "translation": (_VEC3, [0.0, 0.0, 0.0]),
     },
-    "sweep": {
-        "noise": (list, []),
-        "kappa": (list, []),
-        "n_steps": (list, []),
-    },
     "bounds": {
         "max_trace_dist": (float, None),
         "step_residual": (float, 1e-9),
@@ -91,6 +88,10 @@ _SCHEMA: dict = {
         "max_ratio": (float, 5.0),
     },
 }
+
+# the section of each swept scalar; a sweep entry is coerced by that scalar's rule
+_SWEPT = {"noise": "orbit", "kappa": "system", "n_steps": "orbit"}
+_SCHEMA["sweep"] = {key: ([_SCHEMA[section][key][0]], []) for key, section in _SWEPT.items()}
 
 _KINDS = ("shadow", "close", "stability", "sweep")
 _SECTIONS = {
@@ -118,13 +119,10 @@ def _coerce(value, want, path):
         if not isinstance(value, list) or len(value) != 3:
             raise ConfigError(f"{path}: expected a list of 3 numbers, got {value!r}")
         return [_coerce(v, float, f"{path}[{i}]") for i, v in enumerate(value)]
-    if want is list:
+    if isinstance(want, list):  # [t]: a list of entries of type t
         if not isinstance(value, list):
             raise ConfigError(f"{path}: expected a list, got {value!r}")
-        return [
-            _coerce(v, float, f"{path}[{i}]") if isinstance(v, (int, float)) else v
-            for i, v in enumerate(value)
-        ]
+        return [_coerce(v, want[0], f"{path}[{i}]") for i, v in enumerate(value)]
     raise ConfigError(f"{path}: unsupported schema type {want}")
 
 
@@ -155,6 +153,12 @@ def resolve_config(raw: dict) -> dict:
             else:
                 out[key] = copy.deepcopy(default)
         resolved[section] = out
+    # echo the variant that runs (an unknown one is left for SolverConfig to reject)
+    solver = resolved["solver"]
+    if kind == "close":
+        solver["variant"] = closing_variant(solver["variant"])
+    elif kind == "stability" and solver["variant"] in VARIANTS:
+        solver["variant"] = SEMICONJUGACY_VARIANT
     # the tracing bound defaults to the solver radius itself
     if resolved["bounds"].get("max_trace_dist") is None:
         resolved["bounds"]["max_trace_dist"] = resolved["solver"]["epsilon"]
@@ -324,7 +328,7 @@ def run_stability(config: dict, out_dir: Path | None = None, stem: str = "stabil
 def run_sweep(config: dict, out_dir: Path | None = None, stem: str = "sweep") -> dict:
     started = time.time()
     sw = config["sweep"]
-    axes = [(key, sw[key]) for key in ("noise", "kappa", "n_steps") if sw[key]]
+    axes = [(key, sw[key]) for key in _SWEPT if sw[key]]
     rows = []
     children = []
     last_passing_kappa = None
@@ -335,13 +339,7 @@ def run_sweep(config: dict, out_dir: Path | None = None, stem: str = "sweep") ->
         child.pop("sweep", None)
         row: dict = {}
         for (key, _), value in zip(axes, combo):
-            row[key] = value
-            if key == "kappa":
-                child["system"]["kappa"] = value
-            elif key == "noise":
-                child["orbit"]["noise"] = value
-            elif key == "n_steps":
-                child["orbit"]["n_steps"] = int(value)
+            row[key] = child[_SWEPT[key]][key] = value
         try:
             report = run_shadow(child, out_dir=None)
         except QuasiShadowError as exc:
@@ -361,7 +359,7 @@ def run_sweep(config: dict, out_dir: Path | None = None, stem: str = "sweep") ->
         if "kappa" in row and report["passed"]:
             last_passing_kappa = row["kappa"]
         rows.append(row)
-        children.append({k: row.get(k) for k in ("noise", "kappa", "n_steps") if k in row} | {"passed": report["passed"]})
+        children.append({k: row[k] for k in _SWEPT if k in row} | {"passed": report["passed"]})
     ran = [r for r in rows if "error" not in r]
     ratios = [r["ratio"] for r in ran if r.get("defect", 0.0) > 0]
     checks = []

@@ -6,8 +6,10 @@ The built-in family is
 
 with A = [[2, 1], [1, 1]].  The fibers {b} x S^1 are invariant circles, so
 the center bundle is exactly the vertical direction.  The stable and
-unstable bundles are the cat-map eigendirections when kappa = 0 and are
-computed by power iteration along orbit segments otherwise.  The optional
+unstable bundles keep the cat-map eigendirections in the base; only their
+theta slope varies, and for kappa != 0 it is the sum of a closed-form
+series along the base orbit (n terms of it are exactly n power-iteration
+pushes of the unperturbed eigendirection).  The optional
 rigid translation ``shift`` = (w_b, w_theta) perturbs the map without
 changing its differential, which makes base-moving perturbations available
 for stability experiments.
@@ -37,6 +39,7 @@ def _unit(v) -> np.ndarray:
 E_STABLE = _unit([LAM - 1.0, 1.0, 0.0])
 E_UNSTABLE = _unit([MU - 1.0, 1.0, 0.0])
 E_CENTER = np.array([0.0, 0.0, 1.0])
+_BASE_DIRS = np.stack([E_STABLE, E_UNSTABLE])
 
 # bundle order used throughout the package: stable, center, unstable
 S, C, U = 0, 1, 2
@@ -66,7 +69,7 @@ class HyperbolicityRates:
 
 @dataclass(frozen=True)
 class SplitConfig:
-    """Power-iteration depth and direction-convergence tolerance."""
+    """Terms of the slope series (power-iteration depth) and direction-convergence tolerance."""
 
     n_iter: int = 40
     direction_tol: float = 1e-12
@@ -123,12 +126,8 @@ class CatCircleSystem:
         return wrap(np.concatenate([b, th[..., None]], axis=-1))
 
     def differential(self, x) -> np.ndarray:
-        """Exact Jacobian of the chart map at x, shape (..., 3, 3)."""
-        return self._jacobian(np.asarray(x, float)[..., 0])
-
-    def _jacobian(self, b1) -> np.ndarray:
-        """The differential at points whose first base coordinate is b1; nothing else enters."""
-        b1 = np.asarray(b1, float)
+        """Exact Jacobian of the chart map at x, shape (..., 3, 3); only x[..., 0] enters."""
+        b1 = np.asarray(x, float)[..., 0]
         out = np.zeros(b1.shape + (3, 3))
         out[..., :2, :2] = CAT
         out[..., 2, 0] = 2.0 * np.pi * self.kappa * np.cos(2.0 * np.pi * b1)
@@ -185,9 +184,11 @@ class Splitting:
     ``frames[..., :, i]`` is the unit direction of bundle i in the
     (stable, center, unstable) order; ``frames_inv @ vector`` gives
     splitting coordinates.  Projections are onto one bundle along the sum
-    of the other two.  ``change[..., 0]`` and ``change[..., 1]`` hold how
-    far the stable and unstable power-iteration directions moved on their
-    last step at each point (None for the analytic splitting).
+    of the other two.  ``change[..., 0]`` and ``change[..., 1]`` hold, at
+    each point, the distance between the unit stable (unstable) directions
+    from n and from n - 1 terms of the slope series, that is, how far the
+    equivalent power iteration moved on its last step (zero when n <= 1,
+    None for the analytic splitting).
     """
 
     frames: np.ndarray
@@ -216,56 +217,35 @@ _FRAME = np.stack([E_STABLE, E_CENTER, E_UNSTABLE], axis=-1)
 ANALYTIC = Splitting(_FRAME, np.linalg.inv(_FRAME))
 
 
-def _power_direction(
-    sys: CatCircleSystem, x: np.ndarray, cfg: SplitConfig, unstable: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Invariant direction by normalized push along an orbit segment of length n_iter.
+def _slopes(sys: CatCircleSystem, x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Theta slopes of the stable (column 0) and unstable (column 1) directions at x.
 
-    Convergence is judged at the target point: the full iteration is
-    compared there with the iteration seeded one orbit step closer (one
-    push shorter).  Returns the directions and, per point, how far they
-    moved between the two (zero when n_iter <= 1).
+    With c(b1) = 2 pi kappa cos(2 pi b1) the theta row of the differential,
+    r_s = -e_s[0] sum_{j<n} lam^j c(f^j x) and
+    r_u = e_u[0] sum_{1<=j<=n} mu^-j c(f^-j x); only the base orbit enters.
+    Returns the slopes from n terms and from n - 1 terms (n terms again
+    when n <= 1, so that no change is reported).
     """
-    n = cfg.n_iter
-    x = np.asarray(x, float)
-    step = sys.inverse if unstable else sys.forward
-    # the differential depends on b_1 alone, so only that column of the
-    # orbit segment is kept
-    b1 = [x[..., 0]]
-    z = x
-    for _ in range(n):
-        z = step(z)
-        b1.append(z[..., 0].copy())
-    seed = E_UNSTABLE if unstable else E_STABLE
-    v = np.broadcast_to(seed, x.shape).copy()  # seeded at the far end
-    w = np.broadcast_to(seed, x.shape).copy()  # seeded one step in, lags one push
-    for j in range(n, 0, -1):
-        if unstable:
-            jac = sys._jacobian(b1[j])
-            v = np.einsum("...ij,...j->...i", jac, v)
-            if j < n:
-                w = np.einsum("...ij,...j->...i", jac, w)
-        else:
-            jac = sys._jacobian(b1[j - 1])
-            v = np.linalg.solve(jac, v[..., None])[..., 0]
-            if j < n:
-                w = np.linalg.solve(jac, w[..., None])[..., 0]
-        v = v / np.linalg.norm(v, axis=-1, keepdims=True)
-        if j < n:
-            w = w / np.linalg.norm(w, axis=-1, keepdims=True)
-    change = np.zeros(v.shape[:-1])
-    if n > 1:
-        sgn = np.sign(np.einsum("...i,...i->...", v, w))
-        sgn = np.where(sgn == 0.0, 1.0, sgn)
-        change = np.linalg.norm(v - sgn[..., None] * w, axis=-1)
-    # orient toward the unperturbed eigendirection
-    sign = np.sign(np.einsum("...i,i->...", v, seed))
-    sign = np.where(sign == 0.0, 1.0, sign)
-    return v * sign[..., None], change
+    shift = sys.shift[:2]
+    fwd = bwd = x[..., :2]
+    total = prev = np.zeros(x.shape[:-1] + (2,))
+    for j in range(n):
+        bwd = wrap((bwd - shift) @ CAT_INV.T)
+        cos = np.cos(2.0 * np.pi * np.stack([fwd[..., 0], bwd[..., 0]], axis=-1))
+        prev, total = total, total + cos * [LAM**j, MU ** -(j + 1)]
+        fwd = wrap(fwd @ CAT.T + shift)
+    scale = 2.0 * np.pi * sys.kappa * np.array([-E_STABLE[0], E_UNSTABLE[0]])
+    return scale * total, scale * (prev if n > 1 else total)
+
+
+def _directions(slopes: np.ndarray) -> np.ndarray:
+    """Unit stable and unstable directions, shape (..., 2, 3), for slopes of shape (..., 2)."""
+    vec = _BASE_DIRS + slopes[..., None] * E_CENTER
+    return vec / np.sqrt(1.0 + slopes**2)[..., None]
 
 
 def splitting_error(change: np.ndarray | None, cfg: SplitConfig) -> SplittingError | None:
-    """The error for a set of points whose power iteration has not converged, else None.
+    """The error for a set of points whose slope series has not converged, else None.
 
     ``change`` is ``Splitting.change`` at those points; the stable
     direction is judged first, and the message names the largest move.
@@ -287,8 +267,10 @@ def splitting_at(
 ) -> Splitting:
     """Invariant splitting frames at x (vectorized over leading axes).
 
-    With ``strict`` a :class:`SplittingError` is raised when the power
-    iteration has not converged at some point; otherwise the caller judges
+    For kappa != 0 the stable and unstable slopes are ``cfg.n_iter`` terms
+    of their series (see :func:`_slopes`) and the inverse frames are
+    explicit.  With ``strict`` a :class:`SplittingError` is raised when the
+    series has not converged at some point; otherwise the caller judges
     ``change`` point by point (see :func:`splitting_error`).
     """
     cfg = cfg if cfg is not None else sys.split_config
@@ -299,11 +281,16 @@ def splitting_at(
             np.broadcast_to(ANALYTIC.frames, shape).copy(),
             np.broadcast_to(ANALYTIC.frames_inv, shape).copy(),
         )
-    e_s, change_s = _power_direction(sys, x, cfg, unstable=False)
-    e_u, change_u = _power_direction(sys, x, cfg, unstable=True)
-    e_c = np.broadcast_to(E_CENTER, x.shape)
-    frames = np.stack([e_s, e_c, e_u], axis=-1)
-    split = Splitting(frames, np.linalg.inv(frames), np.stack([change_s, change_u], axis=-1))
+    slopes, shorter = _slopes(sys, x, cfg.n_iter)
+    dirs = _directions(slopes)
+    change = np.linalg.norm(dirs - _directions(shorter), axis=-1)
+    center = np.broadcast_to(E_CENTER, x.shape)
+    frames = np.stack([dirs[..., 0, :], center, dirs[..., 1, :]], axis=-1)
+    # the base eigendirections are orthonormal (CAT is symmetric), so the dual rows are explicit
+    norms = np.sqrt(1.0 + slopes**2)
+    rows = [norms[..., :1] * E_STABLE, E_CENTER - slopes @ _BASE_DIRS, norms[..., 1:] * E_UNSTABLE]
+    frames_inv = np.stack(rows, axis=-2)
+    split = Splitting(frames, frames_inv, change)
     err = splitting_error(split.change, cfg) if strict else None
     if err is not None:
         raise err

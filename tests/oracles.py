@@ -176,3 +176,58 @@ def sin_angle(a, b):
     a = a / np.linalg.norm(a, axis=-1, keepdims=True)
     b = b / np.linalg.norm(b, axis=-1, keepdims=True)
     return np.linalg.norm(np.cross(a, b), axis=-1)
+
+
+def _power_direction(sys, x, n, unstable):
+    """Invariant direction by normalized pushes of the differential along an orbit segment.
+
+    Seeded with the unperturbed eigendirection n steps away (backward pushes
+    for the stable direction, forward for the unstable one).  Also returns
+    how far the direction moved against the push seeded one step closer
+    (zero when n <= 1).
+    """
+    x = np.asarray(x, float)
+    step = sys.inverse if unstable else sys.forward
+    pts = [x]
+    for _ in range(n):
+        pts.append(step(pts[-1]))
+    seed = eigen_frames()[:, 2 if unstable else 0]
+    v = np.broadcast_to(seed, x.shape).copy()  # seeded at the far end
+    w = np.broadcast_to(seed, x.shape).copy()  # seeded one step in, lags one push
+    for j in range(n, 0, -1):
+        if unstable:
+            jac = sys.differential(pts[j])
+            push = lambda u: np.einsum("...ij,...j->...i", jac, u)  # noqa: E731
+        else:
+            jac = sys.differential(pts[j - 1])
+            push = lambda u: np.linalg.solve(jac, u[..., None])[..., 0]  # noqa: E731
+        v = push(v)
+        v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+        if j < n:
+            w = push(w)
+            w = w / np.linalg.norm(w, axis=-1, keepdims=True)
+    change = np.zeros(v.shape[:-1])
+    if n > 1:
+        sgn = np.sign(np.einsum("...i,...i->...", v, w))
+        sgn = np.where(sgn == 0.0, 1.0, sgn)
+        change = np.linalg.norm(v - sgn[..., None] * w, axis=-1)
+    # orient toward the unperturbed eigendirection
+    sign = np.sign(np.einsum("...i,i->...", v, seed))
+    sign = np.where(sign == 0.0, 1.0, sign)
+    return v * sign[..., None], change
+
+
+def power_splitting(sys, x, n):
+    """Splitting frames by power iteration: (frames, inverse frames, change).
+
+    ``frames[..., :, i]`` is the unit direction of bundle i in the
+    (stable, center, unstable) order, the center being the fiber direction;
+    ``change[..., 0]`` and ``change[..., 1]`` hold how far the stable and
+    unstable directions moved on their last push.
+    """
+    x = np.asarray(x, float)
+    e_s, change_s = _power_direction(sys, x, n, unstable=False)
+    e_u, change_u = _power_direction(sys, x, n, unstable=True)
+    e_c = np.broadcast_to([0.0, 0.0, 1.0], x.shape)
+    frames = np.stack([e_s, e_c, e_u], axis=-1)
+    return frames, np.linalg.inv(frames), np.stack([change_s, change_u], axis=-1)

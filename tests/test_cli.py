@@ -1,5 +1,6 @@
 import gzip
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -265,3 +266,81 @@ def test_sweep_kappa_records_last_passing(tmp_path):
     assert report["results"]["last_passing_kappa"] == 0.02
     errors = [r for r in report["results"]["rows"] if "error" in r]
     assert "RateOrderError" in errors[0]["error"]
+
+
+@pytest.mark.parametrize(
+    "key, value, path",
+    [
+        ("noise", ["a"], "sweep.noise[0]"),
+        ("kappa", [0.0, True], "sweep.kappa[1]"),
+        ("n_steps", [10.5], "sweep.n_steps[0]"),
+        ("n_steps", 60, "sweep.n_steps"),
+    ],
+)
+def test_sweep_entries_checked(tmp_path, capsys, key, value, path):
+    payload = _sweep_config(**{key: value})
+    with pytest.raises(qs.ConfigError, match=re.escape(path)):
+        resolve_config(payload)
+    cfg = _write(tmp_path, "bad.json", payload)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 2
+    assert f"ConfigError: {path}:" in capsys.readouterr().err
+    assert not (tmp_path / "bad_report.json").exists()
+
+
+def test_sweep_entries_coerced_like_their_scalars(tmp_path):
+    cfg = _write(tmp_path, "ok.json", _sweep_config(noise=[0], n_steps=[40]))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    report = json.loads((tmp_path / "ok_report.json").read_text())
+    assert report["config"]["sweep"] == {"noise": [0.0], "kappa": [], "n_steps": [40]}
+    assert report["results"]["rows"][0]["noise"] == 0.0
+    assert report["results"]["rows"][0]["n_steps"] == 40
+    assert (tmp_path / "ok_table.csv").read_text().splitlines()[1].startswith("0,40,")
+
+
+def _variant_config(kind, variant):
+    if kind == "close":
+        payload = _close_config("leaf")
+    elif kind == "stability":
+        payload = {
+            "kind": "stability",
+            "system": {"alpha": 0.3, "kappa": 0.0},
+            "stability": {"grid_per_axis": 2, "window": 10, "alpha_shift": 1e-3},
+            "solver": {"admissibility_probes": 4},
+        }
+    elif kind == "sweep":
+        payload = _sweep_config(noise=[1e-4])
+    else:
+        payload = _shadow_config()
+    if variant is None:
+        payload["solver"].pop("variant", None)
+    else:
+        payload["solver"]["variant"] = variant
+    return payload
+
+
+@pytest.mark.parametrize(
+    "kind, requested, runs",
+    [
+        ("shadow", "tau3", "tau3"),
+        ("sweep", "tau2", "tau2"),
+        ("close", "tau1", "tau2"),
+        ("close", None, "tau2"),
+        ("stability", "tau3", "tau1"),
+    ],
+)
+def test_report_echoes_the_variant_that_ran(tmp_path, kind, requested, runs):
+    reports = {}
+    for name, variant in (("requested", requested), ("runs", runs)):
+        cfg = _write(tmp_path, f"{name}.json", _variant_config(kind, variant))
+        assert main([kind, "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) in (0, 1)
+        reports[name] = json.loads((tmp_path / f"{name}_report.json").read_text())
+    assert reports["requested"]["config"]["solver"]["variant"] == runs
+    # the echoed variant is the one that ran: the results match a run that names it
+    assert reports["requested"]["config"] == reports["runs"]["config"]
+    assert reports["requested"]["results"] == reports["runs"]["results"]
+
+
+def test_stability_rejects_unknown_variant(tmp_path, capsys):
+    cfg = _write(tmp_path, "unk.json", _variant_config("stability", "tau9"))
+    assert main(["stability", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 2
+    assert "unknown variant 'tau9'" in capsys.readouterr().err

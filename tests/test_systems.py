@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quasishadow as qs
 from quasishadow.errors import RateOrderError, SplittingError
 from quasishadow.systems import C, E_CENTER, E_UNSTABLE, LAM, MU, S, U
 
-from oracles import eigen_frames, fd_jacobian, sin_angle
+from oracles import eigen_frames, fd_jacobian, power_splitting, sin_angle
 
 
 def test_forward_fixed_base_fiber_rotation(product_sys):
@@ -146,6 +148,27 @@ def test_splitting_convergence_guard():
     shallow = qs.cat_circle_system(0.3, 0.02, n_split=2, direction_tol=1e-15, validate=False)
     with pytest.raises(SplittingError):
         qs.splitting_at(shallow, np.array([0.3, 0.4, 0.5]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    alpha=st.floats(0.0, 1.0, exclude_max=True),
+    kappa=st.floats(0.005, 0.05),
+    shift=st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+    n_split=st.sampled_from([2, 26, 40]),
+    seed=st.integers(0, 2**16),
+)
+def test_splitting_matches_power_iteration(alpha, kappa, shift, n_split, seed):
+    # the slope series with n terms is n power-iteration pushes of the seed direction
+    sys = qs.cat_circle_system(alpha, kappa, shift=shift, n_split=n_split, validate=False)
+    pts = qs.wrap(np.random.default_rng(seed).random((4, 16, 3)))
+    split = qs.splitting_at(sys, pts, strict=False)
+    frames, frames_inv, change = power_splitting(sys, pts, n_split)
+    assert np.max(np.abs(split.frames - frames)) < 1e-14
+    assert np.max(np.abs(split.frames_inv - frames_inv)) < 1e-14
+    assert np.max(np.abs(split.change - change)) < 1e-14
+    eye = np.broadcast_to(np.eye(3), frames.shape)
+    assert np.max(np.abs(split.frames @ split.frames_inv - eye)) < 1e-14
 
 
 def test_leaf_dist_is_base_distance():
