@@ -308,7 +308,7 @@ def build_semiconjugacy(
         pts = rows[:, chunk].swapaxes(0, 1)
         split = None
         if sys_f.splitting_mode != "analytic":
-            split = splitting_at(sys_f, pts, strict=False)
+            split = splitting_at(sys_f, pts)
         gaps = dist(sys_f.forward(pts[:, :-1]), pts[:, 1:])
         at_x, est = _centers(sys_f, cfg, pts, gaps, split, list(range(len(chunk))), 0, window, est)
         solved = [b for b, res in at_x.items() if not isinstance(res, QuasiShadowError)]

@@ -413,7 +413,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(kind, help=f"run a {kind} experiment")
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (default: $QS_OUT_DIR or .)")
-        p.add_argument("--seed", type=int, default=None, help="override the orbit seed")
+        if "orbit" in _SECTIONS[kind]:
+            p.add_argument("--seed", type=int, default=None, help="override the orbit seed")
         p.add_argument("--quiet", action="store_true", help="suppress the summary line")
     args = parser.parse_args(argv)
 
@@ -427,7 +428,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config kind {config['kind']!r} does not match subcommand {args.command!r}"
             )
-        if args.seed is not None and "orbit" in config:
+        if getattr(args, "seed", None) is not None:
             config["orbit"]["seed"] = args.seed
         out_dir.mkdir(parents=True, exist_ok=True)
         report = _RUNNERS[config["kind"]](config, out_dir=out_dir, stem=stem)

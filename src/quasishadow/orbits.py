@@ -49,9 +49,6 @@ class PseudoOrbit:
     def ks(self) -> np.ndarray:
         return np.arange(self.k_start, self.k_start + len(self.points))
 
-    def point(self, k: int) -> np.ndarray:
-        return self.points[k - self.k_start]
-
     def write_csv(self, path) -> None:
         d = self.points.shape[1]
         with open(path, "w", newline="") as fh:

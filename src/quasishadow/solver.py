@@ -135,6 +135,10 @@ class SolverConfig:
             raise ConfigError("max_iterations must be >= 1")
         if self.boundary_policy not in ("auto", "window", "cyclic"):
             raise ConfigError(f"unknown boundary policy {self.boundary_policy!r}")
+        if self.admissibility_probes < 2:
+            raise ConfigError(
+                f"admissibility_probes must be >= 2, got {self.admissibility_probes}"
+            )
 
 
 @dataclass(frozen=True)
@@ -491,7 +495,8 @@ def estimate_contraction(
     ops = ops if ops is not None else OrbitOperators(sys, orbit.points, orbit.cyclic, cfg.chart)
     rng = np.random.default_rng(cfg.probe_seed if seed is None else seed)
     eps = cfg.epsilon
-    probes = max(2, int(probes))
+    if probes < 2:
+        raise ValueError(f"probes must be >= 2, got {probes}")
 
     w_full = _scaled_draw(ops, rng, probes, eps, center=True, solver_norm=True)
     big_l = float(np.max(ops.norm_one(w_full) / ops.norm_sup(w_full)))
@@ -576,8 +581,10 @@ def shadow_batch(
 
     Returns one entry per orbit: its :class:`ShadowResult`, or the
     :class:`QuasiShadowError` of the first check it failed.  The checks run
-    per orbit in this order: boundary policy, leaf-mode wrap gap, splitting
-    convergence, lambda_tilde < 1, probing, observed contraction < 1,
+    per orbit in this order: boundary policy, leaf-mode wrap gap, the
+    splitting tail bound (:func:`splitting_error`, one verdict for the
+    system, so every orbit left gets the same error), lambda_tilde < 1,
+    probing, observed contraction < 1,
     predicted radius < epsilon; then, in every Phi step, the chart checks
     of beta, the straddle check of the block solves and the epsilon ball,
     then ``max_iterations`` and the chart checks of the result.  An orbit
@@ -586,8 +593,8 @@ def shadow_batch(
     Without ``est`` every orbit is probed for its own constants
     (:func:`estimate_contraction`); with it every orbit reuses them, with
     its own defect.  ``split`` is the numerical splitting at the stacked
-    points, from ``splitting_at(..., strict=False)``; it is computed when
-    not given.  ``initial`` (shape (W, 3)) starts every orbit.
+    points (:func:`splitting_at`); it is computed when not given.
+    ``initial`` (shape (W, 3)) starts every orbit.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     out: list = [None] * len(orbits)
@@ -608,12 +615,10 @@ def shadow_batch(
                     f"leaf-mode orbit has pointwise wrap gap {gaps[b]:.6g} > rho="
                     f"{cfg.chart.rho}; only the fiber-sliding variant (tau2) applies"
                 )
+    err = splitting_error(sys)
+    if err is not None:
+        return [err if o is None else o for o in out]
     points = np.stack([orbit.points for orbit in orbits])
-    if sys.splitting_mode != "analytic":
-        split = split if split is not None else splitting_at(sys, points, strict=False)
-        for b in range(len(orbits)):
-            if out[b] is None:
-                out[b] = splitting_error(split.change[b], sys.split_config)
     idx = np.array([b for b, o in enumerate(out) if o is None], dtype=int)
     if not idx.size:
         return out

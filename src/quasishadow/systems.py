@@ -9,7 +9,10 @@ the center bundle is exactly the vertical direction.  The stable and
 unstable bundles keep the cat-map eigendirections in the base; only their
 theta slope varies, and for kappa != 0 it is the sum of a closed-form
 series along the base orbit (n terms of it are exactly n power-iteration
-pushes of the unperturbed eigendirection).  The optional
+pushes of the unperturbed eigendirection).  Its terms are bounded by
+2 pi |kappa| times geometric weights, so the slopes, the tails and the
+rates have closed-form bounds (:func:`slope_bounds`, :func:`rate_bounds`;
+Hirsch, Pugh & Shub, *Invariant Manifolds*, 1977).  The optional
 rigid translation ``shift`` = (w_b, w_theta) perturbs the map without
 changing its differential, which makes base-moving perturbations available
 for stability experiments.
@@ -69,7 +72,7 @@ class HyperbolicityRates:
 
 @dataclass(frozen=True)
 class SplitConfig:
-    """Terms of the slope series (power-iteration depth) and direction-convergence tolerance."""
+    """Terms of the slope series and the bound on the error of its unit directions."""
 
     n_iter: int = 40
     direction_tol: float = 1e-12
@@ -79,8 +82,8 @@ class CatCircleSystem:
     """Partially hyperbolic skew product on T^3 (see module docstring).
 
     ``alpha`` is the fiber rotation, ``kappa`` the skew strength, ``shift``
-    an optional rigid translation.  Measured rates come from
-    :func:`verify_rates`.
+    an optional rigid translation.  The rates are bounded in closed form
+    by :func:`rate_bounds`; :func:`verify_rates` measures them.
     """
 
     center_dimension = 1
@@ -154,15 +157,11 @@ def cat_circle_system(
     n_split: int = SplitConfig.n_iter,
     direction_tol: float = SplitConfig.direction_tol,
     validate: bool = True,
-    sample_seed: int = 7,
-    n_samples: int = 50,
 ) -> CatCircleSystem:
-    """Build a skew-product system and, unless ``validate=False``, check its rates.
+    """Build a skew-product system and, unless ``validate=False``, check it in closed form.
 
-    The admissible range of ``kappa`` is enforced empirically: the one-step
-    stretch factors measured by :func:`verify_rates` on a seeded random
-    sample must respect the strict stable < center < unstable ordering,
-    otherwise a :class:`RateOrderError` propagates (kappa too large).
+    :func:`rate_bounds` refuses |kappa| >= 0.4527 and :func:`splitting_error`
+    an ``n_split`` whose series tail exceeds ``direction_tol``.
     """
     sys = CatCircleSystem(
         alpha,
@@ -171,9 +170,10 @@ def cat_circle_system(
         splitting_mode=splitting_mode,
         split_config=SplitConfig(n_split, direction_tol),
     )
-    if validate and (kappa != 0.0 or shift is not None):
-        rng = np.random.default_rng(sample_seed)
-        verify_rates(sys, wrap(rng.random((n_samples, 3))))
+    if validate:
+        rate_bounds(sys.kappa)
+        if (err := splitting_error(sys)) is not None:
+            raise err
     return sys
 
 
@@ -184,21 +184,15 @@ class Splitting:
     ``frames[..., :, i]`` is the unit direction of bundle i in the
     (stable, center, unstable) order; ``frames_inv @ vector`` gives
     splitting coordinates.  Projections are onto one bundle along the sum
-    of the other two.  ``change[..., 0]`` and ``change[..., 1]`` hold, at
-    each point, the distance between the unit stable (unstable) directions
-    from n and from n - 1 terms of the slope series, that is, how far the
-    equivalent power iteration moved on its last step (zero when n <= 1,
-    None for the analytic splitting).
+    of the other two.
     """
 
     frames: np.ndarray
     frames_inv: np.ndarray
-    change: np.ndarray | None = None
 
     def __getitem__(self, key) -> "Splitting":
         """The splitting at a subset of the points; ``key`` indexes the point axes."""
-        change = None if self.change is None else self.change[key]
-        return Splitting(self.frames[key], self.frames_inv[key], change)
+        return Splitting(self.frames[key], self.frames_inv[key])
 
     def projector(self, bundle: int) -> np.ndarray:
         cols = self.frames[..., :, bundle]
@@ -217,61 +211,68 @@ _FRAME = np.stack([E_STABLE, E_CENTER, E_UNSTABLE], axis=-1)
 ANALYTIC = Splitting(_FRAME, np.linalg.inv(_FRAME))
 
 
-def _slopes(sys: CatCircleSystem, x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _slopes(sys: CatCircleSystem, x: np.ndarray, n: int) -> np.ndarray:
     """Theta slopes of the stable (column 0) and unstable (column 1) directions at x.
 
     With c(b1) = 2 pi kappa cos(2 pi b1) the theta row of the differential,
     r_s = -e_s[0] sum_{j<n} lam^j c(f^j x) and
     r_u = e_u[0] sum_{1<=j<=n} mu^-j c(f^-j x); only the base orbit enters.
-    Returns the slopes from n terms and from n - 1 terms (n terms again
-    when n <= 1, so that no change is reported).
     """
     shift = sys.shift[:2]
     fwd = bwd = x[..., :2]
-    total = prev = np.zeros(x.shape[:-1] + (2,))
+    total = np.zeros(x.shape[:-1] + (2,))
     for j in range(n):
         bwd = wrap((bwd - shift) @ CAT_INV.T)
         cos = np.cos(2.0 * np.pi * np.stack([fwd[..., 0], bwd[..., 0]], axis=-1))
-        prev, total = total, total + cos * [LAM**j, MU ** -(j + 1)]
+        total = total + cos * [LAM**j, MU ** -(j + 1)]
         fwd = wrap(fwd @ CAT.T + shift)
-    scale = 2.0 * np.pi * sys.kappa * np.array([-E_STABLE[0], E_UNSTABLE[0]])
-    return scale * total, scale * (prev if n > 1 else total)
+    return 2.0 * np.pi * sys.kappa * np.array([-E_STABLE[0], E_UNSTABLE[0]]) * total
 
 
-def _directions(slopes: np.ndarray) -> np.ndarray:
-    """Unit stable and unstable directions, shape (..., 2, 3), for slopes of shape (..., 2)."""
-    vec = _BASE_DIRS + slopes[..., None] * E_CENTER
-    return vec / np.sqrt(1.0 + slopes**2)[..., None]
+def slope_bounds(kappa: float, n: int = 0) -> np.ndarray:
+    """Tails R_s lam^n and R_u mu^-n of the stable and unstable slope series after n terms.
 
-
-def splitting_error(change: np.ndarray | None, cfg: SplitConfig) -> SplittingError | None:
-    """The error for a set of points whose slope series has not converged, else None.
-
-    ``change`` is ``Splitting.change`` at those points; the stable
-    direction is judged first, and the message names the largest move.
+    n = 0 bounds the slopes and every partial sum; as a unit direction moves
+    no more than its slope, the tails bound the error of the n-term directions.
     """
-    if change is None:
-        return None
-    for col, kind in ((0, "stable"), (1, "unstable")):
-        worst = float(np.max(change[..., col]))
-        if worst > cfg.direction_tol:
+    weights = [-E_STABLE[0] * LAM**n / (1.0 - LAM), E_UNSTABLE[0] * MU**-n / (MU - 1.0)]
+    return 2.0 * np.pi * abs(kappa) * np.array(weights)
+
+
+def rate_bounds(kappa: float) -> HyperbolicityRates:
+    """Closed-form rates; raises :class:`RateOrderError` for |kappa| >= 0.4527.
+
+    E^s stretches by lam sqrt(1 + r_s(fx)^2) / sqrt(1 + r_s(x)^2), at most
+    lam sqrt(1 + R_s^2); E^u by at least mu / sqrt(1 + R_u^2), which stays
+    above 1 for |kappa| < 0.7325; E^c by exactly 1.
+    """
+    r_s, r_u = slope_bounds(kappa)
+    lam, mu = LAM * np.hypot(1.0, r_s), MU / np.hypot(1.0, r_u)
+    return HyperbolicityRates(float(lam), 1.0, 1.0, float(mu))
+
+
+def splitting_error(sys: CatCircleSystem) -> SplittingError | None:
+    """The error when a series tail after ``n_iter`` terms exceeds ``direction_tol``, else None.
+
+    :func:`slope_bounds` holds at every point, so this is one verdict for
+    the system; the stable side is judged first.
+    """
+    cfg = sys.split_config
+    for tail, kind in zip(slope_bounds(sys.kappa, cfg.n_iter), ("stable", "unstable")):
+        if tail > cfg.direction_tol:
             return SplittingError(
-                f"{kind} direction moved by {worst:.3g} on the last of "
-                f"{cfg.n_iter} power-iteration steps (tol {cfg.direction_tol:g})"
+                f"{kind} direction error bound {tail:.3g} after {cfg.n_iter} "
+                f"slope-series terms exceeds tol {cfg.direction_tol:g}"
             )
     return None
 
 
-def splitting_at(
-    sys: CatCircleSystem, x, cfg: SplitConfig | None = None, strict: bool = True
-) -> Splitting:
+def splitting_at(sys: CatCircleSystem, x, cfg: SplitConfig | None = None) -> Splitting:
     """Invariant splitting frames at x (vectorized over leading axes).
 
     For kappa != 0 the stable and unstable slopes are ``cfg.n_iter`` terms
-    of their series (see :func:`_slopes`) and the inverse frames are
-    explicit.  With ``strict`` a :class:`SplittingError` is raised when the
-    series has not converged at some point; otherwise the caller judges
-    ``change`` point by point (see :func:`splitting_error`).
+    of their series (see :func:`_slopes`; :func:`splitting_error` bounds
+    the truncation) and the inverse frames are explicit.
     """
     cfg = cfg if cfg is not None else sys.split_config
     x = np.asarray(x, float)
@@ -281,24 +282,18 @@ def splitting_at(
             np.broadcast_to(ANALYTIC.frames, shape).copy(),
             np.broadcast_to(ANALYTIC.frames_inv, shape).copy(),
         )
-    slopes, shorter = _slopes(sys, x, cfg.n_iter)
-    dirs = _directions(slopes)
-    change = np.linalg.norm(dirs - _directions(shorter), axis=-1)
+    slopes = _slopes(sys, x, cfg.n_iter)
+    norms = np.sqrt(1.0 + slopes**2)
+    dirs = (_BASE_DIRS + slopes[..., None] * E_CENTER) / norms[..., None]
     center = np.broadcast_to(E_CENTER, x.shape)
     frames = np.stack([dirs[..., 0, :], center, dirs[..., 1, :]], axis=-1)
     # the base eigendirections are orthonormal (CAT is symmetric), so the dual rows are explicit
-    norms = np.sqrt(1.0 + slopes**2)
     rows = [norms[..., :1] * E_STABLE, E_CENTER - slopes @ _BASE_DIRS, norms[..., 1:] * E_UNSTABLE]
-    frames_inv = np.stack(rows, axis=-2)
-    split = Splitting(frames, frames_inv, change)
-    err = splitting_error(split.change, cfg) if strict else None
-    if err is not None:
-        raise err
-    return split
+    return Splitting(frames, np.stack(rows, axis=-2))
 
 
 def verify_rates(sys: CatCircleSystem, points, cfg: SplitConfig | None = None) -> HyperbolicityRates:
-    """Empirical one-step rate estimate over sample points.
+    """Measured one-step rates over sample points (the closed form is :func:`rate_bounds`).
 
     Returns (max stable stretch, min center stretch, max center stretch,
     min unstable stretch); raises :class:`RateOrderError` when the

@@ -143,6 +143,38 @@ def test_seed_override(tmp_path):
     assert report["config"]["orbit"]["seed"] == 99
 
 
+@pytest.mark.parametrize("n_split", [0, 1])
+def test_shallow_splitting_refused(tmp_path, capsys, n_split):
+    # one or no term of the slope series leaves frames off by 0.04-0.1 at kappa = 0.02
+    payload = _shadow_config()
+    payload["system"] = {"alpha": 0.3, "kappa": 0.02, "n_split": n_split}
+    cfg = _write(tmp_path, "shallow.json", payload)
+    assert main(["shadow", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 2
+    assert "error: SplittingError: stable direction error bound" in capsys.readouterr().err
+    assert not (tmp_path / "shallow_report.json").exists()
+
+
+def test_admissibility_probes_below_two_refused(tmp_path, capsys):
+    payload = _shadow_config()
+    payload["solver"] = {"admissibility_probes": 1}
+    cfg = _write(tmp_path, "probes.json", payload)
+    assert main(["shadow", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 2
+    assert "ConfigError: admissibility_probes must be >= 2" in capsys.readouterr().err
+    sys0 = qs.cat_circle_system(0.3, 0.0)
+    with pytest.raises(ValueError, match="probes must be >= 2"):
+        qs.estimate_contraction(sys0, qs.true_orbit_window(sys0, [0.1, 0.2, 0.3], 5), probes=1)
+
+
+@pytest.mark.parametrize("config", ["close_leaf", "stability_translation"])
+def test_seed_only_where_an_orbit_is_drawn(tmp_path, capsys, config):
+    path = str(ROOT / "configs" / f"{config}.json")
+    kind = json.loads(Path(path).read_text())["kind"]
+    with pytest.raises(SystemExit) as exc:
+        main([kind, "--config", path, "--out", str(tmp_path), "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
 def test_exit_code_bound_failure(tmp_path):
     payload = _shadow_config()
     payload["bounds"] = {"max_trace_dist": 1e-30}

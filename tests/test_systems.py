@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import quasishadow as qs
 from quasishadow.errors import RateOrderError, SplittingError
-from quasishadow.systems import C, E_CENTER, E_UNSTABLE, LAM, MU, S, U
+from quasishadow.systems import C, E_CENTER, E_UNSTABLE, LAM, MU, S, U, rate_bounds, slope_bounds
 
 from oracles import eigen_frames, fd_jacobian, power_splitting, sin_angle
 
@@ -136,6 +136,30 @@ def test_large_kappa_rejected():
         qs.cat_circle_system(0.3, 0.8)
 
 
+def test_rate_bound_refuses_stable_expansion():
+    # at kappa = 0.6 the stable direction expands at some points, though
+    # few random points show it; the closed-form bound refuses it outright
+    with pytest.raises(RateOrderError):
+        qs.cat_circle_system(0.3, 0.6)
+    dense = qs.wrap(np.random.default_rng(3).random((100_000, 3)))
+    with pytest.raises(RateOrderError, match=r"lam=1\.1"):
+        qs.verify_rates(qs.cat_circle_system(0.3, 0.6, validate=False), dense)
+    # the stable side of the bound admits |kappa| < 0.45269
+    qs.cat_circle_system(0.3, 0.4526)
+    with pytest.raises(RateOrderError):
+        qs.cat_circle_system(0.3, -0.4527)
+
+
+@pytest.mark.parametrize("kappa", [0.02, 0.2, 0.45])
+def test_verify_rates_within_closed_form(kappa):
+    dense = qs.wrap(np.random.default_rng(5).random((20_000, 3)))
+    measured = qs.verify_rates(qs.cat_circle_system(0.3, kappa), dense)
+    bound = rate_bounds(kappa)
+    assert LAM < measured.lam <= bound.lam < 1.0
+    assert 1.0 < bound.mu <= measured.mu < MU
+    assert measured.lam_prime == measured.mu_prime == 1.0
+
+
 def test_rate_ordering_validation():
     with pytest.raises(RateOrderError):
         qs.HyperbolicityRates(1.1, 1.0, 1.0, 2.6)
@@ -145,9 +169,12 @@ def test_rate_ordering_validation():
 
 
 def test_splitting_convergence_guard():
-    shallow = qs.cat_circle_system(0.3, 0.02, n_split=2, direction_tol=1e-15, validate=False)
-    with pytest.raises(SplittingError):
-        qs.splitting_at(shallow, np.array([0.3, 0.4, 0.5]))
+    shallow = dict(n_split=2, direction_tol=1e-15)
+    with pytest.raises(SplittingError, match="stable direction error bound"):
+        qs.cat_circle_system(0.3, 0.02, **shallow)
+    twin = qs.cat_circle_system(0.3, 0.02, validate=False, **shallow)
+    with pytest.raises(SplittingError, match="stable direction error bound"):
+        qs.shadow(twin, qs.true_orbit_window(twin, [0.3, 0.4, 0.5], 5))
 
 
 @settings(max_examples=20, deadline=None)
@@ -162,13 +189,31 @@ def test_splitting_matches_power_iteration(alpha, kappa, shift, n_split, seed):
     # the slope series with n terms is n power-iteration pushes of the seed direction
     sys = qs.cat_circle_system(alpha, kappa, shift=shift, n_split=n_split, validate=False)
     pts = qs.wrap(np.random.default_rng(seed).random((4, 16, 3)))
-    split = qs.splitting_at(sys, pts, strict=False)
-    frames, frames_inv, change = power_splitting(sys, pts, n_split)
+    split = qs.splitting_at(sys, pts)
+    frames, frames_inv, _ = power_splitting(sys, pts, n_split)
     assert np.max(np.abs(split.frames - frames)) < 1e-14
     assert np.max(np.abs(split.frames_inv - frames_inv)) < 1e-14
-    assert np.max(np.abs(split.change - change)) < 1e-14
     eye = np.broadcast_to(np.eye(3), frames.shape)
     assert np.max(np.abs(split.frames @ split.frames_inv - eye)) < 1e-14
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kappa=st.floats(0.005, 0.45),
+    shift=st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+    n=st.sampled_from([1, 2, 10, 26]),
+    seed=st.integers(0, 2**16),
+)
+def test_slope_tail_bounds_direction_error(kappa, shift, n, seed):
+    # n terms against 60 more: the distance of the unit directions stays
+    # within the geometric tail bound (plus a few ulps of rounding)
+    sys = qs.cat_circle_system(0.3, kappa, shift=shift, n_split=n, validate=False)
+    pts = qs.wrap(np.random.default_rng(seed).random((4, 16, 3)))
+    frames = qs.splitting_at(sys, pts).frames
+    deep = power_splitting(sys, pts, n + 60)[0]
+    for bundle, tail in zip((S, U), slope_bounds(kappa, n)):
+        err = np.linalg.norm(frames[..., :, bundle] - deep[..., :, bundle], axis=-1)
+        assert np.max(err) <= tail + 1e-15
 
 
 def test_leaf_dist_is_base_distance():
