@@ -37,6 +37,7 @@ from .orbits import (
     true_orbit_window,
 )
 from .solver import (
+    ContractionBounds,
     ContractionEstimates,
     OrbitOperators,
     ShadowResult,
@@ -68,6 +69,7 @@ __all__ = [
     "ChartError",
     "ConfigError",
     "ConjugacyMap",
+    "ContractionBounds",
     "ContractionEstimates",
     "ConvergenceError",
     "HyperbolicityRates",

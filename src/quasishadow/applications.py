@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import QuasiShadowError, SearchError
 from .orbits import NearReturn, PseudoOrbit, make_cyclic, measure_defect
-from .solver import ContractionEstimates, ShadowResult, SolverConfig, shadow, shadow_batch
-from .systems import C, CatCircleSystem, Splitting, leaf_dist, splitting_at
+from .solver import ShadowResult, SolverConfig, shadow, shadow_batch
+from .systems import C, CatCircleSystem, leaf_dist, splitting_at, splitting_error
 from .torus import RHO0_DEFAULT, dist, expmap, logmap, minimal_rep, wrap
 
 # grid points solved as one batch: large enough that per-call overhead
@@ -205,58 +205,6 @@ def perturbation_size(sys_f: CatCircleSystem, sys_g: CatCircleSystem, points) ->
     return float(np.max(dist(sys_f.forward(points), sys_g.forward(points))))
 
 
-def _centers(
-    sys_f: CatCircleSystem,
-    cfg: SolverConfig,
-    pts: np.ndarray,
-    gaps: np.ndarray,
-    split: Splitting | None,
-    members: list,
-    start: int,
-    window: int,
-    est: ContractionEstimates | None,
-) -> tuple[dict, ContractionEstimates | None]:
-    """Trace the windows pts[b, start : start + 2 window + 1] of the members b as pseudo orbits of f.
-
-    ``gaps[b, j]`` is the one-step error dist(f(pts[b, j]), pts[b, j + 1]).
-    Returns {b: (y_0, correction_0) or the error of the window} and the
-    probed constants.  While ``est`` is None the windows are solved one at
-    a time, each probed on its own, until one solves; its constants serve
-    the remaining windows, which are solved as one batch.
-    """
-    n = 2 * window + 1
-
-    def solve(batch, est):
-        orbits = []
-        for b in batch:
-            seg = gaps[b, start : start + n - 1]
-            j = int(np.argmax(seg))
-            orbits.append(
-                PseudoOrbit(
-                    pts[b, start : start + n],
-                    k_start=-window,
-                    defect=float(seg[j]),
-                    defect_index=j - window,
-                )
-            )
-        sub = None if split is None else split[batch, start : start + n]
-        return shadow_batch(sys_f, orbits, cfg, est, sub)
-
-    results: list = []
-    while est is None and len(results) < len(members):
-        results += solve(members[len(results) : len(results) + 1], None)
-        if isinstance(results[-1], ShadowResult):
-            est = results[-1].diagnostics
-    if len(results) < len(members):
-        results += solve(members[len(results) :], est)
-    centers = {
-        b: res if isinstance(res, QuasiShadowError)
-        else (res.y[window].copy(), res.corrections[window].copy())
-        for b, res in zip(members, results)
-    }
-    return centers, est
-
-
 def build_semiconjugacy(
     sys_f: CatCircleSystem,
     sys_g: CatCircleSystem,
@@ -276,60 +224,92 @@ def build_semiconjugacy(
     :func:`shadow_batch` calls (the x-windows, then the g(x)-windows of the
     points whose x-window solved).  The two windows of a point share 2W of
     their 2W + 1 points, so the numerical splitting is computed once on the
-    2W + 2 points of its g-orbit and sliced for both.  The probed
-    admissibility constants come from the first grid point whose x-window
-    solves (each earlier point is probed on its own) and are reused for
-    every later window.  A grid point fails with the first error of its
-    x-window, else of its g(x)-window; failures are collected, not fatal.
+    2W + 2 points of its g-orbit and sliced for both.  Every window is
+    admitted on its own closed-form constants.  A grid point fails with the
+    first error of its x-window, else of its g(x)-window; failures are
+    collected, not fatal.  A system whose splitting :func:`splitting_error`
+    refuses fails every grid point before any orbit or frame is computed.
     """
     cfg = replace(cfg if cfg is not None else SolverConfig(), variant=SEMICONJUGACY_VARIANT)
     grid = wrap(np.asarray(grid, float).reshape(-1, 3))
     n_pts = len(grid)
-    rows = np.empty((2 * window + 2, n_pts, 3))
-    rows[window] = grid
-    z = grid
-    for j in range(window + 1):
-        z = sys_g.forward(z)
-        rows[window + 1 + j] = z
-    z = grid
-    for j in range(window):
-        z = sys_g.inverse(z)
-        rows[window - 1 - j] = z
-
     values = np.full((n_pts, 3), np.nan)
     values_g = np.full((n_pts, 3), np.nan)
     center_g = np.full((n_pts, 3), np.nan)
     displacement = np.full(n_pts, np.nan)
     residuals = np.full(n_pts, np.nan)
     errors: dict = {}
-    est = None
-    for lo in range(0, n_pts, _GRID_CHUNK):
-        chunk = np.arange(lo, min(lo + _GRID_CHUNK, n_pts))
-        pts = rows[:, chunk].swapaxes(0, 1)
-        split = None
-        if sys_f.splitting_mode != "analytic":
-            split = splitting_at(sys_f, pts)
-        gaps = dist(sys_f.forward(pts[:, :-1]), pts[:, 1:])
-        at_x, est = _centers(sys_f, cfg, pts, gaps, split, list(range(len(chunk))), 0, window, est)
-        solved = [b for b, res in at_x.items() if not isinstance(res, QuasiShadowError)]
-        at_g, est = _centers(sys_f, cfg, pts, gaps, split, solved, 1, window, est)
-        for b, res in at_x.items():
-            if isinstance(res, QuasiShadowError):
-                errors[chunk[b]] = res
-        for b, res in at_g.items():
-            if isinstance(res, QuasiShadowError):
-                errors[chunk[b]] = res
-                continue
-            values[chunk[b]] = at_x[b][0]
-            values_g[chunk[b]], center_g[chunk[b]] = res
+
+    def centers(pts, gaps, split, members: list, start: int) -> dict:
+        """{b: (y_0, correction_0) or the error} of the windows pts[b, start : start + 2W + 1].
+
+        ``gaps[b, j]`` is the one-step error dist(f(pts[b, j]), pts[b, j + 1]);
+        the windows of the members b are solved as one batch.
+        """
+        if not members:
+            return {}
+        n = 2 * window + 1
+        orbits = []
+        for b in members:
+            seg = gaps[b, start : start + n - 1]
+            j = int(np.argmax(seg))
+            orbits.append(
+                PseudoOrbit(
+                    pts[b, start : start + n],
+                    k_start=-window,
+                    defect=float(seg[j]),
+                    defect_index=j - window,
+                )
+            )
+        sub = None if split is None else split[members, start : start + n]
+        results = shadow_batch(sys_f, orbits, cfg, sub)
+        return {
+            b: res if isinstance(res, QuasiShadowError)
+            else (res.y[window].copy(), res.corrections[window].copy())
+            for b, res in zip(members, results)
+        }
+
+    refusal = splitting_error(sys_f)
+    if refusal is not None:
+        errors = dict.fromkeys(range(n_pts), refusal)
+    else:
+        rows = np.empty((2 * window + 2, n_pts, 3))
+        rows[window] = grid
+        z = grid
+        for j in range(window + 1):
+            z = sys_g.forward(z)
+            rows[window + 1 + j] = z
+        z = grid
+        for j in range(window):
+            z = sys_g.inverse(z)
+            rows[window - 1 - j] = z
+        for lo in range(0, n_pts, _GRID_CHUNK):
+            chunk = np.arange(lo, min(lo + _GRID_CHUNK, n_pts))
+            pts = rows[:, chunk].swapaxes(0, 1)
+            split = None
+            if sys_f.splitting_mode != "analytic":
+                split = splitting_at(sys_f, pts)
+            gaps = dist(sys_f.forward(pts[:, :-1]), pts[:, 1:])
+            at_x = centers(pts, gaps, split, list(range(len(chunk))), 0)
+            solved = [b for b, res in at_x.items() if not isinstance(res, QuasiShadowError)]
+            at_g = centers(pts, gaps, split, solved, 1)
+            for b, res in at_x.items():
+                if isinstance(res, QuasiShadowError):
+                    errors[chunk[b]] = res
+            for b, res in at_g.items():
+                if isinstance(res, QuasiShadowError):
+                    errors[chunk[b]] = res
+                    continue
+                values[chunk[b]] = at_x[b][0]
+                values_g[chunk[b]], center_g[chunk[b]] = res
 
     rho0 = cfg.chart.rho0
     ok = ~np.isnan(values[:, 0])
-    gx = rows[window + 1, ok]
-    target = expmap(gx, center_g[ok] + logmap(gx, sys_f.forward(values[ok]), rho0), rho0)
-    displacement[ok] = dist(grid[ok], values[ok])
-    residuals[ok] = dist(values_g[ok], target)
     if ok.any():
+        gx = rows[window + 1, ok]
+        target = expmap(gx, center_g[ok] + logmap(gx, sys_f.forward(values[ok]), rho0), rho0)
+        displacement[ok] = dist(grid[ok], values[ok])
+        residuals[ok] = dist(values_g[ok], target)
         split = splitting_at(sys_f, grid[ok])
         log_h = logmap(grid[ok], values[ok], rho0)
         center_res = float(np.max(np.abs(split.coeffs(log_h)[:, C])))

@@ -2,7 +2,7 @@
 
 One experiment per config file.  Subcommands: shadow | close | stability |
 sweep.  Reports echo the fully resolved config (every default explicit),
-carry the measured diagnostics and a list of bound checks, and are byte
+carry the solve diagnostics and a list of bound checks, and are byte
 stable for a fixed config and seed apart from the runtime field.
 
 Exit codes: 0 all declared bounds pass, 1 a bound failed, 2 configuration

@@ -10,11 +10,11 @@ class ChartError(QuasiShadowError):
 
 
 class RateOrderError(QuasiShadowError):
-    """Measured stretch factors violate the partially hyperbolic ordering."""
+    """Stretch-factor bounds or measurements violate the partially hyperbolic ordering."""
 
 
 class SplittingError(QuasiShadowError):
-    """Power iteration for an invariant direction failed to converge."""
+    """The slope-series tail bounds the invariant directions' error above ``direction_tol``."""
 
 
 class AdmissibilityError(QuasiShadowError):

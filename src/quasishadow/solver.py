@@ -111,7 +111,11 @@ def _reversed_scan(mult: np.ndarray, rhs: np.ndarray, init=0.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver knobs; ``epsilon`` is the tracing radius and must stay below rho."""
+    """Solver knobs; ``epsilon`` is the tracing radius and must stay below rho.
+
+    ``admissibility_probes`` and ``probe_seed`` configure only the
+    measurement :func:`estimate_contraction`; no solve draws probes.
+    """
 
     variant: str = "tau1"
     epsilon: float = 0.04
@@ -158,10 +162,20 @@ class ContractionEstimates:
     eta_lipschitz: float  # measured Lipschitz constant of eta on the epsilon ball
     p_inv_norm: float  # measured solver-norm operator norm of P^{-1}
     observed_contraction: float  # measured Lipschitz factor of Phi
+    probes: int
+
+
+@dataclass(frozen=True)
+class ContractionBounds:
+    """A-priori constants of one orbit (:meth:`OrbitOperators.bounds`); the gate of every solve."""
+
+    lambda_tilde: float  # worst stable / inverse-unstable block factor
+    norm_equivalence_pointwise: float  # L_pt = max_k 1 / sin(phi_k / 2)
+    eta_lipschitz: float  # bound on the Lipschitz constant of eta on the epsilon ball
+    contraction: float  # bound on the Lipschitz factor of Phi on the epsilon ball
     defect: float
     predicted_radius: float  # L_pt * defect / ((1 - lambda_tilde)(1 - contraction))
     sufficient_condition: bool  # L_pt / (1 - lambda_tilde) * defect < epsilon / 2
-    probes: int
     iterations: int = 0
     final_residual: float = float("nan")
 
@@ -181,7 +195,7 @@ class ShadowResult:
     y: np.ndarray
     trans: np.ndarray
     corrections: np.ndarray
-    diagnostics: ContractionEstimates
+    diagnostics: ContractionBounds
     max_trace_dist: float
     step_residual: float
     center_residual: float
@@ -309,17 +323,69 @@ class OrbitOperators:
             inv_beta = np.where(self.beta_u != 0.0, 1.0 / np.abs(self.beta_u), np.inf)
         lam = np.maximum(np.abs(self.alpha).max(axis=-1), inv_beta.max(axis=-1))
         self.lambda_tilde = float(lam) if lam.ndim == 0 else lam
+        # what the block transfer leaves of M: a transversal vector a has
+        # coefficients row_s . a and row_u . a (rows of frames_inv), so row i of
+        # the rest maps it to at most (|M_is| |row_s| + |M_iu| |row_u|) |a|
+        M[..., S, S] = M[..., U, U] = 0.0
+        dual = np.linalg.norm(self.frames_inv[..., [S, U], :], axis=-1)
+        # the center row of frames_inv is normal to E^s + E^u, so the angle phi of
+        # the vertical center line to that plane has cos phi = |row[:2]| / |row|
+        row = self.frames_inv[..., C, :]
+        cos = np.linalg.norm(row[..., :2], axis=-1) / np.linalg.norm(row, axis=-1)
+        if self.frames.ndim > 2:
+            M, dual, cos = np.abs(M).max(axis=-3), dual.max(axis=-2), cos.max(axis=-1)
+        off = np.abs(M[..., S]) * dual[..., :1] + np.abs(M[..., U]) * dual[..., 1:]
+        self.off_block = np.broadcast_to(off, X.shape[:-2] + (3,))
+        self.norm_equivalence = np.broadcast_to(np.sqrt(2.0 / (1.0 - cos)), X.shape[:-2])
 
     def take(self, idx) -> OrbitOperators:
         """The operators of a subset of the orbits; ``idx`` indexes the orbit axis."""
         sub = object.__new__(OrbitOperators)
         sub.__dict__.update(self.__dict__)
-        for name in ("points", "alpha", "beta_u", "lambda_tilde"):
+        for name in ("points", "alpha", "beta_u", "lambda_tilde", "off_block", "norm_equivalence"):
             setattr(sub, name, getattr(self, name)[idx])
         if self.frames.ndim > 2:
             sub.frames = self.frames[idx]
             sub.frames_inv = self.frames_inv[idx]
         return sub
+
+    def bounds(self, cfg: SolverConfig, defect) -> list[ContractionBounds]:
+        """Closed-form admissibility constants of every orbit for ``cfg`` and its ``defect``.
+
+        Take the solver norm |w|_1 = max_k |u_k| + max_k |v_k| (u the center
+        coefficient, v the ambient transversal part).  The frame columns are
+        unit vectors and the block recursions of P^{-1} stay below
+        max |r| / (1 - lambda_tilde), so |P^{-1} r|_1 <= max |r_c| +
+        (max |r_s| + max |r_u|) / (1 - lambda_tilde).  eta_k depends on
+        v_{k-1} alone; on the epsilon ball its derivative is M_k - blockdiag(M_k),
+        M_k = frames_inv[dst] @ Df @ frames[src], which the truncated splitting
+        leaves (``off_block``: bounds l_s, l_c, l_u on its rows as maps of
+        ambient transversal vectors), plus frames_inv[dst] (Df(x + delta) - Df(x)).
+        Df varies only in its theta row entry 2 pi kappa cos(2 pi b_1), by at
+        most (2 pi)^2 |kappa| epsilon, and the theta column of frames_inv is
+        (0, 1, 0): this adds to l_c alone (tau2 slides along the fiber, so its
+        center row is zero).  Hence Lip(eta) <= l_s + l_c + l_u in the sup norm,
+        and as Phi = P^{-1} eta ignores u it contracts the ball by
+        c = l_c + (l_s + l_u) / (1 - lambda_tilde).  The defect splits pointwise
+        into center and transversal parts of total size <= L_pt defect, with
+        L_pt = max_k 1 / sin(phi_k / 2), phi_k the angle between the center
+        line and span(e_s, e_u) (sqrt 2 at kappa = 0), which gives the tracing
+        radius L_pt defect / ((1 - lambda_tilde)(1 - c)).
+        """
+        lam = np.atleast_1d(self.lambda_tilde)
+        l_pt = np.atleast_1d(self.norm_equivalence)
+        lip = np.array(self.off_block, float).reshape(lam.shape + (3,))
+        lip[:, C] += (2.0 * np.pi) ** 2 * abs(self.sys.kappa) * cfg.epsilon
+        if cfg.variant == "tau2":
+            lip[:, C] = 0.0
+        defect = np.broadcast_to(np.asarray(defect, float), lam.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = lip[:, C] + (lip[:, S] + lip[:, U]) / (1.0 - lam)
+            radius = l_pt * defect / ((1.0 - lam) * (1.0 - c))
+            radius = np.where((lam < 1.0) & (c < 1.0), radius, np.inf)
+            sufficient = (lam < 1.0) & (l_pt / (1.0 - lam) * defect < 0.5 * cfg.epsilon)
+        cols = zip(lam, l_pt, lip.sum(axis=-1), c, defect, radius, sufficient)
+        return [ContractionBounds(*map(float, row[:6]), bool(row[6])) for row in cols]
 
     # -- norms ---------------------------------------------------------
 
@@ -460,45 +526,34 @@ class OrbitOperators:
         return out
 
 
-def _scaled_draw(
-    ops: OrbitOperators,
-    rng: np.random.Generator,
-    count: int,
-    size: float,
-    center: bool,
-    solver_norm: bool,
-) -> np.ndarray:
-    draws = rng.standard_normal((count, ops.n_points, 3))
-    if not center:
-        draws[..., C] = 0.0
-    norms = ops.norm_one(draws) if solver_norm else ops.norm_sup(draws)
-    scale = size * (0.25 + 0.75 * rng.random(count)) / norms
-    return draws * scale[:, None, None]
-
-
 def estimate_contraction(
     sys: CatCircleSystem,
     orbit: PseudoOrbit,
     cfg: SolverConfig | None = None,
-    probes: int = 32,
-    seed: int | None = None,
-    ops: OrbitOperators | None = None,
 ) -> ContractionEstimates:
-    """Probe-based estimates of the scheme's constants on this orbit.
+    """Probe-based measurement of the scheme's constants on this orbit.
 
-    All quantities are measured maxima over random probes: the norm
-    equivalence constant, the Lipschitz constant of eta on the epsilon
-    ball, the solver-norm operator norm of P^{-1}, and the Lipschitz
-    factor of Phi on transversal pairs.
+    All quantities are maxima over ``cfg.admissibility_probes`` random
+    probes drawn with ``cfg.probe_seed``: the norm equivalence constant,
+    the Lipschitz constant of eta on the epsilon ball, the solver-norm
+    operator norm of P^{-1}, and the Lipschitz factor of Phi on
+    transversal pairs.  Maxima underestimate suprema, so no solve gates on
+    them; they measure what :meth:`OrbitOperators.bounds` bounds.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    ops = ops if ops is not None else OrbitOperators(sys, orbit.points, orbit.cyclic, cfg.chart)
-    rng = np.random.default_rng(cfg.probe_seed if seed is None else seed)
-    eps = cfg.epsilon
-    if probes < 2:
-        raise ValueError(f"probes must be >= 2, got {probes}")
+    ops = OrbitOperators(sys, orbit.points, orbit.cyclic, cfg.chart)
+    rng = np.random.default_rng(cfg.probe_seed)
+    probes = cfg.admissibility_probes
 
-    w_full = _scaled_draw(ops, rng, probes, eps, center=True, solver_norm=True)
+    def draw(center: bool, solver_norm: bool) -> np.ndarray:
+        """Random sequences of norm in [eps / 4, eps], with or without a center part."""
+        draws = rng.standard_normal((probes, ops.n_points, 3))
+        if not center:
+            draws[..., C] = 0.0
+        norms = ops.norm_one(draws) if solver_norm else ops.norm_sup(draws)
+        return draws * (cfg.epsilon * (0.25 + 0.75 * rng.random(probes)) / norms)[:, None, None]
+
+    w_full = draw(center=True, solver_norm=True)
     big_l = float(np.max(ops.norm_one(w_full) / ops.norm_sup(w_full)))
     us = w_full.copy()
     us[..., C] = 0.0
@@ -506,46 +561,32 @@ def estimate_contraction(
     full_norm = np.linalg.norm(ops.assemble(w_full), axis=-1)
     big_l_pt = float(np.max(split_norm / full_norm))
 
-    v_a = _scaled_draw(ops, rng, probes, eps, center=False, solver_norm=False)
-    v_b = _scaled_draw(ops, rng, probes, eps, center=False, solver_norm=False)
+    v_a = draw(center=False, solver_norm=False)
+    v_b = draw(center=False, solver_norm=False)
     eta_a = ops.eta(v_a, cfg.variant)
     eta_b = ops.eta(v_b, cfg.variant)
     c_delta = float(
         np.max(ops.norm_sup(eta_a - eta_b) / ops.norm_sup(v_a - v_b))
     )
 
-    r = _scaled_draw(ops, rng, probes, eps, center=True, solver_norm=True)
+    r = draw(center=True, solver_norm=True)
     p_inv = float(np.max(ops.norm_one(ops.solve_p(r)) / ops.norm_one(r)))
 
-    u_a = _scaled_draw(ops, rng, probes, eps, center=False, solver_norm=True)
-    u_b = _scaled_draw(ops, rng, probes, eps, center=False, solver_norm=True)
+    u_a = draw(center=False, solver_norm=True)
+    u_b = draw(center=False, solver_norm=True)
     phi_a = ops.phi(u_a, cfg.variant)
     phi_b = ops.phi(u_b, cfg.variant)
     observed = float(np.max(ops.norm_one(phi_a - phi_b) / ops.norm_one(u_a - u_b)))
 
-    defect = float(orbit.defect)
-    lam = float(ops.lambda_tilde)
-    if lam < 1.0 and observed < 1.0:
-        predicted = big_l_pt * defect / ((1.0 - lam) * (1.0 - observed))
-    else:
-        predicted = float("inf")
-    sufficient = lam < 1.0 and big_l_pt / (1.0 - lam) * defect < 0.5 * eps
     return ContractionEstimates(
         norm_equivalence=big_l,
         norm_equivalence_pointwise=big_l_pt,
-        lambda_tilde=lam,
+        lambda_tilde=float(ops.lambda_tilde),
         eta_lipschitz=c_delta,
         p_inv_norm=p_inv,
         observed_contraction=observed,
-        defect=defect,
-        predicted_radius=predicted,
-        sufficient_condition=sufficient,
         probes=probes,
     )
-
-
-def _point_wrap_gap(sys: CatCircleSystem, orbit: PseudoOrbit) -> float:
-    return float(dist(sys.forward(orbit.points[-1]), orbit.points[0]))
 
 
 def shadow(
@@ -573,7 +614,6 @@ def shadow_batch(
     sys: CatCircleSystem,
     orbits: list[PseudoOrbit],
     cfg: SolverConfig | None = None,
-    est: ContractionEstimates | None = None,
     split: Splitting | None = None,
     initial: np.ndarray | None = None,
 ) -> list:
@@ -583,18 +623,16 @@ def shadow_batch(
     :class:`QuasiShadowError` of the first check it failed.  The checks run
     per orbit in this order: boundary policy, leaf-mode wrap gap, the
     splitting tail bound (:func:`splitting_error`, one verdict for the
-    system, so every orbit left gets the same error), lambda_tilde < 1,
-    probing, observed contraction < 1,
-    predicted radius < epsilon; then, in every Phi step, the chart checks
-    of beta, the straddle check of the block solves and the epsilon ball,
-    then ``max_iterations`` and the chart checks of the result.  An orbit
-    that fails leaves the others untouched.
+    system, so every orbit left gets the same error), then the closed-form
+    gate of :meth:`OrbitOperators.bounds`: lambda_tilde < 1, contraction
+    bound < 1, predicted radius < epsilon; then, in every Phi step, the
+    chart checks of beta, the straddle check of the block solves and the
+    epsilon ball, then ``max_iterations`` and the chart checks of the
+    result.  An orbit that fails leaves the others untouched.
 
-    Without ``est`` every orbit is probed for its own constants
-    (:func:`estimate_contraction`); with it every orbit reuses them, with
-    its own defect.  ``split`` is the numerical splitting at the stacked
-    points (:func:`splitting_at`); it is computed when not given.
-    ``initial`` (shape (W, 3)) starts every orbit.
+    ``split`` is the numerical splitting at the stacked points
+    (:func:`splitting_at`); it is computed when not given.  ``initial``
+    (shape (W, 3)) starts every orbit.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     out: list = [None] * len(orbits)
@@ -609,7 +647,7 @@ def shadow_batch(
     gaps = np.zeros(len(orbits))
     for b, orbit in enumerate(orbits):
         if orbit.leaf_mode and cfg.variant != "tau2":
-            gaps[b] = _point_wrap_gap(sys, orbit)
+            gaps[b] = dist(sys.forward(orbit.points[-1]), orbit.points[0])
             if gaps[b] > cfg.chart.rho:
                 out[b] = AdmissibilityError(
                     f"leaf-mode orbit has pointwise wrap gap {gaps[b]:.6g} > rho="
@@ -627,40 +665,19 @@ def shadow_batch(
         split = None if split is None else split[idx]
     ops = OrbitOperators(sys, points, cyclic, cfg.chart, split)
 
-    ests = {}
-    for i, b in enumerate(idx):
-        orbit, lam = orbits[b], ops.lambda_tilde[i]
-        if lam >= 1.0:
+    defects = [max(float(orbits[b].defect), gaps[b]) for b in idx]
+    bounds = dict(zip(idx, ops.bounds(cfg, defects)))
+    for b, bd in bounds.items():
+        if bd.lambda_tilde >= 1.0:
             out[b] = AdmissibilityError(
-                f"stable/unstable block norm {lam:.6g} >= 1; "
+                f"stable/unstable block norm {bd.lambda_tilde:.6g} >= 1; "
                 "not partially hyperbolic at this scale"
             )
-            continue
-        if est is None:
-            try:
-                ests[b] = estimate_contraction(
-                    sys,
-                    orbit,
-                    cfg,
-                    probes=cfg.admissibility_probes,
-                    ops=ops.take(i),
-                )
-            except QuasiShadowError as exc:
-                out[b] = exc
-                continue
-        else:
-            ests[b] = replace(est, defect=float(orbit.defect))
-        observed = ests[b].observed_contraction
-        defect = max(float(orbit.defect), gaps[b])
-        if observed >= 1.0:
-            out[b] = AdmissibilityError(f"no contraction: observed factor {observed:.6g} >= 1")
-            continue
-        predicted = ests[b].norm_equivalence_pointwise * defect / (
-            (1.0 - lam) * (1.0 - observed)
-        )
-        if predicted >= cfg.epsilon:
+        elif bd.contraction >= 1.0:
+            out[b] = AdmissibilityError(f"no contraction: factor bound {bd.contraction:.6g} >= 1")
+        elif bd.predicted_radius >= cfg.epsilon:
             out[b] = AdmissibilityError(
-                f"defect {defect:.6g} predicts tracing radius {predicted:.6g} "
+                f"defect {bd.defect:.6g} predicts tracing radius {bd.predicted_radius:.6g} "
                 f">= epsilon {cfg.epsilon}; reduce the defect or raise epsilon"
             )
     admitted = np.array([out[b] is None for b in idx])
@@ -706,7 +723,7 @@ def shadow_batch(
             trans=trans[j],
             corrections=corrections[j],
             diagnostics=replace(
-                ests[b], iterations=len(deltas), final_residual=float(deltas[-1])
+                bounds[b], iterations=len(deltas), final_residual=float(deltas[-1])
             ),
             max_trace_dist=float(trace[j]),
             step_residual=float(step[j]),

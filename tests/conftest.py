@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import quasishadow as qs
+
+# fixed examples for continuous integration: run with --hypothesis-profile=ci
+settings.register_profile("ci", derandomize=True)
 
 
 @pytest.fixture(scope="session")

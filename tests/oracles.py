@@ -231,3 +231,53 @@ def power_splitting(sys, x, n):
     e_c = np.broadcast_to([0.0, 0.0, 1.0], x.shape)
     frames = np.stack([e_s, e_c, e_u], axis=-1)
     return frames, np.linalg.inv(frames), np.stack([change_s, change_u], axis=-1)
+
+
+def _plane_basis(frames):
+    """Orthonormal basis (q1, q2) of span(e_s, e_u) at every point, by Gram-Schmidt."""
+    e_s, e_u = frames[..., :, 0], frames[..., :, 2]
+    q1 = e_s / np.linalg.norm(e_s, axis=-1, keepdims=True)
+    q2 = e_u - np.sum(e_u * q1, axis=-1, keepdims=True) * q1
+    return q1, q2 / np.linalg.norm(q2, axis=-1, keepdims=True)
+
+
+def pointwise_norm_equivalence(frames, n_angles=3600):
+    """Brute-force sup of (|u| + |v|) / |u + v|, u on the center line, v in span(e_s, e_u).
+
+    For unit directions u and v the ratio peaks at equal lengths, where it is
+    2 / |u + v|; the scan runs v over ``n_angles`` directions of the
+    transversal plane at every point (u = -e_c is the scan of -v).
+    """
+    frames = np.asarray(frames, float).reshape(-1, 3, 3)
+    q1, q2 = _plane_basis(frames)
+    t = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)[:, None, None]
+    v = np.cos(t) * q1 + np.sin(t) * q2
+    return float(np.max(2.0 / np.linalg.norm(frames[:, :, 1] + v, axis=-1)))
+
+
+def eta_lipschitz_fd(ops, variant, epsilon, seed, samples=4, h=1e-3):
+    """Lipschitz estimate of ``ops.eta`` on the epsilon ball from central differences.
+
+    eta_k depends on v_{k-1} alone, so moving every point at once along one
+    direction of its transversal plane gives the derivative of every step in
+    that direction.  Returns the largest spectral norm of the per-step 3x2
+    derivatives (ambient in, ambient out) at ``samples`` random sequences
+    with |v_k| = 0.9 epsilon.
+    """
+    W = ops.n_points
+    frames = np.broadcast_to(ops.frames, (W, 3, 3))
+    frames_inv = np.broadcast_to(ops.frames_inv, (W, 3, 3))
+    q = np.stack(_plane_basis(frames), axis=-1)  # (W, 3, 2)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        t = rng.uniform(0.0, 2.0 * np.pi, W)
+        v_amb = 0.9 * epsilon * (q @ np.stack([np.cos(t), np.sin(t)], axis=-1)[..., None])[..., 0]
+        jac = np.empty((W, 3, 2))
+        for m in range(2):
+            step = np.einsum("kij,kj->ki", frames_inv, h * q[..., m])
+            plus = ops.eta(np.einsum("kij,kj->ki", frames_inv, v_amb) + step, variant)
+            minus = ops.eta(np.einsum("kij,kj->ki", frames_inv, v_amb) - step, variant)
+            jac[..., m] = np.einsum("kij,kj->ki", frames, plus - minus) / (2.0 * h)
+        worst = max(worst, float(np.max(np.linalg.norm(jac, ord=2, axis=(-2, -1)))))
+    return worst

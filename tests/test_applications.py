@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasishadow as qs
-from quasishadow import solver
+from quasishadow import applications, solver
 from quasishadow.applications import grid_points
 from quasishadow.cli import to_json
 from quasishadow.errors import QuasiShadowError, SearchError
@@ -197,11 +197,7 @@ def test_semiconjugacy_collects_failures(product_sys):
 
 
 def _per_window_semiconjugacy(sys_f, sys_g, grid, cfg, window):
-    """Reference for build_semiconjugacy: one single-orbit solve per window, grid point by grid point.
-
-    Probed constants come from the first grid point whose x-window solves
-    and are reused for every later window.
-    """
+    """Reference for build_semiconjugacy: one single-orbit solve per window, grid point by grid point."""
     cfg = replace(cfg, variant="tau1")
     rows = np.empty((2 * window + 2, len(grid), 3))
     rows[window] = grid
@@ -214,25 +210,18 @@ def _per_window_semiconjugacy(sys_f, sys_g, grid, cfg, window):
         z = sys_g.inverse(z)
         rows[window - 1 - j] = z
 
-    def solve(points, est):
+    def solve(points):
         orbit = qs.PseudoOrbit(points, k_start=-window)
         orbit.defect, orbit.defect_index = qs.measure_defect(sys_f, orbit)
-        if est is None:
-            return qs.shadow(sys_f, orbit, cfg)
-        res = qs.shadow_batch(sys_f, [orbit], cfg, est)[0]
-        if isinstance(res, QuasiShadowError):
-            raise res
-        return res
+        return qs.shadow(sys_f, orbit, cfg)
 
     out = {key: np.full((len(grid), 3), np.nan) for key in ("values", "values_at_g", "center_at_g")}
     out["residuals"] = np.full(len(grid), np.nan)
     failures = []
-    est = None
     for p in range(len(grid)):
         try:
-            res_x = solve(rows[: 2 * window + 1, p], est)
-            est = res_x.diagnostics
-            res_g = solve(rows[1:, p], est)
+            res_x = solve(rows[: 2 * window + 1, p])
+            res_g = solve(rows[1:, p])
         except QuasiShadowError as exc:
             failures.append((p, f"{type(exc).__name__}: {exc}"))
             continue
@@ -253,7 +242,7 @@ def _assert_matches_per_window(sys_f, sys_g, grid, window, cfg=None):
         cmap = qs.build_semiconjugacy(sys_f, sys_g, grid, cfg, window=window)
     with probe as probed_ref:
         ref, failures = _per_window_semiconjugacy(sys_f, sys_g, grid, cfg, window)
-    assert probed.call_count == probed_ref.call_count
+    assert probed.call_count == probed_ref.call_count == 0
     assert cmap.failures == failures
     for key, want in ref.items():
         assert np.array_equal(getattr(cmap, key), want, equal_nan=True), key
@@ -287,7 +276,14 @@ def test_semiconjugacy_splitting_tail_bound_is_one_verdict():
         sys_f = qs.cat_circle_system(0.3, 0.02, **shallow)
         return sys_f, qs.cat_circle_system(0.3, 0.02, shift=(1e-3, 2e-4, 0.0), **shallow)
 
-    cmap = _assert_matches_per_window(*pair(1e-15), grid_points(3), 1)
+    # the refusal comes before any frame is computed
+    frames = [
+        mock.patch.object(module, "splitting_at", wraps=module.splitting_at)
+        for module in (applications, solver)
+    ]
+    with frames[0] as at_grid, frames[1] as at_windows:
+        cmap = _assert_matches_per_window(*pair(1e-15), grid_points(3), 1)
+    assert at_grid.call_count == at_windows.call_count == 0
     assert [p for p, _ in cmap.failures] == list(range(27))
     message = (
         "SplittingError: stable direction error bound 1.45e-12 after 26 "

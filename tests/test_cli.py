@@ -2,10 +2,12 @@ import gzip
 import json
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import quasishadow as qs
+from quasishadow import solver
 from quasishadow.cli import main, resolve_config
 
 
@@ -160,9 +162,12 @@ def test_admissibility_probes_below_two_refused(tmp_path, capsys):
     cfg = _write(tmp_path, "probes.json", payload)
     assert main(["shadow", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 2
     assert "ConfigError: admissibility_probes must be >= 2" in capsys.readouterr().err
+    # the measurement draws the configured probes, and SolverConfig is its one check
     sys0 = qs.cat_circle_system(0.3, 0.0)
-    with pytest.raises(ValueError, match="probes must be >= 2"):
-        qs.estimate_contraction(sys0, qs.true_orbit_window(sys0, [0.1, 0.2, 0.3], 5), probes=1)
+    orbit = qs.true_orbit_window(sys0, [0.1, 0.2, 0.3], 5)
+    assert qs.estimate_contraction(sys0, orbit, qs.SolverConfig(admissibility_probes=3)).probes == 3
+    with pytest.raises(qs.ConfigError, match="admissibility_probes must be >= 2"):
+        qs.SolverConfig(admissibility_probes=1)
 
 
 @pytest.mark.parametrize("config", ["close_leaf", "stability_translation"])
@@ -370,6 +375,15 @@ def test_report_echoes_the_variant_that_ran(tmp_path, kind, requested, runs):
     # the echoed variant is the one that ran: the results match a run that names it
     assert reports["requested"]["config"] == reports["runs"]["config"]
     assert reports["requested"]["results"] == reports["runs"]["results"]
+
+
+@pytest.mark.parametrize("kind", ["shadow", "close", "stability", "sweep"])
+def test_no_subcommand_probes(tmp_path, kind):
+    # admissibility rests on closed-form bounds: no run calls the probe measurement
+    cfg = _write(tmp_path, "run.json", _variant_config(kind, "tau2" if kind == "close" else "tau1"))
+    with mock.patch.object(solver, "estimate_contraction", side_effect=AssertionError) as probe:
+        assert main([kind, "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    assert probe.call_count == 0
 
 
 def test_stability_rejects_unknown_variant(tmp_path, capsys):

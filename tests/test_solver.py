@@ -1,8 +1,10 @@
 import dataclasses
-from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quasishadow as qs
 from quasishadow.cli import to_json
@@ -14,6 +16,9 @@ from oracles import (
     dense_stable_window,
     dense_tau1_window,
     dense_unstable_window,
+    eta_lipschitz_fd,
+    periodic_base_point,
+    pointwise_norm_equivalence,
 )
 
 
@@ -151,7 +156,7 @@ def test_solve_p_straddling_multipliers_rejected(product_sys, rng):
 def test_p_inverse_norm_bound(product_sys, skew_sys):
     for sys in (product_sys, skew_sys):
         orbit = _noisy(sys)
-        est = qs.estimate_contraction(sys, orbit, probes=32)
+        est = qs.estimate_contraction(sys, orbit, qs.SolverConfig(admissibility_probes=32))
         assert est.p_inv_norm <= 1.0 / (1.0 - est.lambda_tilde) + 1e-6
 
 
@@ -337,9 +342,68 @@ def test_leaf_mode_big_rotation_needs_tau2(product_sys):
 # -- estimates -----------------------------------------------------------
 
 
+def _cyclic_noisy(sys, x0, n):
+    """Period-n cyclic pseudo orbit on an exactly periodic base orbit.
+
+    The fiber gap g at the seam is spread evenly, so every step misses
+    by g / n along the fiber.
+    """
+    pts = sys.orbit([*periodic_base_point(x0[:2], n), x0[2]], n)
+    gap = qs.minimal_rep(pts[n, 2] - pts[0, 2])
+    pts = pts[:n].copy()
+    pts[:, 2] = qs.wrap(pts[:, 2] - gap * np.arange(n) / n)
+    orbit = qs.PseudoOrbit(pts, cyclic=True)
+    orbit.defect, orbit.defect_index = qs.measure_defect(sys, orbit)
+    return orbit
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    kappa=st.floats(0.0, 0.05),
+    variant=st.sampled_from(["tau1", "tau2", "tau3"]),
+    cyclic=st.booleans(),
+    n=st.integers(8, 30),
+    seed=st.integers(0, 1000),
+)
+def test_bounds_dominate_oracles_and_probes(kappa, variant, cyclic, n, seed):
+    sys = qs.cat_circle_system(0.3, kappa)
+    x0 = np.random.default_rng(seed).random(3)
+    orbit = _cyclic_noisy(sys, x0, n) if cyclic else qs.generate_noisy(sys, x0, n, 1e-4, seed)
+    cfg = qs.SolverConfig(variant=variant, admissibility_probes=64)
+    ops = qs.OrbitOperators(sys, orbit.points, orbit.cyclic)
+    bound = ops.bounds(cfg, orbit.defect)[0]
+    probed = qs.estimate_contraction(sys, orbit, cfg)
+    # the pointwise constant is exact up to rounding; eta is affine at kappa = 0,
+    # where the probes and differences read rounding only
+    l_pt = bound.norm_equivalence_pointwise * (1.0 + 1e-12)
+    assert pointwise_norm_equivalence(ops.frames) <= l_pt
+    assert probed.norm_equivalence_pointwise <= l_pt
+    assert eta_lipschitz_fd(ops, variant, cfg.epsilon, seed) <= bound.eta_lipschitz + 1e-12
+    assert probed.eta_lipschitz <= bound.eta_lipschitz + 1e-12
+    assert probed.observed_contraction <= bound.contraction + 1e-12
+    assert bound.lambda_tilde == probed.lambda_tilde
+
+
+@pytest.mark.parametrize("variant", ["tau1", "tau2", "tau3"])
+def test_predicted_radius_bound_is_tight(skew_sys, variant):
+    orbit = _noisy(skew_sys)
+    cfg = qs.SolverConfig(variant=variant, admissibility_probes=64)
+    res = qs.shadow(skew_sys, orbit, cfg)
+    bound = res.diagnostics
+    assert dataclasses.replace(bound, iterations=0, final_residual=0.0) == dataclasses.replace(
+        qs.OrbitOperators(skew_sys, orbit.points).bounds(cfg, orbit.defect)[0], final_residual=0.0
+    )
+    est = qs.estimate_contraction(skew_sys, orbit, cfg)
+    probed = est.norm_equivalence_pointwise * orbit.defect / (
+        (1.0 - est.lambda_tilde) * (1.0 - est.observed_contraction)
+    )
+    assert probed <= bound.predicted_radius <= 1.5 * probed
+    assert res.max_trace_dist <= bound.predicted_radius
+
+
 def test_norm_equivalence_product(product_sys, rng):
     orbit = _noisy(product_sys, n=50)
-    est = qs.estimate_contraction(product_sys, orbit, probes=64)
+    est = qs.estimate_contraction(product_sys, orbit, qs.SolverConfig(admissibility_probes=64))
     # orthogonal splitting: sqrt(2) pointwise, 2 for the split-supremum norm
     assert est.norm_equivalence_pointwise <= np.sqrt(2.0) + 1e-9
     assert est.norm_equivalence <= 2.0 + 1e-9
@@ -352,34 +416,29 @@ def test_norm_equivalence_product(product_sys, rng):
 def test_contraction_estimates_bounds(product_sys, skew_sys):
     for sys in (product_sys, skew_sys):
         orbit = _noisy(sys)
-        est = qs.estimate_contraction(sys, orbit, probes=32)
+        est = qs.estimate_contraction(sys, orbit, qs.SolverConfig(admissibility_probes=32))
         assert est.observed_contraction <= 0.5
         assert est.p_inv_norm <= 1.0 / (1.0 - est.lambda_tilde) + 1e-6
-        assert est.sufficient_condition
-        assert est.predicted_radius < 0.04
-
-
-def test_contraction_estimate_reused(product_sys):
-    orbit = _noisy(product_sys, n=30)
-    est = qs.estimate_contraction(product_sys, orbit, probes=8)
-    res = qs.shadow_batch(product_sys, [orbit], est=est)[0]
-    assert res.diagnostics.defect == orbit.defect
-    ref = qs.shadow(product_sys, orbit)
-    assert np.array_equal(res.y, ref.y)
+        gate = qs.shadow(sys, orbit).diagnostics
+        assert gate.contraction <= 0.5
+        assert gate.sufficient_condition
+        assert gate.predicted_radius < 0.04
 
 
 def test_shadow_batch_failures_stay_per_orbit(product_sys):
-    # the middle orbit jumps across the torus once; constants that admit any
-    # defect let it into the Phi steps, where its chart check fails
-    good = [_noisy(product_sys, n=20, seed=s) for s in (1, 2)]
-    pts = good[0].points.copy()
-    pts[20] = qs.wrap(pts[20] + 0.5)
-    bad = qs.PseudoOrbit(pts, k_start=-20)
-    bad.defect, bad.defect_index = qs.measure_defect(product_sys, bad)
-    est = qs.estimate_contraction(product_sys, good[0], probes=8)
-    est = replace(est, norm_equivalence_pointwise=1e-9)
-    out = qs.shadow_batch(product_sys, [good[0], bad, good[1]], est=est)
-    alone = [qs.shadow_batch(product_sys, [orbit], est=est)[0] for orbit in (good[0], bad, good[1])]
+    # the middle orbit passes the gate and then fails inside Phi
+    orbits = [_noisy(product_sys, n=20, seed=s) for s in (1, 2, 3)]
+    bad = orbits[1].points
+    apply_beta = qs.OrbitOperators.apply_beta
+
+    def failing(ops, v, variant="tau1"):
+        if any(np.array_equal(pts, bad) for pts in ops.points):
+            raise ChartError("beta left the chart")
+        return apply_beta(ops, v, variant)
+
+    with mock.patch.object(qs.OrbitOperators, "apply_beta", failing):
+        out = qs.shadow_batch(product_sys, orbits)
+        alone = [qs.shadow_batch(product_sys, [orbit])[0] for orbit in orbits]
     assert isinstance(out[1], ChartError)
     assert str(out[1]) == str(alone[1])
     for res, ref in ((out[0], alone[0]), (out[2], alone[2])):
