@@ -9,13 +9,12 @@ h(g(x)) = tau_{g(x)}(f(h(x))) up to solver tolerance.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import QuasiShadowError, SearchError
-from .orbits import NearReturn, PseudoOrbit, make_cyclic, measure_defect
+from .orbits import NearReturn, PseudoOrbit, make_cyclic, measure_defect, write_table
 from .solver import ShadowResult, SolverConfig, shadow, shadow_batch
 from .systems import C, CatCircleSystem, leaf_dist, splitting_at, splitting_error
 from .torus import RHO0_DEFAULT, dist, expmap, logmap, minimal_rep, wrap
@@ -57,11 +56,16 @@ def _closing_config(cfg: SolverConfig | None) -> SolverConfig:
     return replace(cfg, variant=closing_variant(cfg.variant))
 
 
-def _leaf_residual(sys: CatCircleSystem, p: np.ndarray, period: int) -> float:
+def _iterate(sys: CatCircleSystem, p, n: int) -> tuple[float, float, float]:
+    """f^n(p) on the float kernel."""
     z = p
-    for _ in range(period):
-        z = sys.forward(z)
-    return float(leaf_dist(p, z))
+    for _ in range(n):
+        z = sys.step(*z)
+    return z
+
+
+def _leaf_residual(sys: CatCircleSystem, p: np.ndarray, period: int) -> float:
+    return float(leaf_dist(p, _iterate(sys, p.tolist(), period)))
 
 
 def find_periodic_center_leaf(
@@ -108,21 +112,18 @@ def find_periodic_center_leaf_from_leaf_return(
     """
     cfg = _closing_config(cfg)
     x = wrap(x)
-    base = x[:2]
+    base = x[:2].tolist()
     thetas = [float(x[2])]
     pair = None
     gap = None
     for m in range(1, max_chain + 1):
-        anchor = np.array([base[0], base[1], thetas[m - 1]])
-        z = anchor
-        for _ in range(n):
-            z = sys.forward(z)
-        gap = float(leaf_dist(x, z))
+        z = _iterate(sys, (base[0], base[1], thetas[m - 1]), n)
+        gap = leaf_dist(x, z)
         if gap >= delta:
             raise SearchError(
                 f"fiber return gap {gap:.6g} is not below delta={delta:g}"
             )
-        theta_m = float(z[2])
+        theta_m = z[2]
         # the new anchor is the exact circular minimizer on the fiber, so
         # anchor distances reduce to circle distances between thetas
         older = np.asarray(thetas)
@@ -181,17 +182,9 @@ class ConjugacyMap:
     failures: list
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["x1", "x2", "x3", "h1", "h2", "h3", "displacement", "residual"]
-            )
-            for x, h, dd, r in zip(self.grid, self.values, self.displacement, self.residuals):
-                writer.writerow(
-                    [format(v, ".17g") for v in x]
-                    + [format(v, ".17g") for v in h]
-                    + [format(dd, ".17g"), format(r, ".17g")]
-                )
+        header = ["x1", "x2", "x3", "h1", "h2", "h3", "displacement", "residual"]
+        cols = [self.grid, self.values, self.displacement, self.residuals]
+        write_table(path, header, np.column_stack(cols), index=False)
 
 
 def grid_points(per_axis: int) -> np.ndarray:

@@ -2,17 +2,40 @@
 
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SearchError
 from .systems import CatCircleSystem, leaf_dist
-from .torus import RHO_DEFAULT, dist, wrap
+from .torus import RHO_DEFAULT, dist, wrap, wrap_float
 
 # generator recorded in reports so runs are reproducible from the config
 RNG_KIND = "numpy.random.default_rng (PCG64)"
+
+# rows turned into Python floats at a time: lists of a whole long table cost megabytes
+_ROW_CHUNK = 1024
+
+
+def _float_rows(table: np.ndarray):
+    """The rows of a 2-d array as lists of Python floats, converted a chunk at a time."""
+    for lo in range(0, len(table), _ROW_CHUNK):
+        yield from table[lo : lo + _ROW_CHUNK].tolist()
+
+
+def write_table(path, header: list[str], table: np.ndarray, index: bool = True) -> None:
+    """CSV of a float table, every value as format(v, ".17g"); the bytes csv.writer writes.
+
+    With ``index`` the first column holds integers and is written as such.
+    Lines end with "\r\n", as csv.writer ends them; no value needs quoting.
+    """
+    first = "%d" if index else "%.17g"
+    fmt = first + ",%.17g" * (table.shape[1] - 1) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for row in _float_rows(table):
+            fh.write(fmt % tuple(row))
 
 
 @dataclass
@@ -50,12 +73,8 @@ class PseudoOrbit:
         return np.arange(self.k_start, self.k_start + len(self.points))
 
     def write_csv(self, path) -> None:
-        d = self.points.shape[1]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k"] + [f"x{i + 1}" for i in range(d)])
-            for k, row in zip(self.ks, self.points):
-                writer.writerow([int(k)] + [format(v, ".17g") for v in row])
+        header = ["k"] + [f"x{i + 1}" for i in range(self.points.shape[1])]
+        write_table(path, header, np.column_stack([self.ks, self.points]))
 
 
 @dataclass
@@ -122,25 +141,26 @@ def generate_noisy(
     Forward points perturb the image inside the noise ball; backward points
     apply the inverse map to a perturbed point.  Either way the one-step
     error equals the drawn offset, so the measured defect stays <= noise.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  Steps on the float kernel
+    (:meth:`CatCircleSystem.step`), wrapping twice like ``wrap(forward(x) + xi)``.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if not 0.0 <= noise < rho:
         raise ValueError(f"noise must lie in [0, rho={rho}), got {noise}")
     x0 = wrap(x0)
-    d = x0.shape[-1]
     rng = np.random.default_rng(seed)
-    xi = _ball_draws(rng, 2 * n_steps, noise, d)
-    pts = np.empty((2 * n_steps + 1, d))
+    xi = _ball_draws(rng, 2 * n_steps, noise, 3)
+    pts = np.empty((2 * n_steps + 1, 3))
     pts[n_steps] = x0
-    x = x0
-    for j in range(n_steps):
-        x = wrap(sys.forward(x) + xi[j])
+    x = x0.tolist()
+    for j, (e0, e1, e2) in enumerate(_float_rows(xi[:n_steps])):
+        f0, f1, f2 = sys.step(*x)
+        x = wrap_float(f0 + e0), wrap_float(f1 + e1), wrap_float(f2 + e2)
         pts[n_steps + 1 + j] = x
-    x = x0
-    for j in range(n_steps):
-        x = sys.inverse(wrap(x + xi[n_steps + j]))
+    x = x0.tolist()
+    for j, (e0, e1, e2) in enumerate(_float_rows(xi[n_steps:])):
+        x = sys.step_inverse(wrap_float(x[0] + e0), wrap_float(x[1] + e1), wrap_float(x[2] + e2))
         pts[n_steps - 1 - j] = x
     orbit = PseudoOrbit(pts, cyclic=False, k_start=-n_steps, noise=noise, seed=seed)
     return _measured(orbit, sys)
@@ -163,20 +183,24 @@ def find_near_return(
     """Smallest n <= max_n with dist(x0, f^n(x0)) < threshold.
 
     In leaf mode the comparison uses the Hausdorff distance between the
-    center fibers, which for circle fibers is the base distance.
+    center fibers, which for circle fibers is the base distance.  Steps on
+    the float kernel; the gap repeats the operation order of :func:`dist`.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     if mode not in ("point", "leaf"):
         raise ValueError(f"unknown near-return mode {mode!r}")
     x0 = wrap(x0)
-    gap_fn = leaf_dist if mode == "leaf" else dist
-    z = x0
+    p0, p1, p2 = z = x0.tolist()
+    leaf = mode == "leaf"
     for n in range(1, max_n + 1):
-        z = sys.forward(z)
-        gap = gap_fn(x0, z)
+        z = sys.step(*z)
+        d0, d1, d2 = z[0] - p0, z[1] - p1, z[2] - p2
+        d0, d1, d2 = d0 - round(d0), d1 - round(d1), d2 - round(d2)
+        sq = d0 * d0 + d1 * d1
+        gap = math.sqrt(sq if leaf else sq + d2 * d2)
         if gap < threshold:
-            return NearReturn(x0, n, float(gap), mode)
+            return NearReturn(x0, n, gap, mode)
     raise SearchError(
         f"no {mode}-mode return below {threshold:g} within {max_n} steps from {x0.tolist()}"
     )

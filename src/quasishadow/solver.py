@@ -27,7 +27,6 @@ bookkeeping of the result.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,7 +38,7 @@ from .errors import (
     ConvergenceError,
     QuasiShadowError,
 )
-from .orbits import PseudoOrbit
+from .orbits import PseudoOrbit, write_table
 from .systems import (
     ANALYTIC,
     C,
@@ -209,25 +208,14 @@ class ShadowResult:
 
     def write_csv(self, path) -> None:
         d = self.x.shape[1]
-        dd = dist(self.x, self.y)
-        cn = self.correction_norms()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = (
-                ["k"]
-                + [f"x{i + 1}" for i in range(d)]
-                + [f"y{i + 1}" for i in range(d)]
-                + ["dist", "correction_norm"]
-            )
-            writer.writerow(header)
-            for i, k in enumerate(self.ks):
-                row = (
-                    [int(k)]
-                    + [format(v, ".17g") for v in self.x[i]]
-                    + [format(v, ".17g") for v in self.y[i]]
-                    + [format(dd[i], ".17g"), format(cn[i], ".17g")]
-                )
-                writer.writerow(row)
+        header = (
+            ["k"]
+            + [f"x{i + 1}" for i in range(d)]
+            + [f"y{i + 1}" for i in range(d)]
+            + ["dist", "correction_norm"]
+        )
+        cols = [self.ks, self.x, self.y, dist(self.x, self.y), self.correction_norms()]
+        write_table(path, header, np.column_stack(cols))
 
 
 def _rows(frames: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -20,12 +20,13 @@ for stability experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RateOrderError, SplittingError
-from .torus import minimal_rep, wrap
+from .torus import minimal_rep, wrap, wrap_float
 
 CAT = np.array([[2.0, 1.0], [1.0, 1.0]])
 CAT_INV = np.array([[1.0, -1.0], [-1.0, 2.0]])
@@ -84,6 +85,14 @@ class CatCircleSystem:
     ``alpha`` is the fiber rotation, ``kappa`` the skew strength, ``shift``
     an optional rigid translation.  The rates are bounded in closed form
     by :func:`rate_bounds`; :func:`verify_rates` measures them.
+
+    :meth:`forward` and :meth:`inverse` map arrays of points.  Loops that
+    step one point at a time (:meth:`orbit`, noisy orbits, near-return
+    searches, leaf residuals) run on :meth:`step` and :meth:`step_inverse`,
+    which take three Python floats and repeat the operation order of the
+    array maps.  Their results are bit-identical as long as ``math.sin``
+    and ``np.sin`` agree, which rests on the platform's libm; the test
+    suite checks it.
     """
 
     center_dimension = 1
@@ -101,6 +110,7 @@ class CatCircleSystem:
         self.shift = np.zeros(3) if shift is None else np.asarray(shift, float)
         if self.shift.shape != (3,):
             raise ValueError("shift must be a 3-vector")
+        self._shift_floats = tuple(self.shift.tolist())
         if splitting_mode == "auto":
             splitting_mode = "analytic" if self.kappa == 0.0 else "numerical"
         if splitting_mode not in ("analytic", "numerical"):
@@ -128,6 +138,26 @@ class CatCircleSystem:
         th = z[..., 2] - self.alpha - self.kappa * np.sin(2.0 * np.pi * b[..., 0])
         return wrap(np.concatenate([b, th[..., None]], axis=-1))
 
+    def step(self, x0: float, x1: float, x2: float) -> tuple[float, float, float]:
+        """:meth:`forward` of one point given as three Python floats."""
+        s0, s1, s2 = self._shift_floats
+        return (
+            wrap_float((2.0 * x0 + x1) + s0),
+            wrap_float((x0 + x1) + s1),
+            wrap_float(((x2 + self.alpha) + self.kappa * _sin_2pi(x0)) + s2),
+        )
+
+    def step_inverse(self, x0: float, x1: float, x2: float) -> tuple[float, float, float]:
+        """:meth:`inverse` of one point given as three Python floats."""
+        s0, s1, s2 = self._shift_floats
+        z0, z1 = x0 - s0, x1 - s1
+        b0 = z0 - z1
+        return (
+            wrap_float(b0),
+            wrap_float(-z0 + 2.0 * z1),
+            wrap_float(((x2 - s2) - self.alpha) - self.kappa * _sin_2pi(b0)),
+        )
+
     def differential(self, x) -> np.ndarray:
         """Exact Jacobian of the chart map at x, shape (..., 3, 3); only x[..., 0] enters."""
         b1 = np.asarray(x, float)[..., 0]
@@ -138,14 +168,28 @@ class CatCircleSystem:
         return out
 
     def orbit(self, x0, n_steps: int) -> np.ndarray:
-        """Points x, f(x), ..., f^(n_steps)(x); shape (n_steps + 1, ..., 3)."""
+        """Points x, f(x), ..., f^(n_steps)(x) of one point x; shape (n_steps + 1, 3).
+
+        Steps on :meth:`step`, so the rows equal those of iterating :meth:`forward`.
+        """
         x = wrap(x0)
-        out = np.empty((n_steps + 1,) + x.shape)
+        if x.shape != (3,):
+            raise ValueError("orbit starts from one point, a 3-vector")
+        out = np.empty((n_steps + 1, 3))
         out[0] = x
-        for j in range(n_steps):
-            x = self.forward(x)
-            out[j + 1] = x
+        p = x.tolist()
+        for j in range(1, n_steps + 1):
+            p = self.step(*p)
+            out[j] = p
         return out
+
+
+def _sin_2pi(t: float) -> float:
+    """sin(2 pi t) as the array maps compute it; nan where ``np.sin`` gives nan (t = +-inf)."""
+    try:
+        return math.sin(2.0 * math.pi * t)
+    except ValueError:
+        return math.nan
 
 
 def cat_circle_system(

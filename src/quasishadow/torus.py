@@ -49,6 +49,17 @@ def wrap(coords) -> np.ndarray:
     return np.where(out >= 1.0, 0.0, out)
 
 
+def wrap_float(v: float) -> float:
+    """:func:`wrap` of one Python float, bit-identical to it (``%`` rounds as ``np.mod``)."""
+    r = v % 1.0
+    if r < 1.0:
+        return r
+    if r >= 1.0:
+        return 0.0
+    # only a non-finite v leaves a nan remainder
+    raise ChartError("non-finite coordinate in point")
+
+
 def minimal_rep(delta) -> np.ndarray:
     """Shift each coordinate difference by an integer into [-1/2, 1/2]."""
     delta = np.asarray(delta, dtype=float)

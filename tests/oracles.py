@@ -7,6 +7,8 @@ against a second, unrelated code path.
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
 ACAT = np.array([[2.0, 1.0], [1.0, 1.0]])
@@ -281,3 +283,88 @@ def eta_lipschitz_fd(ops, variant, epsilon, seed, samples=4, h=1e-3):
             jac[..., m] = np.einsum("kij,kj->ki", frames, plus - minus) / (2.0 * h)
         worst = max(worst, float(np.max(np.linalg.norm(jac, ord=2, axis=(-2, -1)))))
     return worst
+
+
+# --- single-point loops on the array maps -------------------------------------
+# The loops below step one point at a time through ``sys.forward`` /
+# ``sys.inverse`` (numpy arrays, np.sin, np.mod), the way the library did
+# before its float step kernel; the kernel must reproduce them bit for bit.
+
+
+def _wrap(a):
+    out = np.mod(np.asarray(a, float), 1.0)
+    return np.where(out >= 1.0, 0.0, out)
+
+
+def _norm(d):
+    return float(np.linalg.norm(minrep(d), axis=-1))
+
+
+def array_orbit(sys, x0, n_steps):
+    """Points x, f(x), ..., f^n(x) from n calls of the array map on one point."""
+    x = _wrap(x0)
+    out = np.empty((n_steps + 1, 3))
+    out[0] = x
+    for j in range(n_steps):
+        x = sys.forward(x)
+        out[j + 1] = x
+    return out
+
+
+def array_noisy_points(sys, x0, n_steps, noise, seed):
+    """The points of ``generate_noisy``: the same draws, stepped by the array maps."""
+    x0 = _wrap(x0)
+    rng = np.random.default_rng(seed)
+    xi = np.zeros((2 * n_steps, 3))
+    if noise != 0.0:
+        direction = rng.standard_normal((2 * n_steps, 3))
+        direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+        r = noise * (1.0 - 1e-9) * rng.random(2 * n_steps) ** (1.0 / 3)
+        xi = direction * r[:, None]
+    pts = np.empty((2 * n_steps + 1, 3))
+    pts[n_steps] = x0
+    x = x0
+    for j in range(n_steps):
+        x = _wrap(sys.forward(x) + xi[j])
+        pts[n_steps + 1 + j] = x
+    x = x0
+    for j in range(n_steps):
+        x = sys.inverse(_wrap(x + xi[n_steps + j]))
+        pts[n_steps - 1 - j] = x
+    return pts
+
+
+def array_near_return(sys, x0, max_n, threshold, mode):
+    """First n <= max_n with gap(x0, f^n x0) < threshold, as (n, gap), or None.
+
+    The gap is the torus distance (leaf mode: of the base coordinates),
+    taken as ``np.linalg.norm(..., axis=-1)`` of the minimal representative.
+    """
+    x0 = _wrap(x0)
+    dims = 2 if mode == "leaf" else 3
+    z = x0
+    for n in range(1, max_n + 1):
+        z = sys.forward(z)
+        gap = _norm(z[:dims] - x0[:dims])
+        if gap < threshold:
+            return n, gap
+    return None
+
+
+def array_leaf_residual(sys, p, period):
+    """Base distance between p and f^period(p), iterating the array map."""
+    z = np.asarray(p, float)
+    for _ in range(period):
+        z = sys.forward(z)
+    return _norm(z[:2] - np.asarray(p, float)[:2])
+
+
+def csv_writer_bytes(path, header, rows):
+    """Write rows as the library's CSV writers did: csv.writer, floats as format(v, ".17g")."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, int) else format(v, ".17g") for v in row])
+    with open(path, "rb") as fh:
+        return fh.read()
