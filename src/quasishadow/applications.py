@@ -17,7 +17,7 @@ from .errors import QuasiShadowError, SearchError
 from .orbits import NearReturn, PseudoOrbit, make_cyclic, measure_defect, write_table
 from .solver import ShadowResult, SolverConfig, shadow, shadow_batch
 from .systems import C, CatCircleSystem, leaf_dist, splitting_at, splitting_error
-from .torus import RHO0_DEFAULT, dist, expmap, logmap, minimal_rep, wrap
+from .torus import RHO0_DEFAULT, dist, expmap, logmap, minimal_rep, norm, wrap
 
 # grid points solved as one batch: large enough that per-call overhead
 # vanishes, small enough that the batch's arrays stay a few megabytes
@@ -374,6 +374,6 @@ def _covering_radius(probes: np.ndarray, points: np.ndarray, chunk: int = 64) ->
     for lo in range(0, len(probes), chunk):
         block = probes[lo : lo + chunk]
         d = minimal_rep(block[:, None, :] - points[None, :, :])
-        nearest = np.min(np.linalg.norm(d, axis=-1), axis=1)
+        nearest = np.min(norm(d), axis=1)
         worst = max(worst, float(np.max(nearest)))
     return worst

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import SearchError
 from .systems import CatCircleSystem, leaf_dist
-from .torus import RHO_DEFAULT, dist, wrap, wrap_float
+from .torus import RHO_DEFAULT, dist, norm, wrap, wrap_float
 
 # generator recorded in reports so runs are reproducible from the config
 RNG_KIND = "numpy.random.default_rng (PCG64)"
@@ -121,7 +121,7 @@ def _ball_draws(rng: np.random.Generator, count: int, radius: float, dim: int) -
     if radius == 0.0:
         return np.zeros((count, dim))
     direction = rng.standard_normal((count, dim))
-    direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+    direction /= norm(direction, keepdims=True)
     # shave a hair off the radius so wrap rounding cannot push the
     # measured one-step error past the nominal noise level
     r = radius * (1.0 - 1e-9) * rng.random(count) ** (1.0 / dim)

@@ -51,7 +51,7 @@ from .systems import (
     splitting_at,
     splitting_error,
 )
-from .torus import ChartConfig, dist, expmap, logmap, minimal_rep, wrap
+from .torus import ChartConfig, dist, expmap, logmap, minimal_rep, norm, wrap
 
 VARIANTS = ("tau1", "tau2", "tau3")
 
@@ -203,7 +203,7 @@ class ShadowResult:
 
     def correction_norms(self) -> np.ndarray:
         if self.corrections.ndim == 2:
-            return np.linalg.norm(self.corrections, axis=-1)
+            return norm(self.corrections)
         return np.abs(self.corrections)
 
     def write_csv(self, path) -> None:
@@ -315,11 +315,11 @@ class OrbitOperators:
         # coefficients row_s . a and row_u . a (rows of frames_inv), so row i of
         # the rest maps it to at most (|M_is| |row_s| + |M_iu| |row_u|) |a|
         M[..., S, S] = M[..., U, U] = 0.0
-        dual = np.linalg.norm(self.frames_inv[..., [S, U], :], axis=-1)
+        dual = norm(self.frames_inv[..., [S, U], :])
         # the center row of frames_inv is normal to E^s + E^u, so the angle phi of
         # the vertical center line to that plane has cos phi = |row[:2]| / |row|
         row = self.frames_inv[..., C, :]
-        cos = np.linalg.norm(row[..., :2], axis=-1) / np.linalg.norm(row, axis=-1)
+        cos = norm(row[..., :2]) / norm(row)
         if self.frames.ndim > 2:
             M, dual, cos = np.abs(M).max(axis=-3), dual.max(axis=-2), cos.max(axis=-1)
         off = np.abs(M[..., S]) * dual[..., :1] + np.abs(M[..., U]) * dual[..., 1:]
@@ -384,14 +384,14 @@ class OrbitOperators:
         return np.einsum("...ij,...j->...i", self.frames_inv, ambient)
 
     def norm_sup(self, coeffs: np.ndarray):
-        n = np.linalg.norm(self.assemble(coeffs), axis=-1).max(axis=-1)
+        n = norm(self.assemble(coeffs)).max(axis=-1)
         return float(n) if np.ndim(n) == 0 else n
 
     def norm_one(self, coeffs: np.ndarray):
         center = np.abs(coeffs[..., C]).max(axis=-1)
         us = coeffs.copy()
         us[..., C] = 0.0
-        trans = np.linalg.norm(self.assemble(us), axis=-1).max(axis=-1)
+        trans = norm(self.assemble(us)).max(axis=-1)
         n = center + trans
         return float(n) if np.ndim(n) == 0 else n
 
@@ -410,7 +410,7 @@ class OrbitOperators:
         us = v_coeffs[..., src, :].copy()
         us[..., C] = 0.0
         v_amb = np.einsum("...ij,...j->...i", _rows(self.frames, src), us)
-        norms = np.linalg.norm(v_amb, axis=-1)
+        norms = norm(v_amb)
         if norms.size and float(norms.max()) > rho:
             raise ChartError(
                 f"transversal component of size {float(norms.max()):.6g} "
@@ -430,7 +430,7 @@ class OrbitOperators:
         """Fiber slide of z onto the transversal disks at the dst rows: (coefficients, move)."""
         d_base = minimal_rep(z[..., :2] - self.points[..., dst_rows, :2])
         w, move = _fiber_slide(_rows(self.frames, dst_rows), d_base)
-        n = np.linalg.norm(move, axis=-1)
+        n = norm(move)
         if n.size and float(n.max()) > self.chart.rho0:
             raise ChartError(
                 f"fiber slide of size {float(n.max()):.6g} left the chart "
@@ -545,8 +545,8 @@ def estimate_contraction(
     big_l = float(np.max(ops.norm_one(w_full) / ops.norm_sup(w_full)))
     us = w_full.copy()
     us[..., C] = 0.0
-    split_norm = np.abs(w_full[..., C]) + np.linalg.norm(ops.assemble(us), axis=-1)
-    full_norm = np.linalg.norm(ops.assemble(w_full), axis=-1)
+    split_norm = np.abs(w_full[..., C]) + norm(ops.assemble(us))
+    full_norm = norm(ops.assemble(w_full))
     big_l_pt = float(np.max(split_norm / full_norm))
 
     v_a = draw(center=False, solver_norm=False)
@@ -841,7 +841,7 @@ def tau2_lipschitz(
     x = wrap(x)
     rng = np.random.default_rng(seed)
     offsets = rng.standard_normal((n_samples, 3))
-    offsets *= (radius * rng.random(n_samples) ** (1 / 3) / np.linalg.norm(offsets, axis=-1))[:, None]
+    offsets *= (radius * rng.random(n_samples) ** (1 / 3) / norm(offsets))[:, None]
     ys = wrap(x + offsets)
     slid = transversal_slide(sys, x, ys)
     ratios = dist(slid, x) / dist(ys, x)

@@ -26,10 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RateOrderError, SplittingError
-from .torus import minimal_rep, wrap, wrap_float
+from .torus import minimal_rep, norm, wrap, wrap_float
 
 CAT = np.array([[2.0, 1.0], [1.0, 1.0]])
-CAT_INV = np.array([[1.0, -1.0], [-1.0, 2.0]])
 MU = float((3.0 + np.sqrt(5.0)) / 2.0)
 LAM = float((3.0 - np.sqrt(5.0)) / 2.0)
 
@@ -128,15 +127,18 @@ class CatCircleSystem:
 
     def forward(self, x) -> np.ndarray:
         x = np.asarray(x, float)
-        b = x[..., :2] @ CAT.T
-        th = x[..., 2] + self.alpha + self.kappa * np.sin(2.0 * np.pi * x[..., 0])
-        return wrap(np.concatenate([b, th[..., None]], axis=-1) + self.shift)
+        out = np.empty(x.shape)
+        out[..., 0], out[..., 1] = _cat(x[..., 0], x[..., 1])
+        out[..., 2] = x[..., 2] + self.alpha + self.kappa * np.sin(2.0 * np.pi * x[..., 0])
+        out += self.shift
+        return wrap(out)
 
     def inverse(self, x) -> np.ndarray:
         z = np.asarray(x, float) - self.shift
-        b = z[..., :2] @ CAT_INV.T
-        th = z[..., 2] - self.alpha - self.kappa * np.sin(2.0 * np.pi * b[..., 0])
-        return wrap(np.concatenate([b, th[..., None]], axis=-1))
+        out = np.empty(z.shape)
+        out[..., 0], out[..., 1] = _cat_inv(z[..., 0], z[..., 1])
+        out[..., 2] = z[..., 2] - self.alpha - self.kappa * np.sin(2.0 * np.pi * out[..., 0])
+        return wrap(out)
 
     def step(self, x0: float, x1: float, x2: float) -> tuple[float, float, float]:
         """:meth:`forward` of one point given as three Python floats."""
@@ -182,6 +184,20 @@ class CatCircleSystem:
             p = self.step(*p)
             out[j] = p
         return out
+
+
+def _cat(b0, b1):
+    """CAT @ (b0, b1), one coordinate at a time.
+
+    The products by 1 and 2 are exact, so one rounded sum per coordinate
+    gives the bits of the matrix product in any summation order.
+    """
+    return 2.0 * b0 + b1, b0 + b1
+
+
+def _cat_inv(z0, z1):
+    """CAT^-1 @ (z0, z1) with CAT^-1 = [[1, -1], [-1, 2]], one coordinate at a time."""
+    return z0 - z1, -z0 + 2.0 * z1
 
 
 def _sin_2pi(t: float) -> float:
@@ -266,10 +282,16 @@ def _slopes(sys: CatCircleSystem, x: np.ndarray, n: int) -> np.ndarray:
     fwd = bwd = x[..., :2]
     total = np.zeros(x.shape[:-1] + (2,))
     for j in range(n):
-        bwd = wrap((bwd - shift) @ CAT_INV.T)
+        z = bwd - shift
+        bwd = np.empty(z.shape)
+        bwd[..., 0], bwd[..., 1] = _cat_inv(z[..., 0], z[..., 1])
+        bwd = wrap(bwd)
         cos = np.cos(2.0 * np.pi * np.stack([fwd[..., 0], bwd[..., 0]], axis=-1))
         total = total + cos * [LAM**j, MU ** -(j + 1)]
-        fwd = wrap(fwd @ CAT.T + shift)
+        step = np.empty(fwd.shape)
+        step[..., 0], step[..., 1] = _cat(fwd[..., 0], fwd[..., 1])
+        step += shift
+        fwd = wrap(step)
     return 2.0 * np.pi * sys.kappa * np.array([-E_STABLE[0], E_UNSTABLE[0]]) * total
 
 
@@ -348,7 +370,7 @@ def verify_rates(sys: CatCircleSystem, points, cfg: SplitConfig | None = None) -
 
     def stretch(bundle: int) -> np.ndarray:
         pushed = np.einsum("...ij,...j->...i", J, split.frames[..., :, bundle])
-        return np.linalg.norm(pushed, axis=-1)
+        return norm(pushed)
 
     s, c, u = stretch(S), stretch(C), stretch(U)
     return HyperbolicityRates(float(s.max()), float(c.min()), float(c.max()), float(u.min()))
@@ -361,7 +383,7 @@ def leaf_dist(x, y):
     """
     x = np.asarray(x, float)
     y = np.asarray(y, float)
-    d = np.linalg.norm(minimal_rep(y[..., :2] - x[..., :2]), axis=-1)
+    d = norm(minimal_rep(y[..., :2] - x[..., :2]))
     return float(d) if np.ndim(d) == 0 else d
 
 

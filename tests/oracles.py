@@ -285,35 +285,79 @@ def eta_lipschitz_fd(ops, variant, epsilon, seed, samples=4, h=1e-3):
     return worst
 
 
-# --- single-point loops on the array maps -------------------------------------
-# The loops below step one point at a time through ``sys.forward`` /
-# ``sys.inverse`` (numpy arrays, np.sin, np.mod), the way the library did
-# before its float step kernel; the kernel must reproduce them bit for bit.
+# --- torus primitives and array maps in their numpy spellings -----------------
+# ``torus.wrap`` and ``torus.norm`` compute x - floor(x) and an index-order sum
+# of squares; the library's array maps write their columns out instead of
+# multiplying by the base matrix.  All must give the bits of these forms.
+
+ACAT_INV = np.array([[1.0, -1.0], [-1.0, 2.0]])
 
 
-def _wrap(a):
+def mod_wrap(a):
+    """Coordinates mod 1 by ``np.mod``, with the 1.0 it rounds up to reset to 0.0."""
     out = np.mod(np.asarray(a, float), 1.0)
     return np.where(out >= 1.0, 0.0, out)
 
 
+def linalg_norm(v, keepdims=False):
+    return np.linalg.norm(np.asarray(v, float), axis=-1, keepdims=keepdims)
+
+
+def matmul_forward(sys, x):
+    """The skew-product map as a base matrix product and a concatenated fiber column."""
+    x = np.asarray(x, float)
+    b = x[..., :2] @ ACAT.T
+    th = x[..., 2] + sys.alpha + sys.kappa * np.sin(2.0 * np.pi * x[..., 0])
+    return mod_wrap(np.concatenate([b, th[..., None]], axis=-1) + sys.shift)
+
+
+def matmul_inverse(sys, x):
+    z = np.asarray(x, float) - sys.shift
+    b = z[..., :2] @ ACAT_INV.T
+    th = z[..., 2] - sys.alpha - sys.kappa * np.sin(2.0 * np.pi * b[..., 0])
+    return mod_wrap(np.concatenate([b, th[..., None]], axis=-1))
+
+
+def matmul_slopes(sys, x, n):
+    """``systems._slopes`` with the base orbit stepped by matrix products."""
+    shift = sys.shift[:2]
+    fwd = bwd = np.asarray(x, float)[..., :2]
+    total = np.zeros(fwd.shape)
+    for j in range(n):
+        bwd = mod_wrap((bwd - shift) @ ACAT_INV.T)
+        cos = np.cos(2.0 * np.pi * np.stack([fwd[..., 0], bwd[..., 0]], axis=-1))
+        total = total + cos * [LAM**j, MU ** -(j + 1)]
+        fwd = mod_wrap(fwd @ ACAT.T + shift)
+    # first components of the unit eigendirections, normalized as the library does
+    e_s, e_u = np.array([LAM - 1.0, 1.0, 0.0]), np.array([MU - 1.0, 1.0, 0.0])
+    weights = np.array([-e_s[0] / np.linalg.norm(e_s), e_u[0] / np.linalg.norm(e_u)])
+    return 2.0 * np.pi * sys.kappa * weights * total
+
+
+# --- single-point loops on the array maps -------------------------------------
+# The loops below step one point at a time through the matrix-product maps
+# above (numpy arrays, np.sin, np.mod), the way the library did before its
+# float step kernel; the kernel must reproduce them bit for bit.
+
+
 def _norm(d):
-    return float(np.linalg.norm(minrep(d), axis=-1))
+    return float(linalg_norm(minrep(d)))
 
 
 def array_orbit(sys, x0, n_steps):
     """Points x, f(x), ..., f^n(x) from n calls of the array map on one point."""
-    x = _wrap(x0)
+    x = mod_wrap(x0)
     out = np.empty((n_steps + 1, 3))
     out[0] = x
     for j in range(n_steps):
-        x = sys.forward(x)
+        x = matmul_forward(sys, x)
         out[j + 1] = x
     return out
 
 
 def array_noisy_points(sys, x0, n_steps, noise, seed):
     """The points of ``generate_noisy``: the same draws, stepped by the array maps."""
-    x0 = _wrap(x0)
+    x0 = mod_wrap(x0)
     rng = np.random.default_rng(seed)
     xi = np.zeros((2 * n_steps, 3))
     if noise != 0.0:
@@ -325,11 +369,11 @@ def array_noisy_points(sys, x0, n_steps, noise, seed):
     pts[n_steps] = x0
     x = x0
     for j in range(n_steps):
-        x = _wrap(sys.forward(x) + xi[j])
+        x = mod_wrap(matmul_forward(sys, x) + xi[j])
         pts[n_steps + 1 + j] = x
     x = x0
     for j in range(n_steps):
-        x = sys.inverse(_wrap(x + xi[n_steps + j]))
+        x = matmul_inverse(sys, mod_wrap(x + xi[n_steps + j]))
         pts[n_steps - 1 - j] = x
     return pts
 
@@ -340,11 +384,11 @@ def array_near_return(sys, x0, max_n, threshold, mode):
     The gap is the torus distance (leaf mode: of the base coordinates),
     taken as ``np.linalg.norm(..., axis=-1)`` of the minimal representative.
     """
-    x0 = _wrap(x0)
+    x0 = mod_wrap(x0)
     dims = 2 if mode == "leaf" else 3
     z = x0
     for n in range(1, max_n + 1):
-        z = sys.forward(z)
+        z = matmul_forward(sys, z)
         gap = _norm(z[:dims] - x0[:dims])
         if gap < threshold:
             return n, gap
@@ -355,7 +399,7 @@ def array_leaf_residual(sys, p, period):
     """Base distance between p and f^period(p), iterating the array map."""
     z = np.asarray(p, float)
     for _ in range(period):
-        z = sys.forward(z)
+        z = matmul_forward(sys, z)
     return _norm(z[:2] - np.asarray(p, float)[:2])
 
 

@@ -1,0 +1,165 @@
+"""Torus primitives and array maps against their numpy spellings, bit for bit.
+
+``wrap`` computes x - floor(x), ``norm`` an index-order sum of squares, and
+``forward`` / ``inverse`` / the slope series write their base columns out
+instead of multiplying by the cat matrix.  Each must give the bits of the
+form in oracles.py, so results are compared by bit pattern: -0.0 against
+0.0 would show.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from quasishadow import systems
+from quasishadow.errors import ChartError
+from quasishadow.systems import CatCircleSystem, splitting_at
+from quasishadow.torus import norm, wrap
+
+from oracles import linalg_norm, matmul_forward, matmul_inverse, matmul_slopes, mod_wrap
+
+# -1e-20 rounds up to 1.0 (then resets to 0); 2**52 + 0.5 rounds to 2**52 and
+# 2**51 + 0.5 is the largest half-integer; 5e-324 is the smallest subnormal
+EDGES = [
+    0.0, -0.0, -1e-20, 5e-324, -5e-324, math.nextafter(1.0, 0.0), 1.0, -1.0, 2.0, -2.0,
+    1e15, -1e15, 2.0**52 + 0.5, -(2.0**52 + 0.5), 2.0**51 + 0.5, -(2.0**51 + 0.5),
+]
+coords = st.one_of(st.sampled_from(EDGES), st.floats(-4.0, 4.0), st.floats(-1e16, 1e16))
+# squares that underflow to subnormals or overflow to inf, and comparable
+# magnitudes, where the order of the two additions shows in the last bit
+components = st.one_of(
+    st.sampled_from(EDGES + [1e-160, 1e-170, 1e154, 1e155, 1e300, math.inf, -math.inf]),
+    st.floats(allow_nan=False),
+    st.floats(-10.0, 10.0),
+)
+# (3,), (W, 3), (B, W, 3) and empty arrays, before the view below is taken
+shapes = st.one_of(
+    st.just((3,)),
+    st.tuples(st.integers(0, 12), st.just(3)),
+    st.tuples(st.integers(1, 4), st.integers(0, 9), st.just(3)),
+)
+# views keep the coordinate axis; a single point is viewed backwards
+VIEWS = {
+    "whole": lambda a: a,
+    "drop_first_point": lambda a: a[..., 1:, :] if a.ndim > 1 else a[::-1],
+    "swapaxes": lambda a: a.swapaxes(0, -2) if a.ndim > 1 else a[::-1],
+    "every_other": lambda a: a[::2] if a.ndim > 1 else a[::-1],
+}
+views = st.sampled_from(sorted(VIEWS))
+
+
+def _bits(a):
+    return np.asarray(a, float).view(np.int64)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and np.array_equal(_bits(a), _bits(b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), shape=shapes, view=views)
+def test_wrap_matches_mod_wrap(data, shape, view):
+    x = VIEWS[view](data.draw(hnp.arrays(np.float64, shape, elements=coords)))
+    out = wrap(x)
+    assert _same_bits(out, mod_wrap(x))
+    assert np.all((out >= 0.0) & (out < 1.0))
+
+
+@pytest.mark.parametrize("x", EDGES)
+def test_wrap_edges_and_0d_input(x):
+    out = wrap(x)
+    assert isinstance(out, np.ndarray) and out.shape == ()
+    assert _same_bits(out, mod_wrap(x))
+    assert _same_bits(wrap(np.float64(x)), mod_wrap(x))
+    assert _same_bits(wrap([x]), mod_wrap([x]))
+
+
+def test_wrap_resets_round_up_and_signed_zero():
+    assert np.mod(-1e-20, 1.0) == 1.0
+    assert _bits(wrap(-1e-20)) == 0 and _bits(wrap(-0.0)) == 0 and _bits(wrap(-3.0)) == 0
+    assert wrap(np.empty((0, 3))).shape == (0, 3)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("slot", range(3))
+def test_wrap_rejects_nonfinite_in_any_slot(bad, slot):
+    x = np.full((2, 4, 3), 0.25)
+    x[1, 2, slot] = bad
+    with pytest.raises(ChartError):
+        wrap(x)
+    with pytest.raises(ChartError):
+        wrap(x[1, 2])
+    with pytest.raises(ChartError):
+        wrap(bad)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), shape=shapes, view=views, width=st.sampled_from([2, 3]))
+def test_norm_matches_linalg_norm(data, shape, view, width):
+    v = VIEWS[view](data.draw(hnp.arrays(np.float64, shape, elements=components)))[..., :width]
+    with np.errstate(over="ignore"):
+        got, want = norm(v), linalg_norm(v)
+        assert _same_bits(got, want)
+        assert _same_bits(norm(v, keepdims=True), linalg_norm(v, keepdims=True))
+    assert np.ndim(got) == np.ndim(want)
+
+
+def test_norm_sums_in_index_order():
+    # 110 of these vectors round differently under v0^2 + (v1^2 + v2^2)
+    v = np.random.default_rng(0).standard_normal((1000, 3))
+    assert _same_bits(norm(v), linalg_norm(v))
+    assert _same_bits(norm(v[:, :2]), linalg_norm(v[:, :2]))
+
+
+def test_norm_subnormal_and_overflow():
+    with np.errstate(over="ignore"):
+        for v in ([5e-324, 5e-324, 0.0], [1e-160, 3e-170], [1e155, 1.0, 0.0], [1e300, -1e300]):
+            assert _same_bits(norm(v), linalg_norm(v))
+        assert norm([1e155, 0.0, 0.0]) == math.inf
+    assert norm([1e-170, 0.0, 0.0]) == 0.0 and norm([1e-160, 0.0]) > 0.0
+
+
+kappas = st.sampled_from([0.0, 0.02, 0.3])
+shifts = st.tuples(*[st.one_of(st.just(0.0), st.floats(-1e-2, 1e-2))] * 3)
+points = st.one_of(st.sampled_from(EDGES), st.floats(-1.0, 2.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    alpha=st.floats(0.0, 1.0),
+    kappa=kappas,
+    shift=shifts,
+    shape=shapes,
+    view=views,
+)
+def test_array_maps_match_matmul_oracles(data, alpha, kappa, shift, shape, view):
+    sys = CatCircleSystem(alpha, kappa, shift=shift)
+    x = VIEWS[view](data.draw(hnp.arrays(np.float64, shape, elements=points)))
+    assert _same_bits(sys.forward(x), matmul_forward(sys, x))
+    assert _same_bits(sys.inverse(x), matmul_inverse(sys, x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), alpha=st.floats(0.0, 1.0), kappa=kappas, shift=shifts, view=views)
+def test_slopes_match_matmul_oracle(data, alpha, kappa, shift, view):
+    sys = CatCircleSystem(alpha, kappa, shift=shift)
+    shape = data.draw(st.sampled_from([(3,), (7, 3), (2, 5, 3)]))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    x = VIEWS[view](data.draw(hnp.arrays(np.float64, shape, elements=unit)))
+    assert _same_bits(systems._slopes(sys, x, 40), matmul_slopes(sys, x, 40))
+
+
+def test_splitting_frames_unchanged(monkeypatch):
+    sys = CatCircleSystem(0.3, 0.02, shift=(1e-3, -2e-4, 0.0))
+    x = np.random.default_rng(7).random((4, 60, 3))
+    split = splitting_at(sys, x)
+    monkeypatch.setattr(systems, "_slopes", matmul_slopes)
+    reference = splitting_at(sys, x)
+    assert _same_bits(split.frames, reference.frames)
+    assert _same_bits(split.frames_inv, reference.frames_inv)
