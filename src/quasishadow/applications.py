@@ -216,8 +216,8 @@ def build_semiconjugacy(
     The grid is solved in chunks of ``_GRID_CHUNK`` points, each as two
     :func:`shadow_batch` calls (the x-windows, then the g(x)-windows of the
     points whose x-window solved).  The two windows of a point share 2W of
-    their 2W + 1 points, so the numerical splitting is computed once on the
-    2W + 2 points of its g-orbit and sliced for both.  Every window is
+    their 2W + 1 points, so the splitting is computed once on the 2W + 2
+    points of its g-orbit and sliced for both.  Every window is
     admitted on its own closed-form constants.  A grid point fails with the
     first error of its x-window, else of its g(x)-window; failures are
     collected, not fatal.  A system whose splitting :func:`splitting_error`
@@ -254,8 +254,7 @@ def build_semiconjugacy(
                     defect_index=j - window,
                 )
             )
-        sub = None if split is None else split[members, start : start + n]
-        results = shadow_batch(sys_f, orbits, cfg, sub)
+        results = shadow_batch(sys_f, orbits, cfg, split[members, start : start + n])
         return {
             b: res if isinstance(res, QuasiShadowError)
             else (res.y[window].copy(), res.corrections[window].copy())
@@ -279,9 +278,7 @@ def build_semiconjugacy(
         for lo in range(0, n_pts, _GRID_CHUNK):
             chunk = np.arange(lo, min(lo + _GRID_CHUNK, n_pts))
             pts = rows[:, chunk].swapaxes(0, 1)
-            split = None
-            if sys_f.splitting_mode != "analytic":
-                split = splitting_at(sys_f, pts)
+            split = splitting_at(sys_f, pts)
             gaps = dist(sys_f.forward(pts[:, :-1]), pts[:, 1:])
             at_x = centers(pts, gaps, split, list(range(len(chunk))), 0)
             solved = [b for b, res in at_x.items() if not isinstance(res, QuasiShadowError)]

@@ -165,7 +165,7 @@ def resolve_config(raw: dict) -> dict:
     return resolved
 
 
-def _build_system(section: dict, validate: bool = True):
+def _build_system(section: dict):
     if section["name"] != "cat_circle":
         raise ConfigError(f"unknown system {section['name']!r}")
     return cat_circle_system(
@@ -174,7 +174,6 @@ def _build_system(section: dict, validate: bool = True):
         shift=section["shift"] if any(section["shift"]) else None,
         splitting_mode=section["splitting_mode"],
         n_split=section["n_split"],
-        validate=validate,
     )
 
 
@@ -271,7 +270,7 @@ def run_close(config: dict, out_dir: Path | None = None, stem: str = "close") ->
     }
     bounds = config["bounds"]
     checks = [
-        _check("trace_max", leaf.trace_max, config["solver"]["epsilon"], "<="),
+        _check("trace_max", leaf.trace_max, bounds["max_trace_dist"], "<="),
         _check("leaf_residual", leaf.leaf_residual, bounds["leaf_residual"], "<="),
     ]
     report = _report("close", config, results, checks, started)
@@ -294,7 +293,9 @@ def run_stability(config: dict, out_dir: Path | None = None, stem: str = "stabil
     grid = grid_points(st["grid_per_axis"])
     cmap = build_semiconjugacy(sys_f, sys_g, grid, cfg, window=st["window"])
     probes = (grid + 0.5 / st["grid_per_axis"]) % 1.0
-    verification = verify_semiconjugacy(cmap, sys_f, sys_g, probe_points=probes)
+    verification = verify_semiconjugacy(
+        cmap, sys_f, sys_g, probe_points=probes, rho0=cfg.chart.rho0
+    )
     results = {
         "perturbation_size": cmap.perturbation_size,
         "max_displacement": cmap.max_displacement,

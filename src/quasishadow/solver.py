@@ -40,12 +40,10 @@ from .errors import (
 )
 from .orbits import PseudoOrbit, write_table
 from .systems import (
-    ANALYTIC,
     C,
     S,
     U,
     CatCircleSystem,
-    SplitConfig,
     Splitting,
     center_flow,
     splitting_at,
@@ -218,26 +216,21 @@ class ShadowResult:
         write_table(path, header, np.column_stack(cols))
 
 
-def _rows(frames: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Frames at the given point rows; a constant 3x3 frame serves every row."""
-    return frames if frames.ndim == 2 else frames[..., rows, :, :]
-
-
-def _fiber_slide(frames: np.ndarray, d_base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fiber_slide(split: Splitting, d_base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Move along the vertical fiber that turns a base offset into a transversal vector.
 
     Solves d_base = a e_s + c e_u for the base parts of the stable and
-    unstable columns of ``frames`` (a 2x2 linear solve per point) and
+    unstable directions of ``split`` (a 2x2 linear solve per point) and
     returns the coefficients (a, 0, c) and the ambient move a e_s + c e_u.
     """
-    E = frames[..., :2, :][..., [S, U]]
+    E = split.frames[..., :2, :][..., [S, U]]
     det = E[..., 0, 0] * E[..., 1, 1] - E[..., 0, 1] * E[..., 1, 0]
     a = (E[..., 1, 1] * d_base[..., 0] - E[..., 0, 1] * d_base[..., 1]) / det
     c = (-E[..., 1, 0] * d_base[..., 0] + E[..., 0, 0] * d_base[..., 1]) / det
     w = np.zeros(a.shape + (3,))
     w[..., S] = a
     w[..., U] = c
-    return w, np.einsum("...ij,...j->...i", frames, w)
+    return w, split.assemble(w)
 
 
 class OrbitOperators:
@@ -256,11 +249,10 @@ class OrbitOperators:
     ``alpha`` and ``beta_u``, shape ([B,] L), are the scalar stable/unstable
     block multipliers in frame coordinates.
 
-    With the analytic splitting (kappa = 0) ``frames`` and ``frames_inv``
-    are one constant 3x3 frame and its inverse, and the transfer matrix
-    behind the multipliers is a single 3x3 product.  Otherwise they have
-    shape ([B,] W, 3, 3) and come from ``split`` when it is given (the
-    numerical splitting at ``points``), else from :func:`splitting_at`.
+    ``split`` is the :class:`Splitting` at ``points``, computed by
+    :func:`splitting_at` when not given; every frame product goes through
+    it.  With a constant splitting (kappa = 0) the transfer matrix behind
+    the multipliers is a single 3x3 product.
     """
 
     def __init__(
@@ -286,27 +278,17 @@ class OrbitOperators:
         else:
             self.step_src = slice(0, W - 1)
             self.step_dst = slice(1, W)
-        if sys.splitting_mode == "analytic":
-            split = ANALYTIC
-        elif split is None:
-            split = splitting_at(sys, X)
-        self.frames = split.frames
-        self.frames_inv = split.frames_inv
-        if self.frames.ndim == 2:
-            # kappa = 0: the differential is the same at every point
-            M = self.frames_inv @ sys.differential(np.zeros(3)) @ self.frames
-            steps = X.shape[:-2] + (W if cyclic else W - 1,)
-            self.alpha = np.full(steps, M[S, S])
-            self.beta_u = np.full(steps, M[U, U])
-        else:
-            jac = sys.differential(X[..., self.step_src, :])
-            M = (
-                self.frames_inv[..., self.step_dst, :, :]
-                @ jac
-                @ self.frames[..., self.step_src, :, :]
-            )
-            self.alpha = np.ascontiguousarray(M[..., S, S])
-            self.beta_u = np.ascontiguousarray(M[..., U, U])
+        self.split = split if split is not None else splitting_at(sys, X)
+        # a constant splitting means kappa = 0, where the differential is the same everywhere
+        at = np.zeros(3) if self.split.constant else X[..., self.step_src, :]
+        M = (
+            self.split[..., self.step_dst].frames_inv
+            @ sys.differential(at)
+            @ self.split[..., self.step_src].frames
+        )
+        steps = X.shape[:-2] + (W if cyclic else W - 1,)
+        self.alpha = np.ascontiguousarray(np.broadcast_to(M[..., S, S], steps))
+        self.beta_u = np.ascontiguousarray(np.broadcast_to(M[..., U, U], steps))
         with np.errstate(divide="ignore"):
             inv_beta = np.where(self.beta_u != 0.0, 1.0 / np.abs(self.beta_u), np.inf)
         lam = np.maximum(np.abs(self.alpha).max(axis=-1), inv_beta.max(axis=-1))
@@ -315,12 +297,12 @@ class OrbitOperators:
         # coefficients row_s . a and row_u . a (rows of frames_inv), so row i of
         # the rest maps it to at most (|M_is| |row_s| + |M_iu| |row_u|) |a|
         M[..., S, S] = M[..., U, U] = 0.0
-        dual = norm(self.frames_inv[..., [S, U], :])
+        dual = norm(self.split.frames_inv[..., [S, U], :])
         # the center row of frames_inv is normal to E^s + E^u, so the angle phi of
         # the vertical center line to that plane has cos phi = |row[:2]| / |row|
-        row = self.frames_inv[..., C, :]
+        row = self.split.frames_inv[..., C, :]
         cos = norm(row[..., :2]) / norm(row)
-        if self.frames.ndim > 2:
+        if not self.split.constant:
             M, dual, cos = np.abs(M).max(axis=-3), dual.max(axis=-2), cos.max(axis=-1)
         off = np.abs(M[..., S]) * dual[..., :1] + np.abs(M[..., U]) * dual[..., 1:]
         self.off_block = np.broadcast_to(off, X.shape[:-2] + (3,))
@@ -332,9 +314,7 @@ class OrbitOperators:
         sub.__dict__.update(self.__dict__)
         for name in ("points", "alpha", "beta_u", "lambda_tilde", "off_block", "norm_equivalence"):
             setattr(sub, name, getattr(self, name)[idx])
-        if self.frames.ndim > 2:
-            sub.frames = self.frames[idx]
-            sub.frames_inv = self.frames_inv[idx]
+        sub.split = self.split[idx]
         return sub
 
     def bounds(self, cfg: SolverConfig, defect) -> list[ContractionBounds]:
@@ -377,21 +357,13 @@ class OrbitOperators:
 
     # -- norms ---------------------------------------------------------
 
-    def assemble(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.einsum("...ij,...j->...i", self.frames, coeffs)
-
-    def coeffs_of(self, ambient: np.ndarray) -> np.ndarray:
-        return np.einsum("...ij,...j->...i", self.frames_inv, ambient)
-
     def norm_sup(self, coeffs: np.ndarray):
-        n = norm(self.assemble(coeffs)).max(axis=-1)
+        n = norm(self.split.assemble(coeffs)).max(axis=-1)
         return float(n) if np.ndim(n) == 0 else n
 
     def norm_one(self, coeffs: np.ndarray):
         center = np.abs(coeffs[..., C]).max(axis=-1)
-        us = coeffs.copy()
-        us[..., C] = 0.0
-        trans = norm(self.assemble(us)).max(axis=-1)
+        trans = norm(self.split.transversal(coeffs)).max(axis=-1)
         n = center + trans
         return float(n) if np.ndim(n) == 0 else n
 
@@ -407,9 +379,7 @@ class OrbitOperators:
         X = self.points
         src, dst = self.step_src, self.step_dst
         rho, rho0 = self.chart.rho, self.chart.rho0
-        us = v_coeffs[..., src, :].copy()
-        us[..., C] = 0.0
-        v_amb = np.einsum("...ij,...j->...i", _rows(self.frames, src), us)
+        v_amb = self.split[..., src].transversal(v_coeffs[..., src, :])
         norms = norm(v_amb)
         if norms.size and float(norms.max()) > rho:
             raise ChartError(
@@ -422,14 +392,14 @@ class OrbitOperators:
             w = self._slide_coeffs(z, dst)[0]
         else:
             w_amb = logmap(X[..., dst, :], z, rho0)
-            w = np.einsum("...ij,...j->...i", _rows(self.frames_inv, dst), w_amb)
+            w = self.split[..., dst].coeffs(w_amb)
         out[..., dst, :] = w
         return out
 
     def _slide_coeffs(self, z: np.ndarray, dst_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fiber slide of z onto the transversal disks at the dst rows: (coefficients, move)."""
         d_base = minimal_rep(z[..., :2] - self.points[..., dst_rows, :2])
-        w, move = _fiber_slide(_rows(self.frames, dst_rows), d_base)
+        w, move = _fiber_slide(self.split[..., dst_rows], d_base)
         n = norm(move)
         if n.size and float(n.max()) > self.chart.rho0:
             raise ChartError(
@@ -543,10 +513,8 @@ def estimate_contraction(
 
     w_full = draw(center=True, solver_norm=True)
     big_l = float(np.max(ops.norm_one(w_full) / ops.norm_sup(w_full)))
-    us = w_full.copy()
-    us[..., C] = 0.0
-    split_norm = np.abs(w_full[..., C]) + norm(ops.assemble(us))
-    full_norm = norm(ops.assemble(w_full))
+    split_norm = np.abs(w_full[..., C]) + norm(ops.split.transversal(w_full))
+    full_norm = norm(ops.split.assemble(w_full))
     big_l_pt = float(np.max(split_norm / full_norm))
 
     v_a = draw(center=False, solver_norm=False)
@@ -618,9 +586,9 @@ def shadow_batch(
     epsilon ball, then ``max_iterations`` and the chart checks of the
     result.  An orbit that fails leaves the others untouched.
 
-    ``split`` is the numerical splitting at the stacked points
-    (:func:`splitting_at`); it is computed when not given.  ``initial``
-    (shape (W, 3)) starts every orbit.
+    ``split`` is the :class:`Splitting` at the stacked points
+    (:func:`splitting_at`), computed when not given.  ``initial`` (shape
+    (W, 3)) starts every orbit.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     out: list = [None] * len(orbits)
@@ -794,18 +762,16 @@ def _extract(sys: CatCircleSystem, ops: OrbitOperators, cfg: SolverConfig, w: np
     """
     X = ops.points
     rho0 = cfg.chart.rho0
-    us = w.copy()
-    us[..., C] = 0.0
-    v_amb = ops.assemble(us)
+    v_amb = ops.split.transversal(w)
     y = expmap(X, v_amb, rho0)
     max_trace = dist(X, y).max(axis=-1)
-    center_res = np.abs(ops.coeffs_of(v_amb)[..., C]).max(axis=-1)
+    center_res = np.abs(ops.split.coeffs(v_amb)[..., C]).max(axis=-1)
 
     src, dst = ops.step_src, ops.step_dst
     fy = sys.forward(y[..., src, :])
     x_dst = X[..., dst, :]
     if cfg.variant == "tau1":
-        corrections = ops.frames[..., C] * w[..., C, None]
+        corrections = ops.split.frames[..., C] * w[..., C, None]
         targets = expmap(x_dst, corrections[..., dst, :] + logmap(x_dst, fy, rho0), rho0)
     elif cfg.variant == "tau3":
         corrections = w[..., C].copy()
@@ -818,7 +784,7 @@ def _extract(sys: CatCircleSystem, ops: OrbitOperators, cfg: SolverConfig, w: np
     return y, v_amb, corrections, max_trace, center_res, step_residual
 
 
-def transversal_slide(sys: CatCircleSystem, x, z, split_cfg: SplitConfig | None = None) -> np.ndarray:
+def transversal_slide(sys: CatCircleSystem, x, z) -> np.ndarray:
     """Move z along its fiber onto the transversal disk through x.
 
     The result keeps the base coordinates of z and lies in the span of the
@@ -826,8 +792,7 @@ def transversal_slide(sys: CatCircleSystem, x, z, split_cfg: SplitConfig | None 
     """
     x = wrap(x)
     z = np.asarray(z, float)
-    frames = splitting_at(sys, x, split_cfg).frames
-    return wrap(x + _fiber_slide(frames, minimal_rep(z[..., :2] - x[:2]))[1])
+    return wrap(x + _fiber_slide(splitting_at(sys, x), minimal_rep(z[..., :2] - x[:2]))[1])
 
 
 def tau2_lipschitz(

@@ -239,19 +239,28 @@ def cat_circle_system(
 
 @dataclass
 class Splitting:
-    """Per-point frames of the invariant splitting and the induced projections.
+    """Frames of the invariant splitting and every product with them.
 
     ``frames[..., :, i]`` is the unit direction of bundle i in the
     (stable, center, unstable) order; ``frames_inv @ vector`` gives
-    splitting coordinates.  Projections are onto one bundle along the sum
-    of the other two.
+    splitting coordinates.  One (3, 3) frame serves every point (kappa = 0,
+    :data:`ANALYTIC`), else there is one per point.  Projections are onto
+    one bundle along the sum of the other two.
     """
 
     frames: np.ndarray
     frames_inv: np.ndarray
 
+    @property
+    def constant(self) -> bool:
+        """Whether one frame serves every point."""
+        return self.frames.ndim == 2
+
     def __getitem__(self, key) -> "Splitting":
-        """The splitting at a subset of the points; ``key`` indexes the point axes."""
+        """The splitting at a subset of the points (``key`` indexes the point axes)."""
+        if self.constant:
+            return self
+        key = (key if isinstance(key, tuple) else (key,)) + (slice(None), slice(None))
         return Splitting(self.frames[key], self.frames_inv[key])
 
     def projector(self, bundle: int) -> np.ndarray:
@@ -264,6 +273,12 @@ class Splitting:
 
     def assemble(self, coeffs) -> np.ndarray:
         return np.einsum("...ij,...j->...i", self.frames, np.asarray(coeffs, float))
+
+    def transversal(self, coeffs) -> np.ndarray:
+        """The ambient stable + unstable part of ``coeffs``; the center coefficient is ignored."""
+        us = np.array(coeffs, float)
+        us[..., C] = 0.0
+        return self.assemble(us)
 
 
 _FRAME = np.stack([E_STABLE, E_CENTER, E_UNSTABLE], axis=-1)
@@ -333,22 +348,17 @@ def splitting_error(sys: CatCircleSystem) -> SplittingError | None:
     return None
 
 
-def splitting_at(sys: CatCircleSystem, x, cfg: SplitConfig | None = None) -> Splitting:
-    """Invariant splitting frames at x (vectorized over leading axes).
+def splitting_at(sys: CatCircleSystem, x) -> Splitting:
+    """Invariant splitting at x: :data:`ANALYTIC` at kappa = 0, else one frame per point.
 
-    For kappa != 0 the stable and unstable slopes are ``cfg.n_iter`` terms
+    The stable and unstable slopes are ``sys.split_config.n_iter`` terms
     of their series (see :func:`_slopes`; :func:`splitting_error` bounds
     the truncation) and the inverse frames are explicit.
     """
-    cfg = cfg if cfg is not None else sys.split_config
-    x = np.asarray(x, float)
-    shape = x.shape[:-1] + (3, 3)
     if sys.splitting_mode == "analytic":
-        return Splitting(
-            np.broadcast_to(ANALYTIC.frames, shape).copy(),
-            np.broadcast_to(ANALYTIC.frames_inv, shape).copy(),
-        )
-    slopes = _slopes(sys, x, cfg.n_iter)
+        return ANALYTIC
+    x = np.asarray(x, float)
+    slopes = _slopes(sys, x, sys.split_config.n_iter)
     norms = np.sqrt(1.0 + slopes**2)
     dirs = (_BASE_DIRS + slopes[..., None] * E_CENTER) / norms[..., None]
     center = np.broadcast_to(E_CENTER, x.shape)
@@ -358,14 +368,14 @@ def splitting_at(sys: CatCircleSystem, x, cfg: SplitConfig | None = None) -> Spl
     return Splitting(frames, np.stack(rows, axis=-2))
 
 
-def verify_rates(sys: CatCircleSystem, points, cfg: SplitConfig | None = None) -> HyperbolicityRates:
+def verify_rates(sys: CatCircleSystem, points) -> HyperbolicityRates:
     """Measured one-step rates over sample points (the closed form is :func:`rate_bounds`).
 
     Returns (max stable stretch, min center stretch, max center stretch,
     min unstable stretch); raises :class:`RateOrderError` when the
     partially hyperbolic ordering fails, which signals kappa too large.
     """
-    split = splitting_at(sys, points, cfg)
+    split = splitting_at(sys, points)
     J = sys.differential(points)
 
     def stretch(bundle: int) -> np.ndarray:

@@ -267,8 +267,8 @@ def eta_lipschitz_fd(ops, variant, epsilon, seed, samples=4, h=1e-3):
     with |v_k| = 0.9 epsilon.
     """
     W = ops.n_points
-    frames = np.broadcast_to(ops.frames, (W, 3, 3))
-    frames_inv = np.broadcast_to(ops.frames_inv, (W, 3, 3))
+    frames = np.broadcast_to(ops.split.frames, (W, 3, 3))
+    frames_inv = np.broadcast_to(ops.split.frames_inv, (W, 3, 3))
     q = np.stack(_plane_basis(frames), axis=-1)  # (W, 3, 2)
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -324,7 +324,7 @@ def test_criterion_9_geometry_and_splitting_suite():
         split_fwd = qs.splitting_at(sys, sys.forward(pts))
         inv_err = 0.0
         for b in (S, U):
-            pushed = np.einsum("kij,kj->ki", jac, split.frames[..., :, b])
+            pushed = np.einsum("...ij,...j->...i", jac, split.frames[..., :, b])
             inv_err = max(inv_err, float(np.max(sin_angle(pushed, split_fwd.frames[..., :, b]))))
         oks.append(
             _line(

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 
 import quasishadow as qs
-from quasishadow import solver
+from quasishadow import cli, solver
 from quasishadow.cli import main, resolve_config
 
 
@@ -214,6 +214,16 @@ def _close_config(mode):
     }
 
 
+def test_close_exit_code_bound_failure(tmp_path):
+    payload = _close_config("leaf")
+    payload["bounds"] = {"max_trace_dist": 1e-30}
+    cfg = _write(tmp_path, "fail.json", payload)
+    assert main(["close", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 1
+    report = json.loads((tmp_path / "fail_report.json").read_text())
+    trace = next(c for c in report["checks"] if c["name"] == "trace_max")
+    assert trace["bound"] == 1e-30 and trace["passed"] is False
+
+
 def test_close_leaf_vs_point(tmp_path):
     leaf_cfg = _write(tmp_path, "leaf.json", _close_config("leaf"))
     point_cfg = _write(tmp_path, "point.json", _close_config("point"))
@@ -240,6 +250,21 @@ def test_stability_run(tmp_path):
     assert report["results"]["residual_max"] <= 1e-6
     assert report["results"]["failures"] == 0
     assert (tmp_path / "stab_map.csv").exists()
+
+
+def test_stability_verifies_with_the_solver_chart_radius(tmp_path):
+    payload = {
+        "kind": "stability",
+        "system": {"alpha": 0.3, "kappa": 0.0},
+        "stability": {"grid_per_axis": 2, "window": 10, "alpha_shift": 1e-3},
+        "solver": {"rho0": 0.3},
+    }
+    cfg = _write(tmp_path, "chart.json", payload)
+    spy = mock.patch.object(cli, "verify_semiconjugacy", wraps=cli.verify_semiconjugacy)
+    with spy as verify:
+        assert main(["stability", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    assert verify.call_count == 1
+    assert verify.call_args.kwargs["rho0"] == 0.3
 
 
 def test_stability_all_points_fail(tmp_path):

@@ -40,7 +40,7 @@ def test_beta_zero_matches_defects(product_sys):
     orbit = _noisy(product_sys, n=50)
     ops = qs.OrbitOperators(product_sys, orbit.points)
     beta0 = ops.apply_beta(np.zeros((len(orbit), 3)))
-    amb = ops.assemble(beta0)
+    amb = ops.split.assemble(beta0)
     norms = np.linalg.norm(amb[1:], axis=-1)
     gaps = qs.dist(product_sys.forward(orbit.points[:-1]), orbit.points[1:])
     assert np.allclose(norms, gaps, atol=1e-15)
@@ -98,7 +98,7 @@ def test_cross_blocks_small_for_tight_pseudo_orbits(skew_sys):
         orbit = _noisy(skew_sys, n=100, noise=noise)
         ops = qs.OrbitOperators(skew_sys, orbit.points)
         jac = skew_sys.differential(orbit.points[ops.step_src])
-        M = ops.frames_inv[ops.step_dst] @ jac @ ops.frames[ops.step_src]
+        M = ops.split.frames_inv[ops.step_dst] @ jac @ ops.split.frames[ops.step_src]
         off = np.abs(M).sum(axis=(1, 2)) - np.abs(np.einsum("kii->ki", M)).sum(axis=1)
         sums[noise] = float(off.max())
     assert sums[1e-4] < 1e-2
@@ -339,6 +339,38 @@ def test_leaf_mode_big_rotation_needs_tau2(product_sys):
     assert res.step_residual <= 1e-10
 
 
+def test_numerical_splitting_at_zero_kappa_shadows_like_analytic(product_sys):
+    # at kappa = 0 the slope series is zero: the per-point numerical frames
+    # and the one analytic frame differ by rounding in the inverse only
+    numerical = qs.cat_circle_system(0.3, 0.0, splitting_mode="numerical")
+    assert not qs.splitting_at(numerical, np.zeros((2, 3))).constant
+
+    def close(a, b):
+        assert np.max(qs.dist(a.y, b.y)) <= 1e-15
+        assert np.max(np.abs(a.trans - b.trans)) <= 1e-15
+        assert np.max(np.abs(a.corrections - b.corrections)) <= 1e-15
+
+    orbit = _noisy(product_sys)
+    for variant in ("tau1", "tau3"):
+        cfg = qs.SolverConfig(variant=variant)
+        close(qs.shadow(numerical, orbit, cfg), qs.shadow(product_sys, orbit, cfg))
+    nr = qs.find_near_return(product_sys, (0.1, 0.2, 0.3), 5000, 1e-3, mode="leaf")
+    cyc = qs.make_cyclic(product_sys, nr)
+    cfg = qs.SolverConfig(variant="tau2")
+    close(qs.shadow(numerical, cyc, cfg), qs.shadow(product_sys, cyc, cfg))
+
+    shifted = qs.cat_circle_system(0.3, 0.0, shift=(1e-4, -2e-4, 0.0))
+    cfg = qs.SolverConfig(variant="tau1")
+    grid = qs.grid_points(3)
+    num = qs.build_semiconjugacy(numerical, shifted, grid, cfg, window=30)
+    ref = qs.build_semiconjugacy(product_sys, shifted, grid, cfg, window=30)
+    assert not num.failures and not ref.failures
+    assert np.max(qs.dist(num.values, ref.values)) <= 1e-15
+    assert np.max(qs.dist(num.values_at_g, ref.values_at_g)) <= 1e-15
+    assert np.max(np.abs(num.center_at_g - ref.center_at_g)) <= 1e-15
+    assert np.max(np.abs(num.residuals - ref.residuals)) <= 1e-15
+
+
 # -- estimates -----------------------------------------------------------
 
 
@@ -376,7 +408,7 @@ def test_bounds_dominate_oracles_and_probes(kappa, variant, cyclic, n, seed):
     # the pointwise constant is exact up to rounding; eta is affine at kappa = 0,
     # where the probes and differences read rounding only
     l_pt = bound.norm_equivalence_pointwise * (1.0 + 1e-12)
-    assert pointwise_norm_equivalence(ops.frames) <= l_pt
+    assert pointwise_norm_equivalence(ops.split.frames) <= l_pt
     assert probed.norm_equivalence_pointwise <= l_pt
     assert eta_lipschitz_fd(ops, variant, cfg.epsilon, seed) <= bound.eta_lipschitz + 1e-12
     assert probed.eta_lipschitz <= bound.eta_lipschitz + 1e-12

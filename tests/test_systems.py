@@ -5,7 +5,18 @@ from hypothesis import strategies as st
 
 import quasishadow as qs
 from quasishadow.errors import RateOrderError, SplittingError
-from quasishadow.systems import C, E_CENTER, E_UNSTABLE, LAM, MU, S, U, rate_bounds, slope_bounds
+from quasishadow.systems import (
+    ANALYTIC,
+    C,
+    E_CENTER,
+    E_UNSTABLE,
+    LAM,
+    MU,
+    S,
+    U,
+    rate_bounds,
+    slope_bounds,
+)
 
 from oracles import eigen_frames, fd_jacobian, power_splitting, sin_angle
 
@@ -75,6 +86,9 @@ def test_analytic_splitting_frames(product_sys):
     assert np.array_equal(split.frames[:, C], [0.0, 0.0, 1.0])
     # frame agrees with a dense eigendecomposition
     assert np.allclose(split.frames, eigen_frames(), atol=1e-12)
+    # one constant frame serves every point
+    assert qs.splitting_at(product_sys, np.zeros((4, 7, 3))) is split is ANALYTIC
+    assert split.constant and split.frames_inv.shape == (3, 3)
 
 
 def test_projection_identities(product_sys, skew_sys, rng):
@@ -97,6 +111,32 @@ def test_numerical_matches_analytic_for_zero_kappa(rng):
     for b in (S, U):
         ang = sin_angle(split.frames[..., :, b], ref.frames[..., :, b])
         assert np.max(ang) < 1e-9
+
+
+def test_splitting_getitem_indexes_point_axes(skew_sys, rng):
+    # a constant splitting serves every point; a per-point one is indexed on
+    # its point axes only, as frames[key + (:, :)]
+    assert ANALYTIC[[0, 2], 1:3] is ANALYTIC
+    split = qs.splitting_at(skew_sys, qs.wrap(rng.random((4, 6, 3))))
+    keys = [2, slice(1, 5), [3, 0, 3], ([1, 2], slice(0, 4)), (..., np.array([5, 0, 2]))]
+    for key in keys:
+        full = (key if isinstance(key, tuple) else (key,)) + (slice(None), slice(None))
+        sub = split[key]
+        for got, want in ((sub.frames, split.frames[full]), (sub.frames_inv, split.frames_inv[full])):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_splitting_transversal_drops_the_center(skew_sys, rng):
+    split = qs.splitting_at(skew_sys, qs.wrap(rng.random((5, 3))))
+    coeffs = rng.standard_normal((5, 3))
+    given = coeffs.copy()
+    trans = split.transversal(coeffs)
+    assert np.array_equal(coeffs, given)
+    no_center = coeffs.copy()
+    no_center[:, C] = 0.0
+    assert np.array_equal(trans, split.assemble(no_center))
+    assert np.max(np.abs(split.coeffs(trans)[:, C])) < 1e-15
 
 
 def test_splitting_invariance_under_differential(skew_sys, rng):
