@@ -239,8 +239,6 @@ def build_semiconjugacy(
         ``gaps[b, j]`` is the one-step error dist(f(pts[b, j]), pts[b, j + 1]);
         the windows of the members b are solved as one batch.
         """
-        if not members:
-            return {}
         n = 2 * window + 1
         orbits = []
         for b in members:

@@ -106,6 +106,8 @@ def _coerce(value, want, path):
     if want is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
+        if not -_sys.float_info.max <= value <= _sys.float_info.max:  # NaN fails too
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
         return float(value)
     if want is int:
         if isinstance(value, bool) or not isinstance(value, int):

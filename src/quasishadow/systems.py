@@ -83,7 +83,7 @@ class CatCircleSystem:
 
     ``alpha`` is the fiber rotation, ``kappa`` the skew strength, ``shift``
     an optional rigid translation.  The rates are bounded in closed form
-    by :func:`rate_bounds`; :func:`verify_rates` measures them.
+    by :func:`rate_bounds`.
 
     :meth:`forward` and :meth:`inverse` map arrays of points.  Loops that
     step one point at a time (:meth:`orbit`, noisy orbits, near-return
@@ -244,8 +244,7 @@ class Splitting:
     ``frames[..., :, i]`` is the unit direction of bundle i in the
     (stable, center, unstable) order; ``frames_inv @ vector`` gives
     splitting coordinates.  One (3, 3) frame serves every point (kappa = 0,
-    :data:`ANALYTIC`), else there is one per point.  Projections are onto
-    one bundle along the sum of the other two.
+    :data:`ANALYTIC`), else there is one per point.
     """
 
     frames: np.ndarray
@@ -262,11 +261,6 @@ class Splitting:
             return self
         key = (key if isinstance(key, tuple) else (key,)) + (slice(None), slice(None))
         return Splitting(self.frames[key], self.frames_inv[key])
-
-    def projector(self, bundle: int) -> np.ndarray:
-        cols = self.frames[..., :, bundle]
-        rows = self.frames_inv[..., bundle, :]
-        return cols[..., :, None] * rows[..., None, :]
 
     def coeffs(self, vectors) -> np.ndarray:
         return np.einsum("...ij,...j->...i", self.frames_inv, np.asarray(vectors, float))
@@ -366,24 +360,6 @@ def splitting_at(sys: CatCircleSystem, x) -> Splitting:
     # the base eigendirections are orthonormal (CAT is symmetric), so the dual rows are explicit
     rows = [norms[..., :1] * E_STABLE, E_CENTER - slopes @ _BASE_DIRS, norms[..., 1:] * E_UNSTABLE]
     return Splitting(frames, np.stack(rows, axis=-2))
-
-
-def verify_rates(sys: CatCircleSystem, points) -> HyperbolicityRates:
-    """Measured one-step rates over sample points (the closed form is :func:`rate_bounds`).
-
-    Returns (max stable stretch, min center stretch, max center stretch,
-    min unstable stretch); raises :class:`RateOrderError` when the
-    partially hyperbolic ordering fails, which signals kappa too large.
-    """
-    split = splitting_at(sys, points)
-    J = sys.differential(points)
-
-    def stretch(bundle: int) -> np.ndarray:
-        pushed = np.einsum("...ij,...j->...i", J, split.frames[..., :, bundle])
-        return norm(pushed)
-
-    s, c, u = stretch(S), stretch(C), stretch(U)
-    return HyperbolicityRates(float(s.max()), float(c.min()), float(c.max()), float(u.min()))
 
 
 def leaf_dist(x, y):

@@ -1,15 +1,24 @@
 """Independent oracle computations used across the test suite.
 
-Everything here is built from first principles (inline map formulas, dense
+Most of this is built from first principles (inline map formulas, dense
 linear algebra, brute-force scans) so library results can be checked
-against a second, unrelated code path.
+against a second, unrelated code path.  ``eta_lipschitz_fd`` and the
+measurement section at the end are the exception: they drive the
+library's own operators with differences, random probes and samples, and
+the tests compare their maxima with the closed-form bounds that gate
+every solve.
 """
 
 from __future__ import annotations
 
 import csv
+from dataclasses import dataclass
 
 import numpy as np
+
+from quasishadow.solver import OrbitOperators, SolverConfig, _fiber_slide
+from quasishadow.systems import C, S, U, HyperbolicityRates, splitting_at
+from quasishadow.torus import dist, minimal_rep, norm, wrap
 
 ACAT = np.array([[2.0, 1.0], [1.0, 1.0]])
 MU = float((3.0 + np.sqrt(5.0)) / 2.0)
@@ -412,3 +421,122 @@ def csv_writer_bytes(path, header, rows):
             writer.writerow([v if isinstance(v, int) else format(v, ".17g") for v in row])
     with open(path, "rb") as fh:
         return fh.read()
+
+
+# --- measurements of the library's constants ----------------------------------
+# Maxima over probes underestimate suprema, so no solve gates on them.
+
+
+def norm_sup(ops, coeffs):
+    """Sup norm max_k |w_k| of coefficient sequences, on the assembled ambient vectors."""
+    return norm(ops.split.assemble(coeffs)).max(axis=-1)
+
+
+def projector(split, bundle):
+    """Projection onto one bundle along the sum of the other two, shape (..., 3, 3)."""
+    return split.frames[..., :, bundle, None] * split.frames_inv[..., None, bundle, :]
+
+
+@dataclass(frozen=True)
+class ContractionEstimates:
+    """Measured constants of the fixed-point scheme (probe maxima, not bounds).
+
+    ``norm_equivalence`` is the sequence-norm constant of
+    |w| <= |w|_1 <= L |w| (its suprema may sit at different indices, so it
+    can reach the sum of the two projection norms); the pointwise variant
+    bounds (|u_k| + |v_k|) / |w_k| at a single index and equals sqrt(2)
+    for an orthogonal splitting.
+    """
+
+    norm_equivalence: float
+    norm_equivalence_pointwise: float
+    lambda_tilde: float  # worst stable / inverse-unstable block factor
+    eta_lipschitz: float  # measured Lipschitz constant of eta on the epsilon ball
+    p_inv_norm: float  # measured solver-norm operator norm of P^{-1}
+    observed_contraction: float  # measured Lipschitz factor of Phi
+    probes: int
+
+
+def estimate_contraction(sys, orbit, cfg=None):
+    """Probe-based measurement of the scheme's constants on this orbit.
+
+    All quantities are maxima over ``cfg.admissibility_probes`` random
+    probes drawn with ``cfg.probe_seed``: the norm equivalence constant,
+    the Lipschitz constant of eta on the epsilon ball, the solver-norm
+    operator norm of P^{-1}, and the Lipschitz factor of Phi on
+    transversal pairs.
+    """
+    cfg = cfg if cfg is not None else SolverConfig()
+    ops = OrbitOperators(sys, orbit.points, orbit.cyclic, cfg.chart)
+    rng = np.random.default_rng(cfg.probe_seed)
+    probes = cfg.admissibility_probes
+
+    def draw(center, solver_norm):
+        """Random sequences of norm in [eps / 4, eps], with or without a center part."""
+        draws = rng.standard_normal((probes, ops.n_points, 3))
+        if not center:
+            draws[..., C] = 0.0
+        norms = ops.norm_one(draws) if solver_norm else norm_sup(ops, draws)
+        return draws * (cfg.epsilon * (0.25 + 0.75 * rng.random(probes)) / norms)[:, None, None]
+
+    w_full = draw(center=True, solver_norm=True)
+    big_l = float(np.max(ops.norm_one(w_full) / norm_sup(ops, w_full)))
+    split_norm = np.abs(w_full[..., C]) + norm(ops.split.transversal(w_full))
+    full_norm = norm(ops.split.assemble(w_full))
+    big_l_pt = float(np.max(split_norm / full_norm))
+
+    v_a = draw(center=False, solver_norm=False)
+    v_b = draw(center=False, solver_norm=False)
+    d_eta = ops.eta(v_a, cfg.variant) - ops.eta(v_b, cfg.variant)
+    c_delta = float(np.max(norm_sup(ops, d_eta) / norm_sup(ops, v_a - v_b)))
+
+    r = draw(center=True, solver_norm=True)
+    p_inv = float(np.max(ops.norm_one(ops.solve_p(r)) / ops.norm_one(r)))
+
+    u_a = draw(center=False, solver_norm=True)
+    u_b = draw(center=False, solver_norm=True)
+    d_phi = ops.phi(u_a, cfg.variant) - ops.phi(u_b, cfg.variant)
+    observed = float(np.max(ops.norm_one(d_phi) / ops.norm_one(u_a - u_b)))
+    return ContractionEstimates(
+        norm_equivalence=big_l,
+        norm_equivalence_pointwise=big_l_pt,
+        lambda_tilde=float(ops.lambda_tilde),
+        eta_lipschitz=c_delta,
+        p_inv_norm=p_inv,
+        observed_contraction=observed,
+        probes=probes,
+    )
+
+
+def transversal_slide(sys, x, z):
+    """Move z along its fiber onto the transversal disk through x.
+
+    The result keeps the base coordinates of z and lies in the span of the
+    stable and unstable directions at x (a 2x2 linear solve in the chart).
+    """
+    x = wrap(x)
+    z = np.asarray(z, float)
+    return wrap(x + _fiber_slide(splitting_at(sys, x), minimal_rep(z[..., :2] - x[:2]))[1])
+
+
+def tau2_lipschitz(sys, x, n_samples=200, radius=0.04, seed=0):
+    """Measured Lipschitz constant of the fiber slide at x over random nearby points."""
+    x = wrap(x)
+    rng = np.random.default_rng(seed)
+    offsets = rng.standard_normal((n_samples, 3))
+    offsets *= (radius * rng.random(n_samples) ** (1 / 3) / norm(offsets))[:, None]
+    ys = wrap(x + offsets)
+    slid = transversal_slide(sys, x, ys)
+    return float(np.max(dist(slid, x) / dist(ys, x)))
+
+
+def verify_rates(sys, points):
+    """Measured one-step rates over sample points (the closed form is ``rate_bounds``).
+
+    Returns (max stable stretch, min center stretch, max center stretch,
+    min unstable stretch); raises ``RateOrderError`` when the partially
+    hyperbolic ordering fails, which signals kappa too large.
+    """
+    pushed = sys.differential(points) @ splitting_at(sys, points).frames
+    s, c, u = (norm(pushed[..., :, b]) for b in (S, C, U))
+    return HyperbolicityRates(float(s.max()), float(c.min()), float(c.max()), float(u.min()))

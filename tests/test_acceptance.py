@@ -13,7 +13,8 @@ import quasishadow as qs
 from quasishadow.cli import resolve_config, run_close, run_stability
 from quasishadow.systems import C, S, U
 
-from oracles import dense_tau1_window, fd_jacobian, periodic_base_point, sin_angle
+from oracles import dense_tau1_window, estimate_contraction, fd_jacobian, periodic_base_point
+from oracles import projector, sin_angle, verify_rates
 
 X0 = (0.11, 0.23, 0.5)
 
@@ -52,7 +53,7 @@ def test_criterion_2_contraction_bounds():
     for kappa in (0.0, 0.02):
         sys = qs.cat_circle_system(alpha=0.3, kappa=kappa)
         orbit = _noisy(sys)
-        est = qs.estimate_contraction(sys, orbit, qs.SolverConfig(admissibility_probes=32))
+        est = estimate_contraction(sys, orbit, qs.SolverConfig(admissibility_probes=32))
         bound = 1.0 / (1.0 - est.lambda_tilde) + 1e-6
         oks.append(
             _line(
@@ -318,7 +319,7 @@ def test_criterion_9_geometry_and_splitting_suite():
         sys = qs.cat_circle_system(alpha=0.3, kappa=kappa)
         pts = qs.wrap(rng.random((100, 3)))
         split = qs.splitting_at(sys, pts)
-        total = sum(split.projector(b) for b in (S, C, U))
+        total = sum(projector(split, b) for b in (S, C, U))
         proj_err = float(np.max(np.abs(total - np.eye(3))))
         jac = sys.differential(pts)
         split_fwd = qs.splitting_at(sys, sys.forward(pts))
@@ -335,7 +336,7 @@ def test_criterion_9_geometry_and_splitting_suite():
         )
 
     sys0 = qs.cat_circle_system(alpha=0.3, kappa=0.0)
-    rates0 = qs.verify_rates(sys0, qs.wrap(rng.random((100, 3))))
+    rates0 = verify_rates(sys0, qs.wrap(rng.random((100, 3))))
     exact = (
         abs(rates0.lam - 0.3819660112501051) <= 1e-9
         and rates0.lam_prime == 1.0
@@ -345,7 +346,7 @@ def test_criterion_9_geometry_and_splitting_suite():
     oks.append(_line("9. rate factors exact (kappa=0)", exact, f"lam={rates0.lam!r}, mu={rates0.mu!r}"))
 
     sys2 = qs.cat_circle_system(alpha=0.3, kappa=0.02)
-    rates2 = qs.verify_rates(sys2, qs.wrap(rng.random((100, 3))))
+    rates2 = verify_rates(sys2, qs.wrap(rng.random((100, 3))))
     oks.append(
         _line(
             "9. rate ordering (kappa=0.02)",

@@ -1,14 +1,18 @@
 import gzip
 import json
 import re
+import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import quasishadow as qs
-from quasishadow import cli, solver
+from quasishadow import cli
 from quasishadow.cli import main, resolve_config
+
+from oracles import estimate_contraction
 
 
 def _write(tmp_path, name, payload):
@@ -165,9 +169,21 @@ def test_admissibility_probes_below_two_refused(tmp_path, capsys):
     # the measurement draws the configured probes, and SolverConfig is its one check
     sys0 = qs.cat_circle_system(0.3, 0.0)
     orbit = qs.true_orbit_window(sys0, [0.1, 0.2, 0.3], 5)
-    assert qs.estimate_contraction(sys0, orbit, qs.SolverConfig(admissibility_probes=3)).probes == 3
+    assert estimate_contraction(sys0, orbit, qs.SolverConfig(admissibility_probes=3)).probes == 3
     with pytest.raises(qs.ConfigError, match="admissibility_probes must be >= 2"):
         qs.SolverConfig(admissibility_probes=1)
+
+
+def test_nan_tolerance_refused(tmp_path, capsys):
+    payload = _shadow_config()
+    payload["solver"]["fixed_point_tol"] = float("nan")
+    cfg = _write(tmp_path, "nan.json", payload)
+    assert main(["shadow", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError: solver.fixed_point_tol: expected a finite number, got nan" in err
+    assert not (tmp_path / "nan_report.json").exists()
+    with pytest.raises(qs.ConfigError, match="fixed_point_tol must be positive"):
+        qs.SolverConfig(fixed_point_tol=float("nan"))
 
 
 @pytest.mark.parametrize("config", ["close_leaf", "stability_translation"])
@@ -337,6 +353,8 @@ def test_sweep_kappa_records_last_passing(tmp_path):
         ("kappa", [0.0, True], "sweep.kappa[1]"),
         ("n_steps", [10.5], "sweep.n_steps[0]"),
         ("n_steps", 60, "sweep.n_steps"),
+        ("noise", [float("nan")], "sweep.noise[0]"),
+        ("kappa", [10**400], "sweep.kappa[0]"),
     ],
 )
 def test_sweep_entries_checked(tmp_path, capsys, key, value, path):
@@ -403,12 +421,22 @@ def test_report_echoes_the_variant_that_ran(tmp_path, kind, requested, runs):
 
 
 @pytest.mark.parametrize("kind", ["shadow", "close", "stability", "sweep"])
-def test_no_subcommand_probes(tmp_path, kind):
-    # admissibility rests on closed-form bounds: no run calls the probe measurement
+def test_only_noisy_orbits_draw_random_numbers(tmp_path, monkeypatch, kind):
+    # admissibility rests on closed-form bounds: the one generator a run
+    # creates is the noise of its pseudo orbit, and close and stability draw none
+    default_rng = np.random.default_rng
+    callers = []
+
+    def spy(*args, **kwargs):
+        frame = sys._getframe(1)
+        callers.append(f"{frame.f_globals['__name__']}.{frame.f_code.co_name}")
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
     cfg = _write(tmp_path, "run.json", _variant_config(kind, "tau2" if kind == "close" else "tau1"))
-    with mock.patch.object(solver, "estimate_contraction", side_effect=AssertionError) as probe:
-        assert main([kind, "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
-    assert probe.call_count == 0
+    assert main([kind, "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    drawn = kind in ("shadow", "sweep")
+    assert set(callers) == ({"quasishadow.orbits.generate_noisy"} if drawn else set())
 
 
 def test_stability_rejects_unknown_variant(tmp_path, capsys):

@@ -20,6 +20,7 @@ from oracles import (
     periodic_base_point,
     pointwise_norm_equivalence,
 )
+from oracles import estimate_contraction, norm_sup, tau2_lipschitz, transversal_slide
 
 
 def _noisy(sys, n=200, noise=1e-4, seed=5):
@@ -156,7 +157,7 @@ def test_solve_p_straddling_multipliers_rejected(product_sys, rng):
 def test_p_inverse_norm_bound(product_sys, skew_sys):
     for sys in (product_sys, skew_sys):
         orbit = _noisy(sys)
-        est = qs.estimate_contraction(sys, orbit, qs.SolverConfig(admissibility_probes=32))
+        est = estimate_contraction(sys, orbit, qs.SolverConfig(admissibility_probes=32))
         assert est.p_inv_norm <= 1.0 / (1.0 - est.lambda_tilde) + 1e-6
 
 
@@ -264,14 +265,14 @@ def test_window_edge_decay(product_sys):
 def test_transversal_slide_product(product_sys):
     x = qs.wrap((0.3, 0.4, 0.5))
     y = qs.wrap((0.32, 0.38, 0.77))
-    slid = qs.transversal_slide(product_sys, x, y)
+    slid = transversal_slide(product_sys, x, y)
     assert np.allclose(slid, [0.32, 0.38, 0.5], atol=1e-15)
 
 
 def test_tau2_lipschitz_measured(product_sys, skew_sys):
-    k1_flat = qs.tau2_lipschitz(product_sys, (0.3, 0.4, 0.5))
+    k1_flat = tau2_lipschitz(product_sys, (0.3, 0.4, 0.5))
     assert k1_flat <= 1.0 + 1e-12
-    k1_skew = qs.tau2_lipschitz(skew_sys, (0.3, 0.4, 0.5))
+    k1_skew = tau2_lipschitz(skew_sys, (0.3, 0.4, 0.5))
     assert k1_skew <= 1.2
 
 
@@ -404,7 +405,7 @@ def test_bounds_dominate_oracles_and_probes(kappa, variant, cyclic, n, seed):
     cfg = qs.SolverConfig(variant=variant, admissibility_probes=64)
     ops = qs.OrbitOperators(sys, orbit.points, orbit.cyclic)
     bound = ops.bounds(cfg, orbit.defect)[0]
-    probed = qs.estimate_contraction(sys, orbit, cfg)
+    probed = estimate_contraction(sys, orbit, cfg)
     # the pointwise constant is exact up to rounding; eta is affine at kappa = 0,
     # where the probes and differences read rounding only
     l_pt = bound.norm_equivalence_pointwise * (1.0 + 1e-12)
@@ -425,7 +426,7 @@ def test_predicted_radius_bound_is_tight(skew_sys, variant):
     assert dataclasses.replace(bound, iterations=0, final_residual=0.0) == dataclasses.replace(
         qs.OrbitOperators(skew_sys, orbit.points).bounds(cfg, orbit.defect)[0], final_residual=0.0
     )
-    est = qs.estimate_contraction(skew_sys, orbit, cfg)
+    est = estimate_contraction(skew_sys, orbit, cfg)
     probed = est.norm_equivalence_pointwise * orbit.defect / (
         (1.0 - est.lambda_tilde) * (1.0 - est.observed_contraction)
     )
@@ -435,20 +436,20 @@ def test_predicted_radius_bound_is_tight(skew_sys, variant):
 
 def test_norm_equivalence_product(product_sys, rng):
     orbit = _noisy(product_sys, n=50)
-    est = qs.estimate_contraction(product_sys, orbit, qs.SolverConfig(admissibility_probes=64))
+    est = estimate_contraction(product_sys, orbit, qs.SolverConfig(admissibility_probes=64))
     # orthogonal splitting: sqrt(2) pointwise, 2 for the split-supremum norm
     assert est.norm_equivalence_pointwise <= np.sqrt(2.0) + 1e-9
     assert est.norm_equivalence <= 2.0 + 1e-9
     ops = qs.OrbitOperators(product_sys, orbit.points)
     draws = rng.standard_normal((32, len(orbit), 3)) * 1e-3
-    assert np.all(ops.norm_sup(draws) <= ops.norm_one(draws) + 1e-15)
-    assert np.all(ops.norm_one(draws) <= (2.0 + 1e-9) * ops.norm_sup(draws))
+    assert np.all(norm_sup(ops, draws) <= ops.norm_one(draws) + 1e-15)
+    assert np.all(ops.norm_one(draws) <= (2.0 + 1e-9) * norm_sup(ops, draws))
 
 
 def test_contraction_estimates_bounds(product_sys, skew_sys):
     for sys in (product_sys, skew_sys):
         orbit = _noisy(sys)
-        est = qs.estimate_contraction(sys, orbit, qs.SolverConfig(admissibility_probes=32))
+        est = estimate_contraction(sys, orbit, qs.SolverConfig(admissibility_probes=32))
         assert est.observed_contraction <= 0.5
         assert est.p_inv_norm <= 1.0 / (1.0 - est.lambda_tilde) + 1e-6
         gate = qs.shadow(sys, orbit).diagnostics
@@ -491,6 +492,18 @@ def test_shadow_batch_stops_each_orbit_at_its_own_fixed_point(product_sys):
     out = qs.shadow_batch(product_sys, [true, noisy])
     assert [r.diagnostics.iterations for r in out] == [1, 2]
     assert to_json(out[1]) == to_json(qs.shadow(product_sys, noisy))
+
+
+def test_shadow_batch_refuses_mixed_boundary_types(product_sys):
+    cyc = _cyclic_noisy(product_sys, (0.11, 0.23, 0.5), 30)
+    window = qs.PseudoOrbit(cyc.points)
+    for orbits in ([window, cyc], [cyc, window]):
+        with pytest.raises(ValueError, match="one boundary type"):
+            qs.shadow_batch(product_sys, orbits)
+
+
+def test_shadow_batch_of_no_orbits(product_sys):
+    assert qs.shadow_batch(product_sys, []) == []
 
 
 def test_result_serialization(tmp_path, product_sys):

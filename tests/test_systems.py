@@ -18,7 +18,7 @@ from quasishadow.systems import (
     slope_bounds,
 )
 
-from oracles import eigen_frames, fd_jacobian, power_splitting, sin_angle
+from oracles import eigen_frames, fd_jacobian, power_splitting, projector, sin_angle, verify_rates
 
 
 def test_forward_fixed_base_fiber_rotation(product_sys):
@@ -95,11 +95,11 @@ def test_projection_identities(product_sys, skew_sys, rng):
     pts = qs.wrap(rng.random((50, 3)))
     for sys in (product_sys, skew_sys):
         split = qs.splitting_at(sys, pts)
-        total = sum(split.projector(b) for b in (S, C, U))
+        total = sum(projector(split, b) for b in (S, C, U))
         eye = np.broadcast_to(np.eye(3), total.shape)
         assert np.max(np.abs(total - eye)) < 1e-10
         for b in (S, C, U):
-            proj = split.projector(b)
+            proj = projector(split, b)
             assert np.max(np.abs(proj @ proj - proj)) < 1e-10
 
 
@@ -156,7 +156,7 @@ def test_splitting_invariance_under_differential(skew_sys, rng):
 
 def test_verify_rates_product_exact(product_sys, rng):
     pts = qs.wrap(rng.random((100, 3)))
-    rates = qs.verify_rates(product_sys, pts)
+    rates = verify_rates(product_sys, pts)
     assert abs(rates.lam - 0.3819660112501051) < 1e-9
     assert rates.lam_prime == 1.0
     assert rates.mu_prime == 1.0
@@ -165,7 +165,7 @@ def test_verify_rates_product_exact(product_sys, rng):
 
 def test_verify_rates_skew_ordering(skew_sys, rng):
     pts = qs.wrap(rng.random((100, 3)))
-    rates = qs.verify_rates(skew_sys, pts)
+    rates = verify_rates(skew_sys, pts)
     assert rates.lam < 1.0 < rates.mu
     # the fiber stretch of the skew product is exactly one
     assert rates.lam_prime == 1.0 and rates.mu_prime == 1.0
@@ -183,7 +183,7 @@ def test_rate_bound_refuses_stable_expansion():
         qs.cat_circle_system(0.3, 0.6)
     dense = qs.wrap(np.random.default_rng(3).random((100_000, 3)))
     with pytest.raises(RateOrderError, match=r"lam=1\.1"):
-        qs.verify_rates(qs.cat_circle_system(0.3, 0.6, validate=False), dense)
+        verify_rates(qs.cat_circle_system(0.3, 0.6, validate=False), dense)
     # the stable side of the bound admits |kappa| < 0.45269
     qs.cat_circle_system(0.3, 0.4526)
     with pytest.raises(RateOrderError):
@@ -193,7 +193,7 @@ def test_rate_bound_refuses_stable_expansion():
 @pytest.mark.parametrize("kappa", [0.02, 0.2, 0.45])
 def test_verify_rates_within_closed_form(kappa):
     dense = qs.wrap(np.random.default_rng(5).random((20_000, 3)))
-    measured = qs.verify_rates(qs.cat_circle_system(0.3, kappa), dense)
+    measured = verify_rates(qs.cat_circle_system(0.3, kappa), dense)
     bound = rate_bounds(kappa)
     assert LAM < measured.lam <= bound.lam < 1.0
     assert 1.0 < bound.mu <= measured.mu < MU
