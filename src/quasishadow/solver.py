@@ -9,8 +9,9 @@ where beta(v)_k pushes v_{k-1} through the map in exponential charts, A is
 the block (stable + unstable) linearization of beta at 0, eta = beta - A,
 and P w = -u + (id - A) v.  In frame coordinates the stable block of
 (id - A)^{-1} is a forward recursion pinned to zero at the left window
-edge, the unstable block a backward recursion pinned at the right edge;
-cyclic orbits close both recursions exactly with a rank-one correction.
+edge; the unstable bundle of f is the stable bundle of f^{-1}, so the
+unstable block is the same recursion on the reversed sequence.  Cyclic
+orbits close it exactly with a rank-one correction.
 
 Sequence iterates are stored as coefficient arrays c of shape (W, 3), or
 (B, W, 3) for a batch of B orbits solved together, in the per-point
@@ -94,16 +95,6 @@ def _affine_scan(mult: np.ndarray, rhs: np.ndarray, init=0.0) -> np.ndarray:
         out[lo:hi] = block
         carry = block[-1]
     return out
-
-
-def _reversed_scan(mult: np.ndarray, rhs: np.ndarray, init=0.0) -> np.ndarray:
-    """Backward recursion t_{j-1} = (t_j - rhs[j]) / mult[j] with t_L = init.
-
-    Returns t_0 .. t_{L-1} for steps j = 1 .. L (arrays indexed from 0).
-    """
-    m = 1.0 / mult[::-1]
-    r = -rhs[::-1] * _align(m, rhs.ndim)
-    return _affine_scan(m, r, init=init)[::-1]
 
 
 @dataclass(frozen=True)
@@ -270,8 +261,9 @@ class OrbitOperators:
             @ self.split[..., self.step_src].frames
         )
         steps = X.shape[:-2] + (W if cyclic else W - 1,)
-        self.alpha = np.ascontiguousarray(np.broadcast_to(M[..., S, S], steps))
-        self.beta_u = np.ascontiguousarray(np.broadcast_to(M[..., U, U], steps))
+        # copies: M is zeroed below, and a one-step orbit would otherwise alias it
+        self.alpha = np.broadcast_to(M[..., S, S], steps).copy()
+        self.beta_u = np.broadcast_to(M[..., U, U], steps).copy()
         with np.errstate(divide="ignore"):
             inv_beta = np.where(self.beta_u != 0.0, 1.0 / np.abs(self.beta_u), np.inf)
         lam = np.maximum(np.abs(self.alpha).max(axis=-1), inv_beta.max(axis=-1))
@@ -396,61 +388,42 @@ class OrbitOperators:
         return self.apply_beta(v_coeffs, variant) - self.apply_transfer(v_coeffs)
 
     def _solve_block(self, mult: np.ndarray, rhs_pts: np.ndarray) -> np.ndarray:
-        """Solve v_k - mult_k v_{k-1} = r_k for one 1-d block of every orbit.
+        """Solve v_k - mult_k v_{k-1} = r_k forward for one contracting 1-d block of every orbit.
 
-        The recursion direction follows the block's contraction direction:
-        forward when all |mult| < 1, backward when all |mult| > 1; orbits
-        solved together must share it.
+        Windows pin the left edge (zero inflow, so v_0 = r_0); cycles close
+        the recursion exactly with a rank-one correction.
         """
-        r = np.moveaxis(rhs_pts, -1, 0)  # (W or n_steps aligned below, batch..., [B])
-        size = np.abs(mult)
-        lo, hi = size.min(axis=-1), size.max(axis=-1)
-        forward = hi < 1.0
-        straddle = np.flatnonzero(~forward & (lo <= 1.0))
-        if straddle.size:
-            i = straddle[0]
-            raise AdmissibilityError(
-                f"block multipliers straddle 1 (|m| in [{lo.flat[i]:.6g}, {hi.flat[i]:.6g}]); "
-                "not partially hyperbolic at this scale"
-            )
-        if np.any(forward) != np.all(forward):
-            raise ValueError("orbits solved together must contract in the same direction")
-        forward = bool(np.all(forward))
+        r = np.moveaxis(rhs_pts, -1, 0)  # (W, batch..., [B])
         mult = np.moveaxis(mult, -1, 0)  # (L, [B])
         if not self.cyclic:
-            out = np.zeros(r.shape)
-            if forward:
-                # zero inflow at the left edge: the first value is its own rhs
-                out[0] = r[0]
-                out[1:] = _affine_scan(mult, r[1:], init=r[0])
-            else:
-                # zero outflow at the right edge
-                out[:-1] = _reversed_scan(mult, r[1:])
+            out = np.empty(r.shape)
+            out[0] = r[0]
+            out[1:] = _affine_scan(mult, r[1:], init=r[0])
             return np.moveaxis(out, 0, -1)
-        n = self.n_points
-        if forward:
-            part = _affine_scan(mult, r, init=0.0)
-            hom = _affine_scan(mult, np.zeros(r.shape), init=1.0)
-            closure = part[-1] / (1.0 - hom[-1])
-            out = part + closure * hom
-        else:
-            part = np.zeros(r.shape)
-            hom = np.zeros(mult.shape)
-            if n > 1:
-                part[:-1] = _reversed_scan(mult[1:], r[1:])
-                hom[:-1] = _reversed_scan(mult[1:], np.zeros(mult[1:].shape), init=1.0)
-            hom[-1] = 1.0
-            hom_b = _align(hom, r.ndim)
-            closure = (r[0] - part[0]) / (hom_b[0] - mult[0])
-            out = part + closure * hom_b
-        return np.moveaxis(out, 0, -1)
+        part = _affine_scan(mult, r, init=0.0)
+        hom = _affine_scan(mult, np.zeros(r.shape), init=1.0)
+        return np.moveaxis(part + part[-1] / (1.0 - hom[-1]) * hom, 0, -1)
 
     def solve_p(self, rhs: np.ndarray) -> np.ndarray:
-        """w = P^{-1} rhs: center sign flip plus the two block recursions."""
+        """w = P^{-1} rhs: center sign flip plus the two block recursions.
+
+        Requires lambda_tilde < 1, that is |alpha_k| < 1 < |beta_u_k| at every
+        step; :func:`shadow_batch` refuses every other orbit before its first
+        Phi step.  The unstable block v_{k-1} = (v_k - r_k) / beta_k runs as
+        the stable recursion of the reversed sequence: multipliers 1 / beta_u,
+        right-hand side -r / beta_u, a window's right edge pinned to zero.
+        """
         out = np.empty(rhs.shape)
         out[..., C] = -rhs[..., C]
         out[..., S] = self._solve_block(self.alpha, rhs[..., S])
-        out[..., U] = self._solve_block(self.beta_u, rhs[..., U])
+        # reversed step j maps reversed point j - 1 to j: the original step into point W - j (mod W)
+        m = 1.0 / self.beta_u[..., ::-1]
+        r = rhs[..., self.step_dst, U][..., ::-1]
+        if self.cyclic:
+            m, r = np.roll(m, 1, axis=-1), np.roll(r, 1, axis=-1)
+        rev = np.zeros(rhs.shape[:-1])
+        rev[..., self.step_dst] = -r * m
+        out[..., U] = self._solve_block(m, rev)[..., ::-1]
         return out
 
     def phi(self, w_coeffs: np.ndarray, variant: str = "tau1") -> np.ndarray:
@@ -498,9 +471,9 @@ def shadow_batch(
     system, so every orbit left gets the same error), then the closed-form
     gate of :meth:`OrbitOperators.bounds`: lambda_tilde < 1, contraction
     bound < 1, predicted radius < epsilon; then, in every Phi step, the
-    chart checks of beta, the straddle check of the block solves and the
-    epsilon ball, then ``max_iterations`` and the chart checks of the
-    result.  An orbit that fails leaves the others untouched.
+    chart checks of beta and the epsilon ball, then ``max_iterations`` and
+    the chart checks of the result.  An orbit that fails leaves the others
+    untouched.
 
     ``split`` is the :class:`Splitting` at the stacked points
     (:func:`splitting_at`), computed when not given.  ``initial`` (shape

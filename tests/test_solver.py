@@ -110,16 +110,21 @@ def test_cross_blocks_small_for_tight_pseudo_orbits(skew_sys):
 
 
 def test_solve_p_identity_when_transfer_vanishes(product_sys, rng):
-    orbit = _noisy(product_sys, n=15)
-    ops = qs.OrbitOperators(product_sys, orbit.points)
-    ops.alpha = np.zeros_like(ops.alpha)
-    ops.beta_u = np.zeros_like(ops.beta_u)
-    rhs = rng.standard_normal((len(orbit), 3))
-    out = ops.solve_p(rhs)
-    # A = 0: identity on the transversal blocks, sign flip on the center
-    assert np.array_equal(out[:, C], -rhs[:, C])
-    assert np.array_equal(out[:, S], rhs[:, S])
-    assert np.array_equal(out[:, U], rhs[:, U])
+    # the exact limits of the two recursions: alpha = 0 leaves the stable
+    # block its right-hand side, beta_u = inf leaves nothing on the unstable one
+    for cyclic in (False, True):
+        if cyclic:
+            orbit = _cyclic_noisy(product_sys, (0.11, 0.23, 0.5), 15)
+        else:
+            orbit = _noisy(product_sys, n=7)
+        ops = qs.OrbitOperators(product_sys, orbit.points, cyclic=cyclic)
+        ops.alpha = np.zeros_like(ops.alpha)
+        ops.beta_u = np.full_like(ops.beta_u, np.inf)
+        rhs = rng.standard_normal((len(orbit), 3))
+        out = ops.solve_p(rhs)
+        assert np.array_equal(out[:, C], -rhs[:, C])
+        assert np.array_equal(out[:, S], rhs[:, S])
+        assert np.array_equal(out[:, U], np.zeros(len(orbit)))
 
 
 def test_solve_p_matches_dense_window(product_sys, rng):
@@ -146,19 +151,95 @@ def test_solve_p_matches_dense_cyclic(product_sys, rng):
     assert np.max(np.abs(out[:, U] - dense_block_cyclic(ops.beta_u, rhs[:, U]))) < 1e-12
 
 
-def test_solve_p_straddling_multipliers_rejected(product_sys, rng):
-    orbit = _noisy(product_sys, n=10)
-    ops = qs.OrbitOperators(product_sys, orbit.points)
-    ops.beta_u = np.linspace(0.5, 1.5, len(ops.beta_u))
-    with pytest.raises(AdmissibilityError):
-        ops.solve_p(rng.standard_normal((len(orbit), 3)))
+@settings(max_examples=60, deadline=None)
+@given(
+    n_orbits=st.sampled_from([1, 3]),
+    cyclic=st.booleans(),
+    n=st.sampled_from([1, 2, 3, 64, 65, 130]),
+    tiny=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_p_matches_dense_blocks(product_sys, n_orbits, cyclic, n, tiny, seed):
+    # per orbit against dense LU solves, over signs and sizes of both blocks;
+    # tiny stable multipliers run the plain loop of the scan
+    if n == 1 and not cyclic:
+        n = 2
+    rng = np.random.default_rng(seed)
+    points = rng.random((n_orbits, n, 3))
+    ops = qs.OrbitOperators(product_sys, points, cyclic=cyclic)
+    shape = ops.alpha.shape
+    sign = lambda: rng.choice([-1.0, 1.0], shape)  # noqa: E731
+    low = 1e-5 if tiny else 1e-3
+    ops.alpha = sign() * np.exp(rng.uniform(np.log(low), np.log(0.95), shape))
+    ops.beta_u = sign() * rng.uniform(1.05, 20.0, shape)
+    rhs = rng.standard_normal((n_orbits, n, 3))
+    out = ops.solve_p(rhs)
+    assert np.array_equal(out[..., C], -rhs[..., C])
+    for b in range(n_orbits):
+        if cyclic:
+            s_dense = dense_block_cyclic(ops.alpha[b], rhs[b, :, S])
+            u_dense = dense_block_cyclic(ops.beta_u[b], rhs[b, :, U])
+        else:
+            s_dense = dense_stable_window(ops.alpha[b], rhs[b, :, S])
+            u_dense = dense_unstable_window(ops.beta_u[b], rhs[b, :, U])
+        assert np.max(np.abs(out[b, :, S] - s_dense)) < 1e-12
+        assert np.max(np.abs(out[b, :, U] - u_dense)) < 1e-12
 
 
-def test_p_inverse_norm_bound(product_sys, skew_sys):
-    for sys in (product_sys, skew_sys):
-        orbit = _noisy(sys)
-        est = estimate_contraction(sys, orbit, qs.SolverConfig(admissibility_probes=32))
-        assert est.p_inv_norm <= 1.0 / (1.0 - est.lambda_tilde) + 1e-6
+@pytest.mark.parametrize("kappa", [0.0, 0.02])
+def test_one_step_orbits_keep_their_block_multipliers(kappa):
+    # a 2-point window or 1-point cycle has one step; its multipliers must not
+    # alias the transfer matrix that the constructor zeroes afterwards
+    sys = qs.cat_circle_system(alpha=0.3, kappa=kappa)
+    pts = qs.generate_noisy(sys, (0.11, 0.23, 0.5), 1, 1e-4, seed=5).points[1:]
+    for cyclic, p in ((False, pts), (True, pts[:1])):
+        ref = qs.OrbitOperators(sys, np.stack([p, p]), cyclic=cyclic)
+        assert abs(ref.alpha[0, 0] - LAM) < 1e-2 and abs(ref.beta_u[0, 0] - MU) < 1e-2
+        for points in (p, p[None]):
+            ops = qs.OrbitOperators(sys, points, cyclic=cyclic)
+            assert np.array_equal(ops.alpha.reshape(-1), ref.alpha[0])
+            assert np.array_equal(ops.beta_u.reshape(-1), ref.beta_u[0])
+
+
+def test_one_step_window_solves_alone_as_batched(product_sys):
+    pts = qs.generate_noisy(product_sys, (0.11, 0.23, 0.5), 1, 1e-4, seed=5).points[1:]
+    orbit = qs.PseudoOrbit(pts)
+    orbit.defect, orbit.defect_index = qs.measure_defect(product_sys, orbit)
+    alone = qs.shadow(product_sys, orbit)
+    batched = qs.shadow_batch(product_sys, [orbit, orbit])
+    for res in batched:
+        assert to_json(res) == to_json(alone)
+
+
+def test_period_one_cycle_solves_alone_as_batched():
+    sys = qs.cat_circle_system(0.001)
+    nr = qs.find_near_return(sys, (0.004, 0.002, 0.3), 10, 0.02, "point")
+    assert nr.n == 1 and 7e-3 < nr.gap < 7.5e-3
+    cycle = qs.make_cyclic(sys, nr)
+    alone = qs.shadow(sys, cycle)
+    batched = qs.shadow_batch(sys, [cycle, cycle])
+    for res in batched:
+        assert to_json(res) == to_json(alone)
+    # the fixed fiber of the base map
+    assert np.max(qs.dist(alone.y, np.array([[0.0, 0.0, 0.3]]))) < 1e-15
+    assert alone.diagnostics.iterations == 2
+
+
+def test_gate_refuses_non_hyperbolic_orbit_before_phi():
+    # kappa = 0.6 is past the rate bound: lambda_tilde >= 1 on this orbit
+    sys = qs.cat_circle_system(0.3, 0.6, validate=False)
+    orbit = _noisy(sys)
+    calls = []
+    phi = qs.OrbitOperators.phi
+
+    def spy(ops, w, variant="tau1"):
+        calls.append(w.shape)
+        return phi(ops, w, variant)
+
+    with mock.patch.object(qs.OrbitOperators, "phi", spy):
+        with pytest.raises(AdmissibilityError, match="stable/unstable block norm"):
+            qs.shadow(sys, orbit)
+    assert calls == []
 
 
 # -- fixed point ---------------------------------------------------------
