@@ -9,6 +9,7 @@ h(g(x)) = tau_{g(x)}(f(h(x))) up to solver tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from .errors import QuasiShadowError, SearchError
 from .orbits import NearReturn, PseudoOrbit, make_cyclic, measure_defect, write_table
 from .solver import ShadowResult, SolverConfig, shadow, shadow_batch
 from .systems import C, CatCircleSystem, leaf_dist, splitting_at, splitting_error
-from .torus import RHO0_DEFAULT, dist, expmap, logmap, minimal_rep, norm, wrap
+from .torus import RHO0_DEFAULT, dist, expmap, logmap, minimal_rep, wrap
 
 # grid points solved as one batch: large enough that per-call overhead
 # vanishes, small enough that the batch's arrays stay a few megabytes
@@ -189,6 +190,8 @@ class ConjugacyMap:
 
 def grid_points(per_axis: int) -> np.ndarray:
     """Uniform lattice of per_axis^3 points on T^3."""
+    if per_axis < 1:
+        raise ValueError("per_axis must be >= 1")
     t = np.arange(per_axis) / per_axis
     return np.stack(np.meshgrid(t, t, t, indexing="ij"), axis=-1).reshape(-1, 3)
 
@@ -223,6 +226,8 @@ def build_semiconjugacy(
     collected, not fatal.  A system whose splitting :func:`splitting_error`
     refuses fails every grid point before any orbit or frame is computed.
     """
+    if window < 1:
+        raise ValueError("window must be >= 1")
     cfg = replace(cfg if cfg is not None else SolverConfig(), variant=SEMICONJUGACY_VARIANT)
     grid = wrap(np.asarray(grid, float).reshape(-1, 3))
     n_pts = len(grid)
@@ -365,10 +370,14 @@ def _covering_radius(probes: np.ndarray, points: np.ndarray, chunk: int = 64) ->
     """max over probes of the distance to the nearest point of ``points`` (inf when empty)."""
     if len(points) == 0:
         return float("inf")
+    # per axis on (chunk, N) planes, squares summed in torus.norm's order; sqrt is monotone
+    # and correctly rounded, so one sqrt after the min and max gives the bits of the norms
     worst = 0.0
     for lo in range(0, len(probes), chunk):
-        block = probes[lo : lo + chunk]
-        d = minimal_rep(block[:, None, :] - points[None, :, :])
-        nearest = np.min(norm(d), axis=1)
-        worst = max(worst, float(np.max(nearest)))
-    return worst
+        for j in range(points.shape[1]):
+            d = probes[lo : lo + chunk, j, None] - points[:, j]
+            d -= np.round(d)
+            d *= d
+            total = d if j == 0 else total + d
+        worst = max(worst, float(np.max(np.min(total, axis=1))))
+    return math.sqrt(worst)

@@ -214,8 +214,8 @@ class OrbitOperators:
     with the same boundary type; the orbit axis leads every per-orbit
     array below, and coefficient arrays given to the methods have shape
     (..., [B,] W, 3), where further leading axes batch several sequences
-    per orbit (probes).  Step j maps the tangent space at the j-th point
-    that ``step_src`` selects to the one at the j-th point of ``step_dst``:
+    per orbit.  Step j maps the tangent space at the j-th point that
+    ``step_src`` selects to the one at the j-th point of ``step_dst``:
     windows have W - 1 steps targeting points 1 .. W-1 (row 0 of
     step-aligned outputs stays zero), cyclic orbits have W steps with the
     wrap-around targeting point 0.  Both are slices except the cyclic

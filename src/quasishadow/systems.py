@@ -91,7 +91,8 @@ class CatCircleSystem:
     which take three Python floats and repeat the operation order of the
     array maps.  Their results are bit-identical as long as ``math.sin``
     and ``np.sin`` agree, which rests on the platform's libm; the test
-    suite checks it.
+    suite checks it.  At kappa = 0 all four skip the kappa sin term, whose +-0.0 :func:`wrap`
+    makes +0.0; only an overflowing 2 pi x_0 (0 sin(inf) = nan) is now mapped, not refused.
     """
 
     center_dimension = 1
@@ -129,7 +130,9 @@ class CatCircleSystem:
         x = np.asarray(x, float)
         out = np.empty(x.shape)
         out[..., 0], out[..., 1] = _cat(x[..., 0], x[..., 1])
-        out[..., 2] = x[..., 2] + self.alpha + self.kappa * np.sin(2.0 * np.pi * x[..., 0])
+        out[..., 2] = x[..., 2] + self.alpha
+        if self.kappa != 0.0:
+            out[..., 2] += self.kappa * np.sin(2.0 * np.pi * x[..., 0])
         out += self.shift
         return wrap(out)
 
@@ -137,28 +140,28 @@ class CatCircleSystem:
         z = np.asarray(x, float) - self.shift
         out = np.empty(z.shape)
         out[..., 0], out[..., 1] = _cat_inv(z[..., 0], z[..., 1])
-        out[..., 2] = z[..., 2] - self.alpha - self.kappa * np.sin(2.0 * np.pi * out[..., 0])
+        out[..., 2] = z[..., 2] - self.alpha
+        if self.kappa != 0.0:
+            out[..., 2] -= self.kappa * np.sin(2.0 * np.pi * out[..., 0])
         return wrap(out)
 
     def step(self, x0: float, x1: float, x2: float) -> tuple[float, float, float]:
         """:meth:`forward` of one point given as three Python floats."""
         s0, s1, s2 = self._shift_floats
-        return (
-            wrap_float((2.0 * x0 + x1) + s0),
-            wrap_float((x0 + x1) + s1),
-            wrap_float(((x2 + self.alpha) + self.kappa * _sin_2pi(x0)) + s2),
-        )
+        theta = x2 + self.alpha
+        if self.kappa != 0.0:
+            theta += self.kappa * _sin_2pi(x0)
+        return wrap_float((2.0 * x0 + x1) + s0), wrap_float((x0 + x1) + s1), wrap_float(theta + s2)
 
     def step_inverse(self, x0: float, x1: float, x2: float) -> tuple[float, float, float]:
         """:meth:`inverse` of one point given as three Python floats."""
         s0, s1, s2 = self._shift_floats
         z0, z1 = x0 - s0, x1 - s1
         b0 = z0 - z1
-        return (
-            wrap_float(b0),
-            wrap_float(-z0 + 2.0 * z1),
-            wrap_float(((x2 - s2) - self.alpha) - self.kappa * _sin_2pi(b0)),
-        )
+        theta = (x2 - s2) - self.alpha
+        if self.kappa != 0.0:
+            theta -= self.kappa * _sin_2pi(b0)
+        return wrap_float(b0), wrap_float(-z0 + 2.0 * z1), wrap_float(theta)
 
     def differential(self, x) -> np.ndarray:
         """Exact Jacobian of the chart map at x, shape (..., 3, 3); only x[..., 0] enters."""
@@ -237,6 +240,36 @@ def cat_circle_system(
     return sys
 
 
+# exact entries of every frame (None: varies by point): the center column of
+# ``frames`` is (0, 0, 1) and the theta column of ``frames_inv`` is (0, 1, 0)
+_FRAME_ENTRIES = ((None, 0.0, None), (None, 0.0, None), (None, 1.0, None))
+_INVERSE_ENTRIES = ((None, None, 0.0), (None, None, 1.0), (None, None, 0.0))
+
+
+def _product(m: np.ndarray, v, entries, skip: int | None = None) -> np.ndarray:
+    """m @ v over the last axes, row i summed as ((0.0 + m_i0 v_0) + m_i2 v_2) + m_i1 v_1.
+
+    numpy 2.4.6 sums the ``...ij,...j`` contraction of C-ordered operands
+    so, and the recorded outputs were made with it.  Terms whose entry
+    (``entries``, or all of a (3, 3) m) is exactly 0 are dropped, as is
+    column ``skip``: adding +-0.0 to a sum that starts from +0.0 keeps its
+    bits for finite v.  An entry 1 adds v_j itself, and the trailing + 0.0
+    gives the bits of the leading one.
+    """
+    v = np.asarray(v, float)
+    out = np.empty(np.broadcast_shapes(m.shape[:-1], v.shape))
+    for i, row in enumerate(m.tolist() if m.ndim == 2 else entries):
+        terms = []
+        for j in (0, 2, 1):
+            e = 0.0 if j == skip else row[j]
+            if e == 1.0:
+                terms.append(v[..., j])
+            elif e != 0.0:
+                terms.append((m[..., i, j] if e is None else e) * v[..., j])
+        np.add(sum(terms[1:], terms[0]) if terms else 0.0, 0.0, out=out[..., i])
+    return out
+
+
 @dataclass
 class Splitting:
     """Frames of the invariant splitting and every product with them.
@@ -263,16 +296,14 @@ class Splitting:
         return Splitting(self.frames[key], self.frames_inv[key])
 
     def coeffs(self, vectors) -> np.ndarray:
-        return np.einsum("...ij,...j->...i", self.frames_inv, np.asarray(vectors, float))
+        return _product(self.frames_inv, vectors, _INVERSE_ENTRIES)
 
     def assemble(self, coeffs) -> np.ndarray:
-        return np.einsum("...ij,...j->...i", self.frames, np.asarray(coeffs, float))
+        return _product(self.frames, coeffs, _FRAME_ENTRIES)
 
     def transversal(self, coeffs) -> np.ndarray:
         """The ambient stable + unstable part of ``coeffs``; the center coefficient is ignored."""
-        us = np.array(coeffs, float)
-        us[..., C] = 0.0
-        return self.assemble(us)
+        return _product(self.frames, coeffs, _FRAME_ENTRIES, skip=C)
 
 
 _FRAME = np.stack([E_STABLE, E_CENTER, E_UNSTABLE], axis=-1)

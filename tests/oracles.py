@@ -343,6 +343,40 @@ def matmul_slopes(sys, x, n):
     return 2.0 * np.pi * sys.kappa * weights * total
 
 
+# --- frame products and the covering radius in their earlier spellings ---------
+# ``Splitting`` sums its products in the order numpy 2.4.6's einsum uses on
+# C-ordered operands and drops the frames' exact zeros; ``_covering_radius``
+# takes one sqrt after the min.  Both must give the bits of these forms.
+
+
+def einsum_coeffs(split, vectors):
+    return np.einsum("...ij,...j->...i", split.frames_inv, np.asarray(vectors, float))
+
+
+def einsum_assemble(split, coeffs):
+    return np.einsum("...ij,...j->...i", split.frames, np.asarray(coeffs, float))
+
+
+def einsum_transversal(split, coeffs):
+    """The ambient stable + unstable part: a copy of ``coeffs`` with the center zeroed, assembled."""
+    us = np.array(coeffs, float)
+    us[..., C] = 0.0
+    return einsum_assemble(split, us)
+
+
+def chunked_covering_radius(probes, points, chunk=64):
+    """max over probes of the distance to the nearest point: minimal_rep and norm on 64-probe blocks."""
+    if len(points) == 0:
+        return float("inf")
+    worst = 0.0
+    for lo in range(0, len(probes), chunk):
+        block = probes[lo : lo + chunk]
+        d = minimal_rep(block[:, None, :] - points[None, :, :])
+        nearest = np.min(norm(d), axis=1)
+        worst = max(worst, float(np.max(nearest)))
+    return worst
+
+
 # --- single-point loops on the array maps -------------------------------------
 # The loops below step one point at a time through the matrix-product maps
 # above (numpy arrays, np.sin, np.mod), the way the library did before its

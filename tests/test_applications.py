@@ -327,6 +327,18 @@ def test_grid_points_shape():
     assert np.all((g >= 0.0) & (g < 1.0))
 
 
+@pytest.mark.parametrize("per_axis", [0, -2])
+def test_grid_points_refuses_empty_grids(per_axis):
+    with pytest.raises(ValueError, match="per_axis must be >= 1"):
+        grid_points(per_axis)
+
+
+@pytest.mark.parametrize("window", [0, -3])
+def test_semiconjugacy_refuses_empty_windows(product_sys, window):
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        qs.build_semiconjugacy(product_sys, product_sys, grid_points(2), _cfg(), window=window)
+
+
 def test_conjugacy_map_serialization(tmp_path, product_sys):
     import json
 

@@ -304,6 +304,23 @@ def test_stability_all_points_fail(tmp_path):
     assert len(rows) == 9 and rows[1].endswith("nan,nan")
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("grid_per_axis", 0, "per_axis must be >= 1"),
+        ("grid_per_axis", -2, "per_axis must be >= 1"),
+        ("window", 0, "window must be >= 1"),
+        ("window", -3, "window must be >= 1"),
+    ],
+)
+def test_stability_refuses_empty_grids_and_windows(tmp_path, capsys, key, value, message):
+    stability = {"grid_per_axis": 2, "window": 10, "alpha_shift": 1e-3, key: value}
+    payload = {"kind": "stability", "system": {"alpha": 0.3, "kappa": 0.0}, "stability": stability}
+    cfg = _write(tmp_path, "empty.json", payload)
+    assert main(["stability", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 2
+    assert f"error: ValueError: {message}" in capsys.readouterr().err
+
+
 def _sweep_config(**sweep):
     return {
         "kind": "sweep",

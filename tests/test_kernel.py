@@ -167,6 +167,27 @@ def test_step_refuses_overflowing_sine_argument():
         sys.step_inverse(5e307, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("p", [(5e307, 0.0, 0.0), (-5e307, 0.25, 0.5), (8e307, -2e307, -0.0)])
+def test_kappa_zero_maps_skip_the_overflowing_sine(p):
+    # at kappa = 0 the maps skip the kappa sin term, so an overflowing 2 pi x0
+    # no longer turns theta into nan (0 sin(inf)): the point is mapped
+    sys = CatCircleSystem(0.3, 0.0, shift=(1e-3, 0.0, -2e-4))
+    fwd, inv = sys.step(*p), sys.step_inverse(*p)
+    assert all(math.isfinite(c) for c in fwd + inv)
+    assert _same_bits(fwd, _forward(sys, p))
+    assert _same_bits(inv, _inverse(sys, p))
+
+
+@pytest.mark.parametrize(
+    "p", [(math.inf, 0.0, 0.0), (0.0, -math.inf, 0.5), (math.nan, 0.1, 0.2), (0.1, 0.2, math.nan)]
+)
+def test_kappa_zero_maps_refuse_non_finite(p):
+    sys = CatCircleSystem(0.3, 0.0)
+    for fn in (sys.step, sys.step_inverse, lambda *q: _forward(sys, q), lambda *q: _inverse(sys, q)):
+        with pytest.raises(ChartError):
+            fn(*p)
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_wrap_float_refuses_non_finite(bad):
     with pytest.raises(ChartError):
