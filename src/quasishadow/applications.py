@@ -111,12 +111,12 @@ def find_periodic_center_leaf_from_leaf_return(
     The returned ``chain_start`` is x_i, the fiber point the representative
     traces.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     cfg = _closing_config(cfg)
     x = wrap(x)
     base = x[:2].tolist()
     thetas = [float(x[2])]
-    pair = None
-    gap = None
     for m in range(1, max_chain + 1):
         z = _iterate(sys, (base[0], base[1], thetas[m - 1]), n)
         gap = leaf_dist(x, z)
@@ -124,22 +124,17 @@ def find_periodic_center_leaf_from_leaf_return(
             raise SearchError(
                 f"fiber return gap {gap:.6g} is not below delta={delta:g}"
             )
-        theta_m = z[2]
         # the new anchor is the exact circular minimizer on the fiber, so
         # anchor distances reduce to circle distances between thetas
-        older = np.asarray(thetas)
-        circ = np.abs(minimal_rep(older - theta_m))
-        hits = np.flatnonzero(circ < delta - gap)
+        hits = np.flatnonzero(np.abs(minimal_rep(np.asarray(thetas) - z[2])) < delta - gap)
+        thetas.append(z[2])
         if hits.size:
-            pair = (int(hits[0]), m)
-            thetas.append(theta_m)
+            lo, hi = int(hits[0]), m
             break
-        thetas.append(theta_m)
-    if pair is None:
+    else:
         raise SearchError(
             f"no recurrence pair on the fiber within {max_chain} chain steps"
         )
-    lo, hi = pair
     segments = []
     for idx in range(lo, hi):
         anchor = np.array([base[0], base[1], thetas[idx]])
@@ -236,13 +231,14 @@ def build_semiconjugacy(
     center_g = np.full((n_pts, 3), np.nan)
     displacement = np.full(n_pts, np.nan)
     residuals = np.full(n_pts, np.nan)
-    errors: dict = {}
+    errors: list = [None] * n_pts  # the first error of every grid point
 
-    def centers(pts, gaps, split, members: list, start: int) -> dict:
-        """{b: (y_0, correction_0) or the error} of the windows pts[b, start : start + 2W + 1].
+    def solve(pts, gaps, split, lo: int, members: list, start: int) -> dict:
+        """(y_0, correction_0) by member b, for the windows pts[b, start : start + 2W + 1] solved.
 
         ``gaps[b, j]`` is the one-step error dist(f(pts[b, j]), pts[b, j + 1]);
-        the windows of the members b are solved as one batch.
+        the windows of the members are solved as one batch, and the error of
+        a window that fails goes to grid point lo + b.
         """
         n = 2 * window + 1
         orbits = []
@@ -258,15 +254,17 @@ def build_semiconjugacy(
                 )
             )
         results = shadow_batch(sys_f, orbits, cfg, split[members, start : start + n])
-        return {
-            b: res if isinstance(res, QuasiShadowError)
-            else (res.y[window].copy(), res.corrections[window].copy())
-            for b, res in zip(members, results)
-        }
+        solved = {}
+        for b, res in zip(members, results):
+            if isinstance(res, QuasiShadowError):
+                errors[lo + b] = res
+            else:
+                solved[b] = res.y[window].copy(), res.corrections[window].copy()
+        return solved
 
     refusal = splitting_error(sys_f)
     if refusal is not None:
-        errors = dict.fromkeys(range(n_pts), refusal)
+        errors = [refusal] * n_pts
     else:
         rows = np.empty((2 * window + 2, n_pts, 3))
         rows[window] = grid
@@ -279,22 +277,13 @@ def build_semiconjugacy(
             z = sys_g.inverse(z)
             rows[window - 1 - j] = z
         for lo in range(0, n_pts, _GRID_CHUNK):
-            chunk = np.arange(lo, min(lo + _GRID_CHUNK, n_pts))
-            pts = rows[:, chunk].swapaxes(0, 1)
+            pts = rows[:, np.arange(lo, min(lo + _GRID_CHUNK, n_pts))].swapaxes(0, 1)
             split = splitting_at(sys_f, pts)
             gaps = dist(sys_f.forward(pts[:, :-1]), pts[:, 1:])
-            at_x = centers(pts, gaps, split, list(range(len(chunk))), 0)
-            solved = [b for b, res in at_x.items() if not isinstance(res, QuasiShadowError)]
-            at_g = centers(pts, gaps, split, solved, 1)
-            for b, res in at_x.items():
-                if isinstance(res, QuasiShadowError):
-                    errors[chunk[b]] = res
-            for b, res in at_g.items():
-                if isinstance(res, QuasiShadowError):
-                    errors[chunk[b]] = res
-                    continue
-                values[chunk[b]] = at_x[b][0]
-                values_g[chunk[b]], center_g[chunk[b]] = res
+            at_x = solve(pts, gaps, split, lo, list(range(len(pts))), 0)
+            for b, (y_g, center) in solve(pts, gaps, split, lo, list(at_x), 1).items():
+                values[lo + b] = at_x[b][0]
+                values_g[lo + b], center_g[lo + b] = y_g, center
 
     rho0 = cfg.chart.rho0
     ok = ~np.isnan(values[:, 0])
@@ -324,7 +313,7 @@ def build_semiconjugacy(
         residual_max=res_max,
         residual_mean=res_mean,
         center_residual=center_res,
-        failures=[(int(p), f"{type(exc).__name__}: {exc}") for p, exc in sorted(errors.items())],
+        failures=[(p, f"{type(exc).__name__}: {exc}") for p, exc in enumerate(errors) if exc],
     )
 
 

@@ -6,7 +6,7 @@ carry the solve diagnostics and a list of bound checks, and are byte
 stable for a fixed config and seed apart from the runtime field.
 
 Exit codes: 0 all declared bounds pass, 1 a bound failed, 2 configuration
-or solver error.
+or solver error, including sizes whose arrays cannot be allocated.
 """
 
 from __future__ import annotations
@@ -435,8 +435,10 @@ def main(argv=None) -> int:
             config["orbit"]["seed"] = args.seed
         out_dir.mkdir(parents=True, exist_ok=True)
         report = _RUNNERS[config["kind"]](config, out_dir=out_dir, stem=stem)
-    except (QuasiShadowError, OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)
+    except (QuasiShadowError, OSError, json.JSONDecodeError, ValueError, MemoryError) as exc:
+        # numpy raises a private MemoryError subclass for arrays it cannot allocate
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"error: {name}: {exc}", file=_sys.stderr)
         return 2
     if not args.quiet:
         verdict = "pass" if report["passed"] else "FAIL"

@@ -28,7 +28,7 @@ bookkeeping of the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -293,7 +293,12 @@ class OrbitOperators:
         return sub
 
     def bounds(self, cfg: SolverConfig, defect) -> list[ContractionBounds]:
-        """Closed-form admissibility constants of every orbit for ``cfg`` and its ``defect``.
+        """Closed-form admissibility constants of every orbit for ``cfg`` and its ``defect``."""
+        rows = self.bound_table(cfg, defect)
+        return [ContractionBounds(*map(float, row[:6]), bool(row[6])) for row in rows]
+
+    def bound_table(self, cfg: SolverConfig, defect) -> np.ndarray:
+        """:meth:`bounds` as rows: per orbit, the first seven fields of :class:`ContractionBounds`.
 
         Take the solver norm |w|_1 = max_k |u_k| + max_k |v_k| (u the center
         coefficient, v the ambient transversal part).  The frame columns are
@@ -313,7 +318,8 @@ class OrbitOperators:
         into center and transversal parts of total size <= L_pt defect, with
         L_pt = max_k 1 / sin(phi_k / 2), phi_k the angle between the center
         line and span(e_s, e_u) (sqrt 2 at kappa = 0), which gives the tracing
-        radius L_pt defect / ((1 - lambda_tilde)(1 - c)).
+        radius L_pt defect / ((1 - lambda_tilde)(1 - c)).  The last column,
+        ``sufficient_condition``, holds 0.0 or 1.0.
         """
         lam = np.atleast_1d(self.lambda_tilde)
         l_pt = np.atleast_1d(self.norm_equivalence)
@@ -327,8 +333,7 @@ class OrbitOperators:
             radius = l_pt * defect / ((1.0 - lam) * (1.0 - c))
             radius = np.where((lam < 1.0) & (c < 1.0), radius, np.inf)
             sufficient = (lam < 1.0) & (l_pt / (1.0 - lam) * defect < 0.5 * cfg.epsilon)
-        cols = zip(lam, l_pt, lip.sum(axis=-1), c, defect, radius, sufficient)
-        return [ContractionBounds(*map(float, row[:6]), bool(row[6])) for row in cols]
+        return np.column_stack([lam, l_pt, lip.sum(axis=-1), c, defect, radius, sufficient])
 
     # -- norms ---------------------------------------------------------
 
@@ -475,6 +480,12 @@ def shadow_batch(
     the chart checks of the result.  An orbit that fails leaves the others
     untouched.
 
+    Per-orbit arrays (entries, iterates, update norms, gate constants) are
+    indexed by position in ``orbits``; ``live`` holds the orbits behind the
+    rows of the operators, which are narrowed whenever it changes.  An orbit
+    runs while its entry is empty: each failure goes to the entry where it
+    is found, and the result of an orbit is written in the step it converges.
+
     ``split`` is the :class:`Splitting` at the stacked points
     (:func:`splitting_at`), computed when not given.  ``initial`` (shape
     (W, 3)) starts every orbit.  Orbits of mixed boundary types raise
@@ -507,39 +518,37 @@ def shadow_batch(
     if err is not None:
         return [err if o is None else o for o in out]
     points = np.stack([orbit.points for orbit in orbits])
-    idx = np.array([b for b, o in enumerate(out) if o is None], dtype=int)
-    if not idx.size:
+    live = np.flatnonzero([o is None for o in out])
+    if not live.size:
         return out
-    if idx.size < len(orbits):
-        points = points[idx]
-        split = None if split is None else split[idx]
+    if live.size < len(orbits):
+        points = points[live]
+        split = None if split is None else split[live]
     ops = OrbitOperators(sys, points, cyclic, cfg.chart, split)
 
-    defects = [max(float(orbits[b].defect), gaps[b]) for b in idx]
-    bounds = dict(zip(idx, ops.bounds(cfg, defects)))
-    for b, bd in bounds.items():
-        if bd.lambda_tilde >= 1.0:
+    gate = np.full((len(orbits), 7), np.nan)
+    gate[live] = ops.bound_table(cfg, [max(float(orbits[b].defect), gaps[b]) for b in live])
+    lam, contraction, defect, radius = gate[:, [0, 3, 4, 5]].T
+    for b in np.flatnonzero((lam >= 1.0) | (contraction >= 1.0) | (radius >= cfg.epsilon)):
+        if lam[b] >= 1.0:
             out[b] = AdmissibilityError(
-                f"stable/unstable block norm {bd.lambda_tilde:.6g} >= 1; "
+                f"stable/unstable block norm {lam[b]:.6g} >= 1; "
                 "not partially hyperbolic at this scale"
             )
-        elif bd.contraction >= 1.0:
-            out[b] = AdmissibilityError(f"no contraction: factor bound {bd.contraction:.6g} >= 1")
-        elif bd.predicted_radius >= cfg.epsilon:
+        elif contraction[b] >= 1.0:
+            out[b] = AdmissibilityError(f"no contraction: factor bound {contraction[b]:.6g} >= 1")
+        else:
             out[b] = AdmissibilityError(
-                f"defect {bd.defect:.6g} predicts tracing radius {bd.predicted_radius:.6g} "
+                f"defect {defect[b]:.6g} predicts tracing radius {radius[b]:.6g} "
                 f">= epsilon {cfg.epsilon}; reduce the defect or raise epsilon"
             )
-    admitted = np.array([out[b] is None for b in idx])
-    if not admitted.any():
+    ops, live = _narrow(ops, live, out)
+    if not live.size:
         return out
-    if not admitted.all():
-        ops, idx = ops.take(admitted), idx[admitted]
 
     W = ops.n_points
-    if initial is None:
-        w = np.zeros((idx.size, W, 3))
-    else:
+    w = np.zeros((len(orbits), W, 3))
+    if initial is not None:
         w0 = np.array(initial, float)
         if w0.shape != (W, 3):
             raise ValueError(f"initial guess must have shape ({W}, 3)")
@@ -547,105 +556,87 @@ def shadow_batch(
             raise ValueError("initial guess lies outside the epsilon ball")
         if cfg.variant == "tau2":
             w0[:, C] = 0.0
-        w = np.broadcast_to(w0, (idx.size, W, 3)).copy()
+        w[:] = w0
 
-    history, failed = _iterate(ops, cfg, w)
-    for a, exc in failed.items():
-        out[idx[a]] = exc
-    fin = np.array([a for a in range(idx.size) if a not in failed], dtype=int)
-    if not fin.size:
-        return out
-    sub = ops if fin.size == idx.size else ops.take(fin)
-    fields, ok, errors = _isolate(lambda o, v: _extract(sys, o, cfg, v), sub, w[fin])
-    for i, exc in errors.items():
-        out[idx[fin[i]]] = exc
-    if not ok.any():
-        return out
-    y, trans, corrections, trace, center, step = fields
-    for j, a in enumerate(fin[ok]):
-        b = idx[a]
-        deltas = np.asarray(history[a])
-        out[b] = ShadowResult(
-            variant=cfg.variant,
-            ks=orbits[b].ks,
-            x=orbits[b].points.copy(),
-            y=y[j],
-            trans=trans[j],
-            corrections=corrections[j],
-            diagnostics=replace(
-                bounds[b], iterations=len(deltas), final_residual=float(deltas[-1])
-            ),
-            max_trace_dist=float(trace[j]),
-            step_residual=float(step[j]),
-            center_residual=float(center[j]),
-            delta_history=deltas,
-            cyclic=cyclic,
+    history = []  # per Phi step, the update norm of every orbit (nan where it did not run)
+    for _ in range(cfg.max_iterations):
+        w_new, ops, live = _isolate(lambda o, v: o.phi(v, cfg.variant), ops, live, w, out)
+        if not live.size:
+            return out
+        delta = ops.norm_one(w_new - w[live])
+        w[live] = w_new
+        size = ops.norm_one(w_new)
+        del w_new  # the extraction below runs without a second copy of the iterates
+        history.append(np.full(len(orbits), np.nan))
+        history[-1][live] = delta
+        escaped = size > cfg.epsilon
+        for b, s in zip(live[escaped], size[escaped]):
+            out[b] = ConvergenceError(
+                f"iterate of solver norm {s:.6g} escaped the epsilon ball ({cfg.epsilon})"
+            )
+        # an orbit stops at its first update below the tolerance, and its result is extracted
+        done = ~escaped & (delta < cfg.fixed_point_tol)
+        if done.any():
+            sub, rows = (ops, live) if done.all() else (ops.take(done), live[done])
+            fields, _, rows = _isolate(lambda o, v: _extract(sys, o, cfg, v), sub, rows, w, out)
+            for r, b in enumerate(rows):
+                y, trans, corrections, trace, center, step = (f[r] for f in fields)
+                deltas = np.array([h[b] for h in history])
+                diagnostics = ContractionBounds(
+                    *map(float, gate[b, :6]), bool(gate[b, 6]),
+                    iterations=len(deltas), final_residual=float(deltas[-1]),
+                )
+                out[b] = ShadowResult(
+                    variant=cfg.variant,
+                    ks=orbits[b].ks,
+                    x=orbits[b].points.copy(),
+                    y=y,
+                    trans=trans,
+                    corrections=corrections,
+                    diagnostics=diagnostics,
+                    max_trace_dist=float(trace),
+                    step_residual=float(step),
+                    center_residual=float(center),
+                    delta_history=deltas,
+                    cyclic=cyclic,
+                )
+        ops, live = _narrow(ops, live, out)
+        if not live.size:
+            return out
+    for b in live:
+        out[b] = ConvergenceError(
+            f"no fixed point within {cfg.max_iterations} iterations "
+            f"(last update {history[-1][b]:.3g})"
         )
     return out
 
 
-def _iterate(ops: OrbitOperators, cfg: SolverConfig, w: np.ndarray) -> tuple[list, dict]:
-    """Phi iterations from ``w`` (updated in place) until every orbit converges or fails.
-
-    An orbit stops at its first update below ``fixed_point_tol``.  Returns
-    the update norms of each orbit and {position: error} for the orbits
-    that failed.
-    """
-    act, sub = np.arange(len(w)), ops  # orbits still iterating, and their operators
-    history: list = [[] for _ in range(len(w))]
-    failed: dict = {}
-    for _ in range(cfg.max_iterations):
-        w_new, ok, errors = _isolate(lambda o, v: o.phi(v, cfg.variant), sub, w[act])
-        failed.update((act[i], exc) for i, exc in errors.items())
-        if not ok.all():
-            act, sub = act[ok], sub.take(ok)
-        if not act.size:
-            break
-        delta = sub.norm_one(w_new - w[act])
-        w[act] = w_new
-        size = sub.norm_one(w_new)
-        escaped = size > cfg.epsilon
-        for j, a in enumerate(act):
-            history[a].append(delta[j])
-            if escaped[j]:
-                failed[a] = ConvergenceError(
-                    f"iterate of solver norm {size[j]:.6g} escaped the "
-                    f"epsilon ball ({cfg.epsilon})"
-                )
-        going = ~escaped & ~(delta < cfg.fixed_point_tol)
-        if not going.all():
-            act, sub = act[going], sub.take(going)
-        if not act.size:
-            break
-    for a in act:
-        failed[a] = ConvergenceError(
-            f"no fixed point within {cfg.max_iterations} iterations "
-            f"(last update {history[a][-1]:.3g})"
-        )
-    return history, failed
+def _narrow(ops: OrbitOperators, live: np.ndarray, out: list):
+    """``ops`` and ``live`` cut to the orbits with an empty entry (``ops`` kept if none is left)."""
+    keep = np.array([out[b] is None for b in live])
+    return (ops, live[keep]) if keep.all() or not keep.any() else (ops.take(keep), live[keep])
 
 
-def _isolate(step, ops: OrbitOperators, arg: np.ndarray):
-    """``step(ops, arg)`` on a batch; when it raises, the failing orbits are found alone.
+def _isolate(step, ops: OrbitOperators, live: np.ndarray, w: np.ndarray, out: list):
+    """``step(ops, w[live])`` on the batch ``live``; when it raises, each orbit runs alone.
 
-    Returns the result for the orbits that pass, their mask and
-    {position: error} for the others.  Orbits of a batch do not interact
-    (up to the rounding note in :func:`_affine_scan`), so the passing
-    orbits get the values they get on their own.
+    The error of every orbit that fails alone goes to its entry of ``out``.
+    Returns the result of the orbits that pass, with their operators and
+    ``live``.  Orbits of a batch do not interact (up to the rounding note
+    in :func:`_affine_scan`), so the passing orbits get the values they get
+    on their own.
     """
     try:
-        return step(ops, arg), np.ones(len(arg), bool), {}
+        return step(ops, w[live]), ops, live
     except QuasiShadowError:
         pass
-    errors = {}
-    for i in range(len(arg)):
+    for r, b in enumerate(live):
         try:
-            step(ops.take([i]), arg[i : i + 1])
+            step(ops.take([r]), w[b : b + 1])
         except QuasiShadowError as exc:
-            errors[i] = exc
-    ok = np.ones(len(arg), bool)
-    ok[list(errors)] = False
-    return (step(ops.take(ok), arg[ok]) if ok.any() else None), ok, errors
+            out[b] = exc
+    ops, live = _narrow(ops, live, out)
+    return (step(ops, w[live]) if live.size else None), ops, live
 
 
 def _extract(sys: CatCircleSystem, ops: OrbitOperators, cfg: SolverConfig, w: np.ndarray):

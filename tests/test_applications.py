@@ -110,6 +110,13 @@ def test_leaf_return_chain_budget_error():
         )
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_leaf_return_refuses_empty_periods(n):
+    sys0 = qs.cat_circle_system(alpha=0.0, kappa=0.0)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        qs.find_periodic_center_leaf_from_leaf_return(sys0, (0.0, 0.0, 0.3), n, 0.01)
+
+
 def test_leaf_return_hypothesis_violated():
     sys0 = qs.cat_circle_system(alpha=0.0, kappa=0.0)
     with pytest.raises(SearchError):

@@ -321,6 +321,22 @@ def test_stability_refuses_empty_grids_and_windows(tmp_path, capsys, key, value,
     assert f"error: ValueError: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, sections",
+    [
+        ("stability", {"stability": {"grid_per_axis": 10**6}}),  # a 6.94 EiB grid
+        ("stability", {"stability": {"grid_per_axis": 2, "window": 10**15}}),  # 341 PiB of orbits
+        ("shadow", {"orbit": {"n_steps": 10**15}}),  # a 42.6 PiB orbit
+        ("sweep", {"orbit": {"n_steps": 10**15}, "sweep": {"noise": [1e-4]}}),
+    ],
+)
+def test_unallocatable_sizes_exit_2(tmp_path, capsys, kind, sections):
+    # far past any address space, so numpy refuses at allocation
+    cfg = _write(tmp_path, "huge.json", {"kind": kind, **sections})
+    assert main([kind, "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 2
+    assert "error: MemoryError: Unable to allocate" in capsys.readouterr().err
+
+
 def _sweep_config(**sweep):
     return {
         "kind": "sweep",

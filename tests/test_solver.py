@@ -575,6 +575,62 @@ def test_shadow_batch_stops_each_orbit_at_its_own_fixed_point(product_sys):
     assert to_json(out[1]) == to_json(qs.shadow(product_sys, noisy))
 
 
+def test_shadow_batch_failures_at_every_stage_match_solves_alone(skew_sys):
+    # each orbit fails at a different stage, or converges after its own number
+    # of steps; every entry must be what the orbit gets when solved alone
+    x0 = (0.11, 0.23, 0.5)
+    orbits = [
+        qs.generate_noisy(skew_sys, x0, 20, 3e-2, seed=1),  # refused by the gate
+        qs.generate_noisy(skew_sys, x0, 20, 1e-6, seed=3),  # fails inside Phi
+        qs.true_orbit_window(skew_sys, x0, 20),  # converges in one step
+        qs.generate_noisy(skew_sys, x0, 20, 1e-6, seed=4),  # fails in _extract
+        qs.generate_noisy(skew_sys, x0, 20, 1e-4, seed=1),  # needs three steps
+        qs.generate_noisy(skew_sys, x0, 20, 1e-6, seed=2),  # converges in two steps
+        qs.generate_noisy(skew_sys, x0, 20, 1e-6, seed=5),  # the same, in one batch with it
+    ]
+    apply_beta, extract = qs.OrbitOperators.apply_beta, qs.solver._extract
+
+    def holds(ops, orbit):
+        return any(np.array_equal(pts, orbit.points) for pts in ops.points)
+
+    def failing_beta(ops, v, variant="tau1"):
+        if holds(ops, orbits[1]):
+            raise ChartError("beta left the chart")
+        return apply_beta(ops, v, variant)
+
+    def failing_extract(sys, ops, cfg, w):
+        if holds(ops, orbits[3]):
+            raise ChartError("extraction left the chart")
+        return extract(sys, ops, cfg, w)
+
+    cfg = qs.SolverConfig(max_iterations=2)
+    with (
+        mock.patch.object(qs.OrbitOperators, "apply_beta", failing_beta),
+        mock.patch.object(qs.solver, "_extract", failing_extract),
+    ):
+        out = qs.shadow_batch(skew_sys, orbits, cfg)
+        alone = [qs.shadow_batch(skew_sys, [orbit], cfg)[0] for orbit in orbits]
+    kinds = [AdmissibilityError, ChartError, qs.ShadowResult, ChartError, ConvergenceError]
+    assert [type(res) for res in out] == kinds + [qs.ShadowResult] * 2
+    assert "no fixed point within 2 iterations" in str(out[4])
+    assert [out[b].diagnostics.iterations for b in (2, 5, 6)] == [1, 2, 2]
+    for res, ref in zip(out, alone):
+        assert type(res) is type(ref)
+        if isinstance(res, qs.ShadowResult):
+            assert to_json(res) == to_json(ref)
+        else:
+            assert str(res) == str(ref)
+
+
+def test_shadow_batch_history_does_not_depend_on_max_iterations(skew_sys):
+    orbits = [_noisy(skew_sys, n=20, seed=s) for s in (1, 2)]
+    default = qs.shadow_batch(skew_sys, orbits)
+    roomy = qs.shadow_batch(skew_sys, orbits, qs.SolverConfig(max_iterations=10**9))
+    for res, ref in zip(roomy, default):
+        assert to_json(res) == to_json(ref)
+        assert len(res.delta_history) == res.diagnostics.iterations == 3
+
+
 def test_shadow_batch_refuses_mixed_boundary_types(product_sys):
     cyc = _cyclic_noisy(product_sys, (0.11, 0.23, 0.5), 30)
     window = qs.PseudoOrbit(cyc.points)
