@@ -33,7 +33,6 @@ from .orbits import (
     find_near_return,
     generate_noisy,
     make_cyclic,
-    measure_defect,
     true_orbit_window,
 )
 from .solver import (

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import QuasiShadowError, SearchError
-from .orbits import NearReturn, PseudoOrbit, make_cyclic, measure_defect, write_table
+from .orbits import NearReturn, PseudoOrbit, make_cyclic, write_table
 from .solver import ShadowResult, SolverConfig, shadow, shadow_batch
 from .systems import C, CatCircleSystem, leaf_dist, splitting_at, splitting_error
 from .torus import RHO0_DEFAULT, dist, expmap, logmap, minimal_rep, wrap
@@ -139,9 +139,7 @@ def find_periodic_center_leaf_from_leaf_return(
     for idx in range(lo, hi):
         anchor = np.array([base[0], base[1], thetas[idx]])
         segments.append(sys.orbit(anchor, n - 1))
-    cyc = PseudoOrbit(np.concatenate(segments, axis=0), cyclic=True)
-    cyc.defect, cyc.defect_index = measure_defect(sys, cyc)
-    res = shadow(sys, cyc, cfg)
+    res = shadow(sys, PseudoOrbit(np.concatenate(segments, axis=0), cyclic=True), cfg)
     period = n * (hi - lo)
     p = res.y[0]
     return PeriodicCenterLeaf(
@@ -201,7 +199,8 @@ def build_semiconjugacy(
     sys_g: CatCircleSystem,
     grid,
     cfg: SolverConfig | None = None,
-    window: int = 200,
+    *,
+    window: int,
 ) -> ConjugacyMap:
     """Quasi-stability map h on a sample grid.
 
@@ -215,8 +214,9 @@ def build_semiconjugacy(
     :func:`shadow_batch` calls (the x-windows, then the g(x)-windows of the
     points whose x-window solved).  The two windows of a point share 2W of
     their 2W + 1 points, so the splitting is computed once on the 2W + 2
-    points of its g-orbit and sliced for both.  Every window is
-    admitted on its own closed-form constants.  A grid point fails with the
+    points of its g-orbit and sliced for both.  Every window is admitted
+    on its own defect, which :func:`shadow_batch` measures against f, and
+    on its own closed-form constants.  A grid point fails with the
     first error of its x-window, else of its g(x)-window; failures are
     collected, not fatal.  A system whose splitting :func:`splitting_error`
     refuses fails every grid point before any orbit or frame is computed.
@@ -233,26 +233,14 @@ def build_semiconjugacy(
     residuals = np.full(n_pts, np.nan)
     errors: list = [None] * n_pts  # the first error of every grid point
 
-    def solve(pts, gaps, split, lo: int, members: list, start: int) -> dict:
+    def solve(pts, split, lo: int, members: list, start: int) -> dict:
         """(y_0, correction_0) by member b, for the windows pts[b, start : start + 2W + 1] solved.
 
-        ``gaps[b, j]`` is the one-step error dist(f(pts[b, j]), pts[b, j + 1]);
-        the windows of the members are solved as one batch, and the error of
+        The windows of the members are solved as one batch, and the error of
         a window that fails goes to grid point lo + b.
         """
         n = 2 * window + 1
-        orbits = []
-        for b in members:
-            seg = gaps[b, start : start + n - 1]
-            j = int(np.argmax(seg))
-            orbits.append(
-                PseudoOrbit(
-                    pts[b, start : start + n],
-                    k_start=-window,
-                    defect=float(seg[j]),
-                    defect_index=j - window,
-                )
-            )
+        orbits = [PseudoOrbit(pts[b, start : start + n], k_start=-window) for b in members]
         results = shadow_batch(sys_f, orbits, cfg, split[members, start : start + n])
         solved = {}
         for b, res in zip(members, results):
@@ -279,9 +267,8 @@ def build_semiconjugacy(
         for lo in range(0, n_pts, _GRID_CHUNK):
             pts = rows[:, np.arange(lo, min(lo + _GRID_CHUNK, n_pts))].swapaxes(0, 1)
             split = splitting_at(sys_f, pts)
-            gaps = dist(sys_f.forward(pts[:, :-1]), pts[:, 1:])
-            at_x = solve(pts, gaps, split, lo, list(range(len(pts))), 0)
-            for b, (y_g, center) in solve(pts, gaps, split, lo, list(at_x), 1).items():
+            at_x = solve(pts, split, lo, list(range(len(pts))), 0)
+            for b, (y_g, center) in solve(pts, split, lo, list(at_x), 1).items():
                 values[lo + b] = at_x[b][0]
                 values_g[lo + b], center_g[lo + b] = y_g, center
 

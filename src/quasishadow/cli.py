@@ -230,8 +230,8 @@ def run_shadow(config: dict, out_dir: Path | None = None, stem: str = "shadow") 
     )
     res = shadow(system, orbit, cfg)
     results = {
-        "defect": orbit.defect,
-        "defect_index": orbit.defect_index,
+        "defect": res.diagnostics.defect,
+        "defect_index": res.defect_index,
         "max_trace_dist": res.max_trace_dist,
         "step_residual": res.step_residual,
         "center_residual": res.center_residual,

@@ -1,4 +1,4 @@
-"""Pseudo orbits: noisy trajectories, defect measurement, near returns, cycles."""
+"""Pseudo orbits: noisy trajectories, near returns, cycles."""
 
 from __future__ import annotations
 
@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SearchError
-from .systems import CatCircleSystem, leaf_dist
-from .torus import RHO_DEFAULT, dist, norm, wrap, wrap_float
+from .systems import CatCircleSystem
+from .torus import RHO_DEFAULT, norm, wrap, wrap_float
 
 # generator recorded in reports so runs are reproducible from the config
 RNG_KIND = "numpy.random.default_rng (PCG64)"
@@ -42,20 +42,17 @@ def write_table(path, header: list[str], table: np.ndarray, index: bool = True) 
 class PseudoOrbit:
     """A finite window x_k, k = k_start .. k_start + len - 1, or a cyclic list.
 
-    ``defect`` is the measured sup of one-step errors dist(f(x_k), x_{k+1});
-    cyclic orbits include the wrap pair (x_{n-1}, x_0), measured fiber-wise
-    when ``leaf_mode`` is set (the effective next point is then the fiber
-    point nearest to f(x_{n-1}), the exact circular minimizer).
+    Its defect depends on the map it is read against, so it carries none:
+    :func:`~quasishadow.solver.shadow_batch` measures it against the system
+    it solves.  Cycles include the wrap pair (x_{n-1}, x_0); with
+    ``leaf_mode`` a tau2 solve measures that pair along the fiber, against
+    the fiber point nearest to f(x_{n-1}).
     """
 
     points: np.ndarray
     cyclic: bool = False
     k_start: int = 0
     leaf_mode: bool = False
-    defect: float = 0.0
-    defect_index: int = 0
-    noise: float = 0.0
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         self.points = np.atleast_2d(np.asarray(self.points, float))
@@ -88,33 +85,12 @@ class NearReturn:
     point: np.ndarray
     n: int
     gap: float
-    mode: str = "point"
+    mode: str
 
     def __post_init__(self) -> None:
         self.point = wrap(self.point)
         if self.mode not in ("point", "leaf"):
             raise ValueError(f"unknown near-return mode {self.mode!r}")
-
-
-def measure_defect(sys: CatCircleSystem, orbit: PseudoOrbit) -> tuple[float, int]:
-    """Sup of one-step errors and the index k of the pair (x_k, x_{k+1}) attaining it."""
-    pts = orbit.points
-    if orbit.cyclic:
-        img = sys.forward(pts)
-        nxt = np.roll(pts, -1, axis=0)
-    else:
-        img = sys.forward(pts[:-1])
-        nxt = pts[1:]
-    gaps = np.atleast_1d(dist(img, nxt)).astype(float)
-    if orbit.cyclic and orbit.leaf_mode:
-        gaps[-1] = leaf_dist(img[-1], nxt[-1])
-    j = int(np.argmax(gaps))
-    return float(gaps[j]), int(orbit.ks[j])
-
-
-def _measured(orbit: PseudoOrbit, sys: CatCircleSystem) -> PseudoOrbit:
-    orbit.defect, orbit.defect_index = measure_defect(sys, orbit)
-    return orbit
 
 
 def _ball_draws(rng: np.random.Generator, count: int, radius: float, dim: int) -> np.ndarray:
@@ -139,8 +115,10 @@ def generate_noisy(
     """Two-sided noisy trajectory through x0 on the window [-n_steps, n_steps].
 
     Forward points perturb the image inside the noise ball; backward points
-    apply the inverse map to a perturbed point.  Either way the one-step
-    error equals the drawn offset, so the measured defect stays <= noise.
+    apply the inverse map to a perturbed point.  Either way each one-step
+    error dist(f(x_k), x_{k+1}) under ``sys`` is its drawn offset up to
+    rounding, and the offsets are drawn a hair inside the ball, so every
+    error stays at most ``noise``.
     Deterministic for a fixed seed.  Steps on the float kernel
     (:meth:`CatCircleSystem.step`), wrapping twice like ``wrap(forward(x) + xi)``.
     """
@@ -162,15 +140,12 @@ def generate_noisy(
     for j, (e0, e1, e2) in enumerate(_float_rows(xi[n_steps:])):
         x = sys.step_inverse(wrap_float(x[0] + e0), wrap_float(x[1] + e1), wrap_float(x[2] + e2))
         pts[n_steps - 1 - j] = x
-    orbit = PseudoOrbit(pts, cyclic=False, k_start=-n_steps, noise=noise, seed=seed)
-    return _measured(orbit, sys)
+    return PseudoOrbit(pts, k_start=-n_steps)
 
 
 def true_orbit_window(sys: CatCircleSystem, x0, n_steps: int) -> PseudoOrbit:
     """Zero-defect window built by forward iteration only (exact orbit segment)."""
-    pts = sys.orbit(x0, 2 * n_steps)
-    orbit = PseudoOrbit(pts, cyclic=False, k_start=-n_steps)
-    return _measured(orbit, sys)
+    return PseudoOrbit(sys.orbit(x0, 2 * n_steps), k_start=-n_steps)
 
 
 def find_near_return(
@@ -178,7 +153,7 @@ def find_near_return(
     x0,
     max_n: int,
     threshold: float,
-    mode: str = "point",
+    mode: str,
 ) -> NearReturn:
     """Smallest n <= max_n with dist(x0, f^n(x0)) < threshold.
 
@@ -209,10 +184,9 @@ def find_near_return(
 def make_cyclic(sys: CatCircleSystem, near_return: NearReturn) -> PseudoOrbit:
     """Period-n cyclic pseudo orbit x, f(x), ..., f^(n-1)(x) from a near return.
 
-    Only the wrap pair is inexact; its error is the return gap.  For
-    leaf-mode returns the wrap error is accounted fiber-wise, i.e. against
-    the point of the starting fiber closest to f^n(x).
+    Only the wrap pair is inexact; its error is the return gap.  A leaf-mode
+    return gives a leaf-mode cycle, whose wrap error a tau2 solve measures
+    fiber-wise, against the point of the starting fiber closest to f^n(x).
     """
     pts = sys.orbit(near_return.point, near_return.n - 1)
-    orbit = PseudoOrbit(pts, cyclic=True, leaf_mode=(near_return.mode == "leaf"))
-    return _measured(orbit, sys)
+    return PseudoOrbit(pts, cyclic=True, leaf_mode=(near_return.mode == "leaf"))

@@ -47,6 +47,7 @@ from .systems import (
     CatCircleSystem,
     Splitting,
     center_flow,
+    leaf_dist,
     splitting_at,
     splitting_error,
 )
@@ -157,7 +158,9 @@ class ShadowResult:
 
     ``trans`` holds the ambient transversal components v_k (y_k equals
     exp_{x_k} v_k); ``corrections`` holds center vectors u_k for tau1 and
-    scalar fiber moves / flow times for tau2 / tau3.
+    scalar fiber moves / flow times for tau2 / tau3.  ``defect_index`` is
+    the k of the pair (x_k, x_{k+1}) whose one-step error is
+    ``diagnostics.defect``.
     """
 
     variant: str
@@ -167,6 +170,7 @@ class ShadowResult:
     trans: np.ndarray
     corrections: np.ndarray
     diagnostics: ContractionBounds
+    defect_index: int
     max_trace_dist: float
     step_residual: float
     center_residual: float
@@ -471,14 +475,21 @@ def shadow_batch(
 
     Returns one entry per orbit: its :class:`ShadowResult`, or the
     :class:`QuasiShadowError` of the first check it failed.  The checks run
-    per orbit in this order: boundary policy, leaf-mode wrap gap, the
-    splitting tail bound (:func:`splitting_error`, one verdict for the
-    system, so every orbit left gets the same error), then the closed-form
-    gate of :meth:`OrbitOperators.bounds`: lambda_tilde < 1, contraction
-    bound < 1, predicted radius < epsilon; then, in every Phi step, the
-    chart checks of beta and the epsilon ball, then ``max_iterations`` and
-    the chart checks of the result.  An orbit that fails leaves the others
-    untouched.
+    per orbit in this order: boundary policy, finite points, the defect
+    measurement with the leaf-mode wrap gap, the splitting tail bound
+    (:func:`splitting_error`, one verdict for the system, so every orbit
+    left gets the same error), then the closed-form gate of
+    :meth:`OrbitOperators.bounds` on the defect: lambda_tilde < 1,
+    contraction bound < 1, predicted radius < epsilon; then, in every Phi
+    step, the chart checks of beta and the epsilon ball, then
+    ``max_iterations`` and the chart checks of the result.  An orbit that
+    fails leaves the others untouched.
+
+    The defect is measured against ``sys``: the largest one-step error
+    dist(f(x_k), x_{k+1}), a cycle's wrap pair included, reported as
+    ``diagnostics.defect`` with its k as ``defect_index``.  A leaf-mode
+    wrap counts along the fiber for tau2; the other variants must absorb
+    the pointwise wrap gap, which is refused above rho and counts otherwise.
 
     Per-orbit arrays (entries, iterates, update norms, gate constants) are
     indexed by position in ``orbits``; ``live`` holds the orbits behind the
@@ -505,29 +516,48 @@ def shadow_batch(
                 f"orbit cyclic={cyclic}"
             )
         ] * len(orbits)
-    gaps = np.zeros(len(orbits))
-    for b, orbit in enumerate(orbits):
-        if orbit.leaf_mode and cfg.variant != "tau2":
-            gaps[b] = dist(sys.forward(orbit.points[-1]), orbit.points[0])
-            if gaps[b] > cfg.chart.rho:
-                out[b] = AdmissibilityError(
-                    f"leaf-mode orbit has pointwise wrap gap {gaps[b]:.6g} > rho="
-                    f"{cfg.chart.rho}; only the fiber-sliding variant (tau2) applies"
-                )
-    err = splitting_error(sys)
-    if err is not None:
-        return [err if o is None else o for o in out]
     points = np.stack([orbit.points for orbit in orbits])
+    for b in np.flatnonzero(~np.isfinite(points).all(axis=(1, 2))):
+        k = orbits[b].k_start + int(np.argmin(np.isfinite(points[b]).all(axis=-1)))
+        out[b] = ChartError(f"non-finite coordinate in orbit point k={k}")
     live = np.flatnonzero([o is None for o in out])
     if not live.size:
         return out
     if live.size < len(orbits):
         points = points[live]
-        split = None if split is None else split[live]
+    # one-step errors dist(f(x_j), x_{j+1}); a cycle's last pair is its wrap
+    img = sys.forward(points if cyclic else points[:, :-1])
+    nxt = np.roll(points, -1, axis=1) if cyclic else points[:, 1:]
+    gaps = dist(img, nxt)
+    leaf = cyclic & np.array([orbits[b].leaf_mode for b in live])
+    if cfg.variant == "tau2":
+        gaps[leaf, -1] = leaf_dist(img[leaf, -1], nxt[leaf, -1])
+    else:
+        for b, gap in zip(live[leaf], gaps[leaf, -1]):
+            if gap > cfg.chart.rho:
+                out[b] = AdmissibilityError(
+                    f"leaf-mode orbit has pointwise wrap gap {gap:.6g} > rho="
+                    f"{cfg.chart.rho}; only the fiber-sliding variant (tau2) applies"
+                )
+    at = np.argmax(gaps, axis=-1)
+    defect = gaps[np.arange(len(live)), at]
+    defect_index = np.zeros(len(orbits), int)
+    defect_index[live] = np.array([orbits[b].k_start for b in live]) + at
+    del img, nxt, gaps  # the solve below runs without the measurement's arrays
+    err = splitting_error(sys)
+    if err is not None:
+        return [err if o is None else o for o in out]
+    keep = np.array([out[b] is None for b in live])
+    if not keep.any():
+        return out
+    if not keep.all():
+        points, defect, live = points[keep], defect[keep], live[keep]
+    if split is not None and live.size < len(orbits):
+        split = split[live]
     ops = OrbitOperators(sys, points, cyclic, cfg.chart, split)
 
     gate = np.full((len(orbits), 7), np.nan)
-    gate[live] = ops.bound_table(cfg, [max(float(orbits[b].defect), gaps[b]) for b in live])
+    gate[live] = ops.bound_table(cfg, defect)
     lam, contraction, defect, radius = gate[:, [0, 3, 4, 5]].T
     for b in np.flatnonzero((lam >= 1.0) | (contraction >= 1.0) | (radius >= cfg.epsilon)):
         if lam[b] >= 1.0:
@@ -594,6 +624,7 @@ def shadow_batch(
                     trans=trans,
                     corrections=corrections,
                     diagnostics=diagnostics,
+                    defect_index=int(defect_index[b]),
                     max_trace_dist=float(trace),
                     step_residual=float(step),
                     center_residual=float(center),

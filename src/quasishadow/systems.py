@@ -50,24 +50,14 @@ S, C, U = 0, 1, 2
 
 @dataclass(frozen=True)
 class HyperbolicityRates:
-    """One-step stretch factors; construction enforces the hyperbolicity ordering."""
+    """Stable and unstable one-step stretch factors (the center one is 1); 0 < lam < 1 < mu."""
 
     lam: float
-    lam_prime: float
-    mu_prime: float
     mu: float
 
     def __post_init__(self) -> None:
-        ok = (
-            0.0 < self.lam < 1.0 < self.mu
-            and self.lam < self.lam_prime <= self.mu_prime < self.mu
-        )
-        if not ok:
-            raise RateOrderError(
-                "rate ordering violated: "
-                f"lam={self.lam:.6g}, lam'={self.lam_prime:.6g}, "
-                f"mu'={self.mu_prime:.6g}, mu={self.mu:.6g}"
-            )
+        if not 0.0 < self.lam < 1.0 < self.mu:
+            raise RateOrderError(f"rate ordering violated: lam={self.lam:.6g}, mu={self.mu:.6g}")
 
 
 @dataclass(frozen=True)
@@ -354,7 +344,7 @@ def rate_bounds(kappa: float) -> HyperbolicityRates:
     """
     r_s, r_u = slope_bounds(kappa)
     lam, mu = LAM * np.hypot(1.0, r_s), MU / np.hypot(1.0, r_u)
-    return HyperbolicityRates(float(lam), 1.0, 1.0, float(mu))
+    return HyperbolicityRates(float(lam), float(mu))
 
 
 def splitting_error(sys: CatCircleSystem) -> SplittingError | None:

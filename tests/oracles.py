@@ -377,6 +377,25 @@ def chunked_covering_radius(probes, points, chunk=64):
     return worst
 
 
+def measure_defect(sys, orbit):
+    """Sup of the one-step errors dist(f(x_k), x_{k+1}) of an orbit and the k attaining it.
+
+    Cycles include the wrap pair (x_{n-1}, x_0); in leaf mode it is the
+    distance between fibers, the base part of the gap.  The solver
+    measures the same rule on stacked orbits inside ``shadow_batch``.
+    """
+    pts = orbit.points
+    nxt = np.roll(pts, -1, axis=0)
+    if not orbit.cyclic:
+        pts, nxt = pts[:-1], nxt[:-1]
+    diff = minrep(nxt - sys.forward(pts))
+    if orbit.cyclic and orbit.leaf_mode:
+        diff[-1, 2] = 0.0
+    gaps = np.linalg.norm(diff, axis=-1)
+    j = int(np.argmax(gaps))
+    return float(gaps[j]), orbit.k_start + j
+
+
 # --- single-point loops on the array maps -------------------------------------
 # The loops below step one point at a time through the matrix-product maps
 # above (numpy arrays, np.sin, np.mod), the way the library did before its
@@ -567,10 +586,10 @@ def tau2_lipschitz(sys, x, n_samples=200, radius=0.04, seed=0):
 def verify_rates(sys, points):
     """Measured one-step rates over sample points (the closed form is ``rate_bounds``).
 
-    Returns (max stable stretch, min center stretch, max center stretch,
-    min unstable stretch); raises ``RateOrderError`` when the partially
-    hyperbolic ordering fails, which signals kappa too large.
+    Returns (max stable stretch, min unstable stretch); raises
+    ``RateOrderError`` when the partially hyperbolic ordering fails, which
+    signals kappa too large.
     """
     pushed = sys.differential(points) @ splitting_at(sys, points).frames
-    s, c, u = (norm(pushed[..., :, b]) for b in (S, C, U))
-    return HyperbolicityRates(float(s.max()), float(c.min()), float(c.max()), float(u.min()))
+    s, u = (norm(pushed[..., :, b]) for b in (S, U))
+    return HyperbolicityRates(float(s.max()), float(u.min()))

@@ -235,9 +235,7 @@ def _per_window_semiconjugacy(sys_f, sys_g, grid, cfg, window):
         rows[window - 1 - j] = z
 
     def solve(points):
-        orbit = qs.PseudoOrbit(points, k_start=-window)
-        orbit.defect, orbit.defect_index = qs.measure_defect(sys_f, orbit)
-        return qs.shadow(sys_f, orbit, cfg)
+        return qs.shadow(sys_f, qs.PseudoOrbit(points, k_start=-window), cfg)
 
     out = {key: np.full((len(grid), 3), np.nan) for key in ("values", "values_at_g", "center_at_g")}
     out["residuals"] = np.full(len(grid), np.nan)

@@ -5,30 +5,31 @@ import quasishadow as qs
 from quasishadow.cli import to_json
 from quasishadow.errors import SearchError
 
-from oracles import product_map, scan_near_return
+from oracles import measure_defect, product_map, scan_near_return
 
 
 def test_true_orbit_zero_defect(product_sys):
     orbit = qs.true_orbit_window(product_sys, (0.11, 0.23, 0.5), 50)
-    assert orbit.defect == 0.0
+    assert measure_defect(product_sys, orbit)[0] == 0.0
+    assert qs.shadow(product_sys, orbit).diagnostics.defect == 0.0
 
 
 def test_noise_zero_two_sided_defect_is_roundoff(product_sys):
     orbit = qs.generate_noisy(product_sys, (0.11, 0.23, 0.5), 50, 0.0, seed=1)
     # backward half goes through f(f^{-1}(x)), exact only up to float rounding
-    assert orbit.defect <= 1e-15
+    assert measure_defect(product_sys, orbit)[0] <= 1e-15
 
 
 def test_generate_noisy_deterministic(product_sys):
     a = qs.generate_noisy(product_sys, (0.11, 0.23, 0.5), 30, 1e-4, seed=42)
     b = qs.generate_noisy(product_sys, (0.11, 0.23, 0.5), 30, 1e-4, seed=42)
     assert np.array_equal(a.points, b.points)
-    assert a.defect == b.defect
+    assert to_json(a) == to_json(b)
 
 
 def test_generate_noisy_defect_bounded(product_sys):
     orbit = qs.generate_noisy(product_sys, (0.11, 0.23, 0.5), 200, 1e-4, seed=3)
-    assert 0.0 < orbit.defect <= 1e-4
+    assert 0.0 < measure_defect(product_sys, orbit)[0] <= 1e-4
     assert len(orbit) == 401
     assert orbit.ks[0] == -200 and orbit.ks[-1] == 200
 
@@ -36,7 +37,7 @@ def test_generate_noisy_defect_bounded(product_sys):
 def test_generate_noisy_defect_bounded_100_seeds(product_sys):
     for seed in range(100):
         orbit = qs.generate_noisy(product_sys, (0.11, 0.23, 0.5), 10, 1e-3, seed=seed)
-        assert orbit.defect <= 1e-3
+        assert measure_defect(product_sys, orbit)[0] <= 1e-3
 
 
 def test_generate_noisy_rejects_large_noise(product_sys):
@@ -56,22 +57,24 @@ def test_measure_defect_tampered_point(product_sys):
     j = 13  # row index of k = 3
     pts[j] = qs.wrap(pts[j] + np.array([1e-3, 0.0, 0.0]))
     tampered = qs.PseudoOrbit(pts, k_start=-10)
-    defect, k_at = qs.measure_defect(product_sys, tampered)
+    res = qs.shadow(product_sys, tampered)
     expected = max(
         qs.dist(product_sys.forward(pts[j - 1]), pts[j]),
         qs.dist(product_sys.forward(pts[j]), pts[j + 1]),
     )
-    assert defect == expected
-    assert k_at in (2, 3)
+    assert res.diagnostics.defect == expected
+    assert res.defect_index in (2, 3)
+    assert (res.diagnostics.defect, res.defect_index) == measure_defect(product_sys, tampered)
 
 
 def test_measure_defect_cyclic_includes_wrap(product_sys):
     pts = product_sys.orbit((0.11, 0.23, 0.5), 4)  # 5 points, not a cycle
     orbit = qs.PseudoOrbit(pts, cyclic=True)
-    defect, k_at = qs.measure_defect(product_sys, orbit)
     wrap_gap = qs.dist(product_sys.forward(pts[-1]), pts[0])
-    assert defect == wrap_gap
-    assert k_at == 4
+    assert measure_defect(product_sys, orbit) == (wrap_gap, 4)
+    # the solver measures the same wrap gap and refuses it at the gate
+    with pytest.raises(qs.AdmissibilityError, match=f"defect {wrap_gap:.6g} predicts"):
+        qs.shadow(product_sys, orbit)
 
 
 def test_find_near_return_fixed_fiber_leaf_mode():
@@ -110,7 +113,8 @@ def test_make_cyclic_fixed_point():
     nr = qs.find_near_return(sys0, (0.0, 0.0, 0.3), 10, 0.5, mode="leaf")
     cyc = qs.make_cyclic(sys0, nr)
     assert len(cyc) == 1 and cyc.cyclic
-    assert cyc.defect == 0.0
+    assert measure_defect(sys0, cyc)[0] == 0.0
+    assert qs.shadow(sys0, cyc, qs.SolverConfig(variant="tau2")).diagnostics.defect == 0.0
 
 
 def test_make_cyclic_point_mode_defect_equals_gap():
@@ -118,8 +122,9 @@ def test_make_cyclic_point_mode_defect_equals_gap():
     nr = qs.find_near_return(sys0, (0.1, 0.2, 0.3), 5000, 1e-3, mode="point")
     cyc = qs.make_cyclic(sys0, nr)
     assert nr.n == 12
-    assert cyc.defect == nr.gap
-    assert cyc.defect_index == len(cyc) - 1
+    res = qs.shadow(sys0, cyc)
+    assert res.diagnostics.defect == nr.gap
+    assert res.defect_index == len(cyc) - 1
 
 
 def test_make_cyclic_leaf_mode_measures_fiberwise(product_sys):
@@ -128,7 +133,9 @@ def test_make_cyclic_leaf_mode_measures_fiberwise(product_sys):
     nr = qs.find_near_return(product_sys, (0.1, 0.2, 0.3), 5000, 1e-3, mode="leaf")
     cyc = qs.make_cyclic(product_sys, nr)
     assert cyc.leaf_mode
-    assert cyc.defect == nr.gap
+    res = qs.shadow(product_sys, cyc, qs.SolverConfig(variant="tau2"))
+    assert res.diagnostics.defect == nr.gap
+    assert (res.diagnostics.defect, res.defect_index) == measure_defect(product_sys, cyc)
     pointwise = qs.dist(product_sys.forward(cyc.points[-1]), cyc.points[0])
     assert pointwise > 0.1  # the fiber jump the slide has to absorb
 
@@ -136,8 +143,8 @@ def test_make_cyclic_leaf_mode_measures_fiberwise(product_sys):
 def test_orbit_serialization_roundtrip(tmp_path, product_sys):
     orbit = qs.generate_noisy(product_sys, (0.11, 0.23, 0.5), 5, 1e-4, seed=9)
     payload = to_json(orbit)
-    assert payload["seed"] == 9
-    assert payload["k_start"] == -5 and "rng" not in payload
+    assert set(payload) == {"points", "cyclic", "k_start", "leaf_mode"}
+    assert payload["k_start"] == -5
     assert np.array_equal(np.asarray(payload["points"]), orbit.points)
     path = tmp_path / "orbit.csv"
     orbit.write_csv(path)

@@ -20,7 +20,7 @@ from oracles import (
     periodic_base_point,
     pointwise_norm_equivalence,
 )
-from oracles import estimate_contraction, norm_sup, tau2_lipschitz, transversal_slide
+from oracles import estimate_contraction, measure_defect, norm_sup, tau2_lipschitz, transversal_slide
 
 
 def _noisy(sys, n=200, noise=1e-4, seed=5):
@@ -45,7 +45,7 @@ def test_beta_zero_matches_defects(product_sys):
     norms = np.linalg.norm(amb[1:], axis=-1)
     gaps = qs.dist(product_sys.forward(orbit.points[:-1]), orbit.points[1:])
     assert np.allclose(norms, gaps, atol=1e-15)
-    assert np.max(norms) <= orbit.defect + 1e-15
+    assert np.max(norms) <= measure_defect(product_sys, orbit)[0] + 1e-15
 
 
 def test_beta_affine_for_product_system(product_sys, rng):
@@ -143,7 +143,6 @@ def test_solve_p_matches_dense_cyclic(product_sys, rng):
     nr = qs.NearReturn(np.array([0.1, 0.2, 0.3]), 30, 0.0, "point")
     pts = product_sys.orbit(nr.point, 29)
     orbit = qs.PseudoOrbit(pts, cyclic=True)
-    orbit.defect, orbit.defect_index = qs.measure_defect(product_sys, orbit)
     ops = qs.OrbitOperators(product_sys, orbit.points, cyclic=True)
     rhs = rng.standard_normal((30, 3)) * 1e-3
     out = ops.solve_p(rhs)
@@ -204,7 +203,6 @@ def test_one_step_orbits_keep_their_block_multipliers(kappa):
 def test_one_step_window_solves_alone_as_batched(product_sys):
     pts = qs.generate_noisy(product_sys, (0.11, 0.23, 0.5), 1, 1e-4, seed=5).points[1:]
     orbit = qs.PseudoOrbit(pts)
-    orbit.defect, orbit.defect_index = qs.measure_defect(product_sys, orbit)
     alone = qs.shadow(product_sys, orbit)
     batched = qs.shadow_batch(product_sys, [orbit, orbit])
     for res in batched:
@@ -266,7 +264,7 @@ def test_fixed_point_matches_dense_oracle(product_sys):
 def test_tracing_bound_product(product_sys):
     orbit = _noisy(product_sys)
     res = qs.shadow(product_sys, orbit)
-    assert res.max_trace_dist <= 5.0 * orbit.defect
+    assert res.max_trace_dist <= 5.0 * res.diagnostics.defect
     assert res.step_residual <= 10.0 * 1e-12
     assert res.center_residual <= 1e-10
 
@@ -274,7 +272,7 @@ def test_tracing_bound_product(product_sys):
 def test_tracing_bound_skew(skew_sys):
     orbit = _noisy(skew_sys)
     res = qs.shadow(skew_sys, orbit)
-    assert res.max_trace_dist <= 8.0 * orbit.defect
+    assert res.max_trace_dist <= 8.0 * res.diagnostics.defect
     assert res.step_residual <= 10.0 * 1e-12
 
 
@@ -332,7 +330,6 @@ def test_window_edge_decay(product_sys):
     centers = {}
     for half in (8, 16, 24):
         sl = qs.PseudoOrbit(big.points[40 - half : 40 + half + 1], k_start=-half)
-        sl.defect, sl.defect_index = qs.measure_defect(product_sys, sl)
         centers[half] = qs.shadow(product_sys, sl).y[half]
     d8 = qs.dist(centers[8], centers[24])
     d16 = qs.dist(centers[16], centers[24])
@@ -466,9 +463,7 @@ def _cyclic_noisy(sys, x0, n):
     gap = qs.minimal_rep(pts[n, 2] - pts[0, 2])
     pts = pts[:n].copy()
     pts[:, 2] = qs.wrap(pts[:, 2] - gap * np.arange(n) / n)
-    orbit = qs.PseudoOrbit(pts, cyclic=True)
-    orbit.defect, orbit.defect_index = qs.measure_defect(sys, orbit)
-    return orbit
+    return qs.PseudoOrbit(pts, cyclic=True)
 
 
 @settings(max_examples=24, deadline=None)
@@ -485,7 +480,7 @@ def test_bounds_dominate_oracles_and_probes(kappa, variant, cyclic, n, seed):
     orbit = _cyclic_noisy(sys, x0, n) if cyclic else qs.generate_noisy(sys, x0, n, 1e-4, seed)
     cfg = qs.SolverConfig(variant=variant, admissibility_probes=64)
     ops = qs.OrbitOperators(sys, orbit.points, orbit.cyclic)
-    bound = ops.bounds(cfg, orbit.defect)[0]
+    bound = ops.bounds(cfg, measure_defect(sys, orbit)[0])[0]
     probed = estimate_contraction(sys, orbit, cfg)
     # the pointwise constant is exact up to rounding; eta is affine at kappa = 0,
     # where the probes and differences read rounding only
@@ -504,11 +499,12 @@ def test_predicted_radius_bound_is_tight(skew_sys, variant):
     cfg = qs.SolverConfig(variant=variant, admissibility_probes=64)
     res = qs.shadow(skew_sys, orbit, cfg)
     bound = res.diagnostics
+    defect = measure_defect(skew_sys, orbit)[0]
     assert dataclasses.replace(bound, iterations=0, final_residual=0.0) == dataclasses.replace(
-        qs.OrbitOperators(skew_sys, orbit.points).bounds(cfg, orbit.defect)[0], final_residual=0.0
+        qs.OrbitOperators(skew_sys, orbit.points).bounds(cfg, defect)[0], final_residual=0.0
     )
     est = estimate_contraction(skew_sys, orbit, cfg)
-    probed = est.norm_equivalence_pointwise * orbit.defect / (
+    probed = est.norm_equivalence_pointwise * defect / (
         (1.0 - est.lambda_tilde) * (1.0 - est.observed_contraction)
     )
     assert probed <= bound.predicted_radius <= 1.5 * probed
@@ -663,3 +659,68 @@ def test_result_serialization(tmp_path, product_sys):
     assert len(rows) == len(orbit) + 1
     cells = rows[1].split(",")
     assert float(cells[4]) == res.y[0, 0]  # lossless round trip
+
+
+# -- the measured defect -------------------------------------------------
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.02])
+def test_non_finite_orbit_fails_alone(kappa):
+    sys = qs.cat_circle_system(0.3, kappa)
+    good = [_noisy(sys, n=20, seed=s) for s in (1, 2)]
+    pts = good[0].points.copy()
+    pts[7, 1] = np.nan
+    out = qs.shadow_batch(sys, [good[0], qs.PseudoOrbit(pts, k_start=-20), good[1]])
+    assert isinstance(out[1], ChartError)
+    assert str(out[1]) == "non-finite coordinate in orbit point k=-13"
+    for res, orbit in ((out[0], good[0]), (out[2], good[1])):
+        assert to_json(res) == to_json(qs.shadow(sys, orbit))
+
+
+def _unmeasured(orbit):
+    """The points of ``orbit`` rebuilt as a new window, nothing else carried over."""
+    return qs.PseudoOrbit(orbit.points.copy(), k_start=orbit.k_start)
+
+
+def test_gate_refuses_an_unmeasured_orbit_like_the_generated_one():
+    sys = qs.cat_circle_system(0.3, 0.0)
+    orbit = qs.generate_noisy(sys, (0.11, 0.23, 0.5), 50, 0.02, seed=3)
+    messages = []
+    for o in (orbit, _unmeasured(orbit)):
+        with pytest.raises(AdmissibilityError) as exc:
+            qs.shadow(sys, o)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert "predicts tracing radius 0.0454259 >= epsilon 0.04" in messages[0]
+
+
+def test_unmeasured_orbit_reports_its_measured_defect():
+    sys = qs.cat_circle_system(0.3, 0.0)
+    orbit = _unmeasured(qs.generate_noisy(sys, (0.11, 0.23, 0.5), 50, 0.012, seed=3))
+    res = qs.shadow(sys, orbit)
+    assert (res.diagnostics.defect, res.defect_index) == measure_defect(sys, orbit)
+    assert 0.0119 < res.diagnostics.defect <= 0.012
+
+
+def test_gate_measures_against_the_solving_system():
+    # an orbit made under a translated map misses the untranslated one by the shift
+    shifted = qs.cat_circle_system(0.3, 0.0, shift=(1e-3, 0.0, 0.0))
+    plain = qs.cat_circle_system(0.3, 0.0)
+    orbit = qs.generate_noisy(shifted, (0.11, 0.23, 0.5), 50, 1e-4, seed=3)
+    res = qs.shadow(plain, orbit)
+    assert (res.diagnostics.defect, res.defect_index) == measure_defect(plain, orbit)
+    assert res.diagnostics.defect > 9e-4 > 1e-4 >= measure_defect(shifted, orbit)[0]
+
+
+def test_leaf_mode_wrap_counts_along_the_fiber_for_tau2_only():
+    sys = qs.cat_circle_system(0.001)
+    nr = qs.find_near_return(sys, (0.1, 0.2, 0.3), 5000, 1e-3, mode="leaf")
+    cyc = qs.make_cyclic(sys, nr)
+    pointwise = dataclasses.replace(cyc, leaf_mode=False)
+    wrap_gap = qs.dist(sys.forward(cyc.points[-1]), cyc.points[0])
+    assert nr.gap < wrap_gap < 0.05
+    for variant, want in (("tau1", wrap_gap), ("tau3", wrap_gap), ("tau2", nr.gap)):
+        res = qs.shadow(sys, cyc, qs.SolverConfig(variant=variant))
+        assert (res.diagnostics.defect, res.defect_index) == (want, len(cyc) - 1)
+    assert measure_defect(sys, cyc) == (nr.gap, len(cyc) - 1)
+    assert measure_defect(sys, pointwise) == (wrap_gap, len(cyc) - 1)

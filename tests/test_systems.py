@@ -158,8 +158,6 @@ def test_verify_rates_product_exact(product_sys, rng):
     pts = qs.wrap(rng.random((100, 3)))
     rates = verify_rates(product_sys, pts)
     assert abs(rates.lam - 0.3819660112501051) < 1e-9
-    assert rates.lam_prime == 1.0
-    assert rates.mu_prime == 1.0
     assert abs(rates.mu - 2.618033988749895) < 1e-9
 
 
@@ -167,8 +165,6 @@ def test_verify_rates_skew_ordering(skew_sys, rng):
     pts = qs.wrap(rng.random((100, 3)))
     rates = verify_rates(skew_sys, pts)
     assert rates.lam < 1.0 < rates.mu
-    # the fiber stretch of the skew product is exactly one
-    assert rates.lam_prime == 1.0 and rates.mu_prime == 1.0
 
 
 def test_large_kappa_rejected():
@@ -197,15 +193,14 @@ def test_verify_rates_within_closed_form(kappa):
     bound = rate_bounds(kappa)
     assert LAM < measured.lam <= bound.lam < 1.0
     assert 1.0 < bound.mu <= measured.mu < MU
-    assert measured.lam_prime == measured.mu_prime == 1.0
 
 
 def test_rate_ordering_validation():
     with pytest.raises(RateOrderError):
-        qs.HyperbolicityRates(1.1, 1.0, 1.0, 2.6)
+        qs.HyperbolicityRates(1.1, 2.6)
     with pytest.raises(RateOrderError):
-        qs.HyperbolicityRates(0.4, 0.3, 1.0, 2.6)
-    qs.HyperbolicityRates(0.4, 1.0, 1.0, 2.6)
+        qs.HyperbolicityRates(0.4, 0.9)
+    qs.HyperbolicityRates(0.4, 2.6)
 
 
 def test_splitting_convergence_guard():
