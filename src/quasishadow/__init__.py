@@ -53,4 +53,4 @@ from .systems import (
     leaf_dist,
     splitting_at,
 )
-from .torus import ChartConfig, dist, expmap, logmap, minimal_rep, wrap
+from .torus import dist, expmap, logmap, minimal_rep, wrap

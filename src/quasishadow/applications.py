@@ -57,16 +57,12 @@ def _closing_config(cfg: SolverConfig | None) -> SolverConfig:
     return replace(cfg, variant=closing_variant(cfg.variant))
 
 
-def _iterate(sys: CatCircleSystem, p, n: int) -> tuple[float, float, float]:
-    """f^n(p) on the float kernel."""
-    z = p
-    for _ in range(n):
-        z = sys.step(*z)
-    return z
-
-
 def _leaf_residual(sys: CatCircleSystem, p: np.ndarray, period: int) -> float:
-    return float(leaf_dist(p, _iterate(sys, p.tolist(), period)))
+    """Base gap between the fiber of p and f^period(p), iterated on the float kernel."""
+    z = p.tolist()
+    for _ in range(period):
+        z = sys.step(*z)
+    return float(leaf_dist(p, z))
 
 
 def find_periodic_center_leaf(
@@ -117,13 +113,13 @@ def find_periodic_center_leaf_from_leaf_return(
     x = wrap(x)
     base = x[:2].tolist()
     thetas = [float(x[2])]
+    walks = []  # walks[i]: x_i .. f^n(x_i); orbit's wrap keeps the anchor's bits, all in [0, 1)
     for m in range(1, max_chain + 1):
-        z = _iterate(sys, (base[0], base[1], thetas[m - 1]), n)
+        walks.append(sys.orbit((base[0], base[1], thetas[m - 1]), n))
+        z = walks[-1][-1]
         gap = leaf_dist(x, z)
         if gap >= delta:
-            raise SearchError(
-                f"fiber return gap {gap:.6g} is not below delta={delta:g}"
-            )
+            raise SearchError(f"fiber return gap {gap:.6g} is not below delta={delta:g}")
         # the new anchor is the exact circular minimizer on the fiber, so
         # anchor distances reduce to circle distances between thetas
         hits = np.flatnonzero(np.abs(minimal_rep(np.asarray(thetas) - z[2])) < delta - gap)
@@ -132,14 +128,8 @@ def find_periodic_center_leaf_from_leaf_return(
             lo, hi = int(hits[0]), m
             break
     else:
-        raise SearchError(
-            f"no recurrence pair on the fiber within {max_chain} chain steps"
-        )
-    segments = []
-    for idx in range(lo, hi):
-        anchor = np.array([base[0], base[1], thetas[idx]])
-        segments.append(sys.orbit(anchor, n - 1))
-    res = shadow(sys, PseudoOrbit(np.concatenate(segments, axis=0), cyclic=True), cfg)
+        raise SearchError(f"no recurrence pair on the fiber within {max_chain} chain steps")
+    res = shadow(sys, PseudoOrbit(np.concatenate([w[:n] for w in walks[lo:hi]]), cyclic=True), cfg)
     period = n * (hi - lo)
     p = res.y[0]
     return PeriodicCenterLeaf(
@@ -272,7 +262,7 @@ def build_semiconjugacy(
                 values[lo + b] = at_x[b][0]
                 values_g[lo + b], center_g[lo + b] = y_g, center
 
-    rho0 = cfg.chart.rho0
+    rho0 = cfg.rho0
     ok = ~np.isnan(values[:, 0])
     if ok.any():
         gx = rows[window + 1, ok]

@@ -37,17 +37,27 @@ from .errors import ConfigError, QuasiShadowError
 from .orbits import RNG_KIND, find_near_return, generate_noisy
 from .solver import VARIANTS, SolverConfig, shadow
 from .systems import SplitConfig, cat_circle_system
-from .torus import ChartConfig
 
 # schema type of a list of exactly three numbers (a point or a translation)
 _VEC3 = "3-vector"
 
 
-def _defaults(cls, skip=()) -> dict:
+def _defaults(cls) -> dict:
     """Schema entries (type, default) for the fields of a config dataclass."""
-    fields = [f for f in dataclasses.fields(cls) if f.name not in skip]
-    return {f.name: (type(f.default), f.default) for f in fields}
+    return {f.name: (type(f.default), f.default) for f in dataclasses.fields(cls)}
 
+
+# Echo-only keys: no run reads them, but the recorded reports echo them and the
+# benchmark configs send admissibility_probes.  When those references are
+# re-recorded, this block and _check_echo_only go.
+_ECHO_ONLY: dict = {
+    "system": {"splitting_mode": (str, "auto")},
+    "solver": {
+        "boundary_policy": (str, "auto"),
+        "admissibility_probes": (int, 8),
+        "probe_seed": (int, 20240),
+    },
+}
 
 _SCHEMA: dict = {
     "kind": (str, None),
@@ -56,10 +66,10 @@ _SCHEMA: dict = {
         "alpha": (float, 0.0),
         "kappa": (float, 0.0),
         "shift": (_VEC3, [0.0, 0.0, 0.0]),
-        "splitting_mode": (str, "auto"),
         "n_split": (int, SplitConfig.n_iter),
-    },
-    "solver": _defaults(SolverConfig, skip=("chart",)) | _defaults(ChartConfig),
+    }
+    | _ECHO_ONLY["system"],
+    "solver": _defaults(SolverConfig) | _ECHO_ONLY["solver"],
     "orbit": {
         "x0": (_VEC3, [0.1, 0.2, 0.3]),
         "n_steps": (int, 200),
@@ -155,6 +165,7 @@ def resolve_config(raw: dict) -> dict:
             else:
                 out[key] = copy.deepcopy(default)
         resolved[section] = out
+    _check_echo_only(kind, resolved)
     # echo the variant that runs (an unknown one is left for SolverConfig to reject)
     solver = resolved["solver"]
     if kind == "close":
@@ -167,6 +178,20 @@ def resolve_config(raw: dict) -> dict:
     return resolved
 
 
+def _check_echo_only(kind: str, resolved: dict) -> None:
+    """Refuse echo-only values that no run honours; close solves cycles, other kinds windows."""
+    mode, solver, cyclic = resolved["system"]["splitting_mode"], resolved["solver"], kind == "close"
+    policy, probes = solver["boundary_policy"], solver["admissibility_probes"]
+    if mode != "auto":
+        raise ConfigError(f"system.splitting_mode must be 'auto', got {mode!r}")
+    if policy not in ("auto", "window", "cyclic"):
+        raise ConfigError(f"unknown boundary policy {policy!r}")
+    if policy != "auto" and (policy == "cyclic") != cyclic:
+        raise ConfigError(f"boundary policy {policy!r} does not match orbit cyclic={cyclic}")
+    if probes < 2:
+        raise ConfigError(f"admissibility_probes must be >= 2, got {probes}")
+
+
 def _build_system(section: dict):
     if section["name"] != "cat_circle":
         raise ConfigError(f"unknown system {section['name']!r}")
@@ -174,16 +199,12 @@ def _build_system(section: dict):
         section["alpha"],
         section["kappa"],
         shift=section["shift"] if any(section["shift"]) else None,
-        splitting_mode=section["splitting_mode"],
         n_split=section["n_split"],
     )
 
 
 def _solver_config(section: dict) -> SolverConfig:
-    return SolverConfig(
-        **{key: v for key, v in section.items() if key not in ("rho0", "rho")},
-        chart=ChartConfig(section["rho0"], section["rho"]),
-    )
+    return SolverConfig(**{f.name: section[f.name] for f in dataclasses.fields(SolverConfig)})
 
 
 def _check(name: str, value: float, bound: float, op: str = "<=") -> dict:
@@ -226,7 +247,7 @@ def run_shadow(config: dict, out_dir: Path | None = None, stem: str = "shadow") 
     cfg = _solver_config(config["solver"])
     orb = config["orbit"]
     orbit = generate_noisy(
-        system, orb["x0"], orb["n_steps"], orb["noise"], orb["seed"], rho=cfg.chart.rho
+        system, orb["x0"], orb["n_steps"], orb["noise"], orb["seed"], rho=cfg.rho
     )
     res = shadow(system, orbit, cfg)
     results = {
@@ -296,7 +317,7 @@ def run_stability(config: dict, out_dir: Path | None = None, stem: str = "stabil
     cmap = build_semiconjugacy(sys_f, sys_g, grid, cfg, window=st["window"])
     probes = (grid + 0.5 / st["grid_per_axis"]) % 1.0
     verification = verify_semiconjugacy(
-        cmap, sys_f, sys_g, probe_points=probes, rho0=cfg.chart.rho0
+        cmap, sys_f, sys_g, probe_points=probes, rho0=cfg.rho0
     )
     results = {
         "perturbation_size": cmap.perturbation_size,
@@ -330,6 +351,7 @@ def run_stability(config: dict, out_dir: Path | None = None, stem: str = "stabil
 
 def run_sweep(config: dict, out_dir: Path | None = None, stem: str = "sweep") -> dict:
     started = time.time()
+    _solver_config(config["solver"])  # a bad solver section is refused once, not in every row
     sw = config["sweep"]
     axes = [(key, sw[key]) for key in _SWEPT if sw[key]]
     rows = []

@@ -28,7 +28,7 @@ bookkeeping of the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from .systems import (
     splitting_at,
     splitting_error,
 )
-from .torus import ChartConfig, dist, expmap, logmap, minimal_rep, norm, wrap
+from .torus import RHO0_DEFAULT, RHO_DEFAULT, dist, expmap, logmap, minimal_rep, norm, wrap
 
 VARIANTS = ("tau1", "tau2", "tau3")
 
@@ -100,46 +100,37 @@ def _affine_scan(mult: np.ndarray, rhs: np.ndarray, init=0.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver knobs; ``epsilon`` is the tracing radius and must stay below rho.
+    """What a solve reads: the variant, tracing radius, stop rule and chart radii.
 
-    ``admissibility_probes`` and ``probe_seed`` are read only by the
-    random-probe measurement of the test suite, which compares probe
-    maxima with :meth:`OrbitOperators.bounds`; no solve draws probes.  The
-    shipped reports echo both keys, so they go when those references are
-    next re-recorded.
+    ``epsilon`` must stay below ``rho``, the working ball of the transversal
+    parts; ``rho0`` bounds the exponential chart.  Orbits carry their boundary.
     """
 
     variant: str = "tau1"
     epsilon: float = 0.04
     fixed_point_tol: float = 1e-12
     max_iterations: int = 200
-    boundary_policy: str = "auto"  # auto | window | cyclic
-    chart: ChartConfig = field(default_factory=ChartConfig)
-    admissibility_probes: int = 8
-    probe_seed: int = 20240
+    rho0: float = RHO0_DEFAULT
+    rho: float = RHO_DEFAULT
 
     def __post_init__(self) -> None:
+        if not 0.0 < self.rho0 <= 0.5:
+            raise ConfigError(f"rho0 must lie in (0, 0.5], got {self.rho0}")
+        if not 0.0 < self.rho < self.rho0 / 2.0:
+            raise ConfigError(f"rho must lie in (0, rho0/2), got {self.rho}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if not 0.0 < self.epsilon < self.chart.rho:
-            raise ConfigError(
-                f"epsilon must lie in (0, rho={self.chart.rho}), got {self.epsilon}"
-            )
+        if not 0.0 < self.epsilon < self.rho:
+            raise ConfigError(f"epsilon must lie in (0, rho={self.rho}), got {self.epsilon}")
         if not self.fixed_point_tol > 0.0:
             raise ConfigError("fixed_point_tol must be positive")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
-        if self.boundary_policy not in ("auto", "window", "cyclic"):
-            raise ConfigError(f"unknown boundary policy {self.boundary_policy!r}")
-        if self.admissibility_probes < 2:
-            raise ConfigError(
-                f"admissibility_probes must be >= 2, got {self.admissibility_probes}"
-            )
 
 
 @dataclass(frozen=True)
 class ContractionBounds:
-    """A-priori constants of one orbit (:meth:`OrbitOperators.bounds`); the gate of every solve."""
+    """A-priori constants of one orbit (a row of :meth:`OrbitOperators.bound_table`); the gate."""
 
     lambda_tilde: float  # worst stable / inverse-unstable block factor
     norm_equivalence_pointwise: float  # L_pt = max_k 1 / sin(phi_k / 2)
@@ -227,6 +218,9 @@ class OrbitOperators:
     ``alpha`` and ``beta_u``, shape ([B,] L), are the scalar stable/unstable
     block multipliers in frame coordinates.
 
+    ``cfg`` is the :class:`SolverConfig` solved for (the default one when
+    not given): its variant selects beta, its chart radii bound beta and
+    the extraction, and its epsilon enters the gate of :meth:`bound_table`.
     ``split`` is the :class:`Splitting` at ``points``, computed by
     :func:`splitting_at` when not given; every frame product goes through
     it.  With a constant splitting (kappa = 0) the transfer matrix behind
@@ -238,11 +232,11 @@ class OrbitOperators:
         sys: CatCircleSystem,
         points,
         cyclic: bool = False,
-        chart: ChartConfig | None = None,
+        cfg: SolverConfig | None = None,
         split: Splitting | None = None,
     ) -> None:
         self.sys = sys
-        self.chart = chart if chart is not None else ChartConfig()
+        self.cfg = cfg if cfg is not None else SolverConfig()
         X = np.asarray(points, float)
         W = X.shape[-2]
         if not cyclic and W < 2:
@@ -296,13 +290,10 @@ class OrbitOperators:
         sub.split = self.split[idx]
         return sub
 
-    def bounds(self, cfg: SolverConfig, defect) -> list[ContractionBounds]:
-        """Closed-form admissibility constants of every orbit for ``cfg`` and its ``defect``."""
-        rows = self.bound_table(cfg, defect)
-        return [ContractionBounds(*map(float, row[:6]), bool(row[6])) for row in rows]
+    def bound_table(self, defect) -> np.ndarray:
+        """Closed-form admissibility constants of every orbit for its ``defect``.
 
-    def bound_table(self, cfg: SolverConfig, defect) -> np.ndarray:
-        """:meth:`bounds` as rows: per orbit, the first seven fields of :class:`ContractionBounds`.
+        One row per orbit: the first seven fields of :class:`ContractionBounds`.
 
         Take the solver norm |w|_1 = max_k |u_k| + max_k |v_k| (u the center
         coefficient, v the ambient transversal part).  The frame columns are
@@ -328,15 +319,15 @@ class OrbitOperators:
         lam = np.atleast_1d(self.lambda_tilde)
         l_pt = np.atleast_1d(self.norm_equivalence)
         lip = np.array(self.off_block, float).reshape(lam.shape + (3,))
-        lip[:, C] += (2.0 * np.pi) ** 2 * abs(self.sys.kappa) * cfg.epsilon
-        if cfg.variant == "tau2":
+        lip[:, C] += (2.0 * np.pi) ** 2 * abs(self.sys.kappa) * self.cfg.epsilon
+        if self.cfg.variant == "tau2":
             lip[:, C] = 0.0
         defect = np.broadcast_to(np.asarray(defect, float), lam.shape)
         with np.errstate(divide="ignore", invalid="ignore"):
             c = lip[:, C] + (lip[:, S] + lip[:, U]) / (1.0 - lam)
             radius = l_pt * defect / ((1.0 - lam) * (1.0 - c))
             radius = np.where((lam < 1.0) & (c < 1.0), radius, np.inf)
-            sufficient = (lam < 1.0) & (l_pt / (1.0 - lam) * defect < 0.5 * cfg.epsilon)
+            sufficient = (lam < 1.0) & (l_pt / (1.0 - lam) * defect < 0.5 * self.cfg.epsilon)
         return np.column_stack([lam, l_pt, lip.sum(axis=-1), c, defect, radius, sufficient])
 
     # -- norms ---------------------------------------------------------
@@ -347,7 +338,7 @@ class OrbitOperators:
 
     # -- operators -----------------------------------------------------
 
-    def apply_beta(self, v_coeffs: np.ndarray, variant: str = "tau1") -> np.ndarray:
+    def apply_beta(self, v_coeffs: np.ndarray) -> np.ndarray:
         """beta(v) in frame coordinates, scattered to the step target rows.
 
         Accepts batched input (..., W, 3); the center column of the input
@@ -356,7 +347,7 @@ class OrbitOperators:
         """
         X = self.points
         src, dst = self.step_src, self.step_dst
-        rho, rho0 = self.chart.rho, self.chart.rho0
+        rho, rho0 = self.cfg.rho, self.cfg.rho0
         v_amb = self.split[..., src].transversal(v_coeffs[..., src, :])
         norms = norm(v_amb)
         if norms.size and float(norms.max()) > rho:
@@ -366,7 +357,7 @@ class OrbitOperators:
             )
         z = self.sys.forward(wrap(X[..., src, :] + v_amb))
         out = np.zeros(v_coeffs.shape)
-        if variant == "tau2":
+        if self.cfg.variant == "tau2":
             w = self._slide_coeffs(z, dst)[0]
         else:
             w_amb = logmap(X[..., dst, :], z, rho0)
@@ -379,10 +370,10 @@ class OrbitOperators:
         d_base = minimal_rep(z[..., :2] - self.points[..., dst_rows, :2])
         w, move = _fiber_slide(self.split[..., dst_rows], d_base)
         n = norm(move)
-        if n.size and float(n.max()) > self.chart.rho0:
+        if n.size and float(n.max()) > self.cfg.rho0:
             raise ChartError(
                 f"fiber slide of size {float(n.max()):.6g} left the chart "
-                f"of radius {self.chart.rho0}"
+                f"of radius {self.cfg.rho0}"
             )
         return w, move
 
@@ -393,8 +384,8 @@ class OrbitOperators:
         out[..., self.step_dst, U] = self.beta_u * v_coeffs[..., self.step_src, U]
         return out
 
-    def eta(self, v_coeffs: np.ndarray, variant: str = "tau1") -> np.ndarray:
-        return self.apply_beta(v_coeffs, variant) - self.apply_transfer(v_coeffs)
+    def eta(self, v_coeffs: np.ndarray) -> np.ndarray:
+        return self.apply_beta(v_coeffs) - self.apply_transfer(v_coeffs)
 
     def _solve_block(self, mult: np.ndarray, rhs_pts: np.ndarray) -> np.ndarray:
         """Solve v_k - mult_k v_{k-1} = r_k forward for one contracting 1-d block of every orbit.
@@ -435,10 +426,10 @@ class OrbitOperators:
         out[..., U] = self._solve_block(m, rev)[..., ::-1]
         return out
 
-    def phi(self, w_coeffs: np.ndarray, variant: str = "tau1") -> np.ndarray:
+    def phi(self, w_coeffs: np.ndarray) -> np.ndarray:
         """One fixed-point update Phi(w) = P^{-1} eta(v)."""
-        out = self.solve_p(self.eta(w_coeffs, variant))
-        if variant == "tau2":
+        out = self.solve_p(self.eta(w_coeffs))
+        if self.cfg.variant == "tau2":
             out[..., C] = 0.0
         return out
 
@@ -475,15 +466,15 @@ def shadow_batch(
 
     Returns one entry per orbit: its :class:`ShadowResult`, or the
     :class:`QuasiShadowError` of the first check it failed.  The checks run
-    per orbit in this order: boundary policy, finite points, the defect
-    measurement with the leaf-mode wrap gap, the splitting tail bound
-    (:func:`splitting_error`, one verdict for the system, so every orbit
-    left gets the same error), then the closed-form gate of
-    :meth:`OrbitOperators.bounds` on the defect: lambda_tilde < 1,
-    contraction bound < 1, predicted radius < epsilon; then, in every Phi
-    step, the chart checks of beta and the epsilon ball, then
-    ``max_iterations`` and the chart checks of the result.  An orbit that
-    fails leaves the others untouched.
+    per orbit in this order: finite points, the defect measurement with the
+    leaf-mode wrap gap, the splitting tail bound (:func:`splitting_error`,
+    one verdict for the system, so every orbit left gets the same error),
+    then the closed-form gate of :meth:`OrbitOperators.bound_table` on the
+    defect: lambda_tilde < 1, contraction bound < 1, predicted radius <
+    epsilon; then, in every Phi step, the chart checks of beta and the
+    epsilon ball, then ``max_iterations`` and the chart checks of the
+    result.  An orbit that fails leaves the others untouched.  The boundary
+    type is the orbits' own; ``cfg`` holds no boundary policy.
 
     The defect is measured against ``sys``: the largest one-step error
     dist(f(x_k), x_{k+1}), a cycle's wrap pair included, reported as
@@ -496,6 +487,7 @@ def shadow_batch(
     rows of the operators, which are narrowed whenever it changes.  An orbit
     runs while its entry is empty: each failure goes to the entry where it
     is found, and the result of an orbit is written in the step it converges.
+    Every result owns its arrays, so keeping one keeps no batch array alive.
 
     ``split`` is the :class:`Splitting` at the stacked points
     (:func:`splitting_at`), computed when not given.  ``initial`` (shape
@@ -509,13 +501,6 @@ def shadow_batch(
     if any(orbit.cyclic != cyclic for orbit in orbits):
         raise ValueError("orbits solved together must share one boundary type")
     out: list = [None] * len(orbits)
-    if cfg.boundary_policy != "auto" and (cfg.boundary_policy == "cyclic") != cyclic:
-        return [
-            ConfigError(
-                f"boundary policy {cfg.boundary_policy!r} does not match "
-                f"orbit cyclic={cyclic}"
-            )
-        ] * len(orbits)
     points = np.stack([orbit.points for orbit in orbits])
     for b in np.flatnonzero(~np.isfinite(points).all(axis=(1, 2))):
         k = orbits[b].k_start + int(np.argmin(np.isfinite(points[b]).all(axis=-1)))
@@ -534,10 +519,10 @@ def shadow_batch(
         gaps[leaf, -1] = leaf_dist(img[leaf, -1], nxt[leaf, -1])
     else:
         for b, gap in zip(live[leaf], gaps[leaf, -1]):
-            if gap > cfg.chart.rho:
+            if gap > cfg.rho:
                 out[b] = AdmissibilityError(
                     f"leaf-mode orbit has pointwise wrap gap {gap:.6g} > rho="
-                    f"{cfg.chart.rho}; only the fiber-sliding variant (tau2) applies"
+                    f"{cfg.rho}; only the fiber-sliding variant (tau2) applies"
                 )
     at = np.argmax(gaps, axis=-1)
     defect = gaps[np.arange(len(live)), at]
@@ -554,10 +539,10 @@ def shadow_batch(
         points, defect, live = points[keep], defect[keep], live[keep]
     if split is not None and live.size < len(orbits):
         split = split[live]
-    ops = OrbitOperators(sys, points, cyclic, cfg.chart, split)
+    ops = OrbitOperators(sys, points, cyclic, cfg, split)
 
     gate = np.full((len(orbits), 7), np.nan)
-    gate[live] = ops.bound_table(cfg, defect)
+    gate[live] = ops.bound_table(defect)
     lam, contraction, defect, radius = gate[:, [0, 3, 4, 5]].T
     for b in np.flatnonzero((lam >= 1.0) | (contraction >= 1.0) | (radius >= cfg.epsilon)):
         if lam[b] >= 1.0:
@@ -590,7 +575,7 @@ def shadow_batch(
 
     history = []  # per Phi step, the update norm of every orbit (nan where it did not run)
     for _ in range(cfg.max_iterations):
-        w_new, ops, live = _isolate(lambda o, v: o.phi(v, cfg.variant), ops, live, w, out)
+        w_new, ops, live = _isolate(OrbitOperators.phi, ops, live, w, out)
         if not live.size:
             return out
         delta = ops.norm_one(w_new - w[live])
@@ -608,7 +593,7 @@ def shadow_batch(
         done = ~escaped & (delta < cfg.fixed_point_tol)
         if done.any():
             sub, rows = (ops, live) if done.all() else (ops.take(done), live[done])
-            fields, _, rows = _isolate(lambda o, v: _extract(sys, o, cfg, v), sub, rows, w, out)
+            fields, _, rows = _isolate(_extract, sub, rows, w, out)
             for r, b in enumerate(rows):
                 y, trans, corrections, trace, center, step = (f[r] for f in fields)
                 deltas = np.array([h[b] for h in history])
@@ -620,9 +605,9 @@ def shadow_batch(
                     variant=cfg.variant,
                     ks=orbits[b].ks,
                     x=orbits[b].points.copy(),
-                    y=y,
-                    trans=trans,
-                    corrections=corrections,
+                    y=y.copy(),
+                    trans=trans.copy(),
+                    corrections=corrections.copy(),
                     diagnostics=diagnostics,
                     defect_index=int(defect_index[b]),
                     max_trace_dist=float(trace),
@@ -670,26 +655,26 @@ def _isolate(step, ops: OrbitOperators, live: np.ndarray, w: np.ndarray, out: li
     return (step(ops, w[live]) if live.size else None), ops, live
 
 
-def _extract(sys: CatCircleSystem, ops: OrbitOperators, cfg: SolverConfig, w: np.ndarray):
+def _extract(ops: OrbitOperators, w: np.ndarray):
     """Tracing points, center bookkeeping and per-orbit residuals of solved iterates.
 
     Returns y, the transversal parts v, the corrections, and per orbit the
     largest trace distance, center residual and step residual.
     """
     X = ops.points
-    rho0 = cfg.chart.rho0
+    variant, rho0 = ops.cfg.variant, ops.cfg.rho0
     v_amb = ops.split.transversal(w)
     y = expmap(X, v_amb, rho0)
     max_trace = dist(X, y).max(axis=-1)
     center_res = np.abs(ops.split.coeffs(v_amb)[..., C]).max(axis=-1)
 
     src, dst = ops.step_src, ops.step_dst
-    fy = sys.forward(y[..., src, :])
+    fy = ops.sys.forward(y[..., src, :])
     x_dst = X[..., dst, :]
-    if cfg.variant == "tau1":
+    if variant == "tau1":
         corrections = ops.split.frames[..., C] * w[..., C, None]
         targets = expmap(x_dst, corrections[..., dst, :] + logmap(x_dst, fy, rho0), rho0)
-    elif cfg.variant == "tau3":
+    elif variant == "tau3":
         corrections = w[..., C].copy()
         targets = center_flow(fy, corrections[..., dst])
     else:

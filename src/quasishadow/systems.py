@@ -72,8 +72,10 @@ class CatCircleSystem:
     """Partially hyperbolic skew product on T^3 (see module docstring).
 
     ``alpha`` is the fiber rotation, ``kappa`` the skew strength, ``shift``
-    an optional rigid translation.  The rates are bounded in closed form
-    by :func:`rate_bounds`.
+    an optional rigid translation, and ``split_config`` the slope-series
+    truncation of :func:`splitting_at`.  The center foliation is linear
+    exactly when kappa = 0, where one analytic frame serves every point.
+    The rates are bounded in closed form by :func:`rate_bounds`.
 
     :meth:`forward` and :meth:`inverse` map arrays of points.  Loops that
     step one point at a time (:meth:`orbit`, noisy orbits, near-return
@@ -92,7 +94,6 @@ class CatCircleSystem:
         alpha: float = 0.0,
         kappa: float = 0.0,
         shift=None,
-        splitting_mode: str = "auto",
         split_config: SplitConfig | None = None,
     ) -> None:
         self.alpha = float(alpha) % 1.0
@@ -101,20 +102,11 @@ class CatCircleSystem:
         if self.shift.shape != (3,):
             raise ValueError("shift must be a 3-vector")
         self._shift_floats = tuple(self.shift.tolist())
-        if splitting_mode == "auto":
-            splitting_mode = "analytic" if self.kappa == 0.0 else "numerical"
-        if splitting_mode not in ("analytic", "numerical"):
-            raise ValueError(f"unknown splitting mode {splitting_mode!r}")
-        if splitting_mode == "analytic" and self.kappa != 0.0:
-            raise ValueError("analytic splitting is only exact for kappa = 0")
-        self.splitting_mode = splitting_mode
         self.split_config = split_config if split_config is not None else SplitConfig()
 
     def __repr__(self) -> str:
-        return (
-            f"CatCircleSystem(alpha={self.alpha!r}, kappa={self.kappa!r}, "
-            f"shift={self.shift.tolist()!r}, splitting_mode={self.splitting_mode!r})"
-        )
+        shift = self.shift.tolist()
+        return f"CatCircleSystem(alpha={self.alpha!r}, kappa={self.kappa!r}, shift={shift!r})"
 
     def forward(self, x) -> np.ndarray:
         x = np.asarray(x, float)
@@ -206,7 +198,6 @@ def cat_circle_system(
     kappa: float = 0.0,
     *,
     shift=None,
-    splitting_mode: str = "auto",
     n_split: int = SplitConfig.n_iter,
     direction_tol: float = SplitConfig.direction_tol,
     validate: bool = True,
@@ -214,15 +205,12 @@ def cat_circle_system(
     """Build a skew-product system and, unless ``validate=False``, check it in closed form.
 
     :func:`rate_bounds` refuses |kappa| >= 0.4527 and :func:`splitting_error`
-    an ``n_split`` whose series tail exceeds ``direction_tol``.
+    an ``n_split`` whose series tail exceeds ``direction_tol``.  The splitting
+    follows from ``kappa`` (:func:`splitting_at`): analytic at kappa = 0,
+    the ``n_split``-term slope series otherwise.
     """
-    sys = CatCircleSystem(
-        alpha,
-        kappa,
-        shift=shift,
-        splitting_mode=splitting_mode,
-        split_config=SplitConfig(n_split, direction_tol),
-    )
+    split = SplitConfig(n_split, direction_tol)
+    sys = CatCircleSystem(alpha, kappa, shift=shift, split_config=split)
     if validate:
         rate_bounds(sys.kappa)
         if (err := splitting_error(sys)) is not None:
@@ -370,7 +358,7 @@ def splitting_at(sys: CatCircleSystem, x) -> Splitting:
     of their series (see :func:`_slopes`; :func:`splitting_error` bounds
     the truncation) and the inverse frames are explicit.
     """
-    if sys.splitting_mode == "analytic":
+    if sys.kappa == 0.0:
         return ANALYTIC
     x = np.asarray(x, float)
     slopes = _slopes(sys, x, sys.split_config.n_iter)

@@ -24,8 +24,6 @@ numpy scalar, as with the numpy forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ChartError
@@ -34,20 +32,6 @@ from .errors import ChartError
 RHO0_DEFAULT = 0.5
 # default working radius for solver iterates
 RHO_DEFAULT = 0.05
-
-
-@dataclass(frozen=True)
-class ChartConfig:
-    """Chart radii: ``rho0`` bounds the exponential chart, ``rho`` the working ball."""
-
-    rho0: float = RHO0_DEFAULT
-    rho: float = RHO_DEFAULT
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rho0 <= 0.5:
-            raise ValueError(f"rho0 must lie in (0, 0.5], got {self.rho0}")
-        if not 0.0 < self.rho < self.rho0 / 2.0:
-            raise ValueError(f"rho must lie in (0, rho0/2), got {self.rho}")
 
 
 def wrap(coords) -> np.ndarray:

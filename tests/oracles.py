@@ -266,8 +266,8 @@ def pointwise_norm_equivalence(frames, n_angles=3600):
     return float(np.max(2.0 / np.linalg.norm(frames[:, :, 1] + v, axis=-1)))
 
 
-def eta_lipschitz_fd(ops, variant, epsilon, seed, samples=4, h=1e-3):
-    """Lipschitz estimate of ``ops.eta`` on the epsilon ball from central differences.
+def eta_lipschitz_fd(ops, seed, samples=4, h=1e-3):
+    """Lipschitz estimate of ``ops.eta`` on the ``ops.cfg.epsilon`` ball from central differences.
 
     eta_k depends on v_{k-1} alone, so moving every point at once along one
     direction of its transversal plane gives the derivative of every step in
@@ -275,7 +275,7 @@ def eta_lipschitz_fd(ops, variant, epsilon, seed, samples=4, h=1e-3):
     derivatives (ambient in, ambient out) at ``samples`` random sequences
     with |v_k| = 0.9 epsilon.
     """
-    W = ops.n_points
+    W, epsilon = ops.n_points, ops.cfg.epsilon
     frames = np.broadcast_to(ops.split.frames, (W, 3, 3))
     frames_inv = np.broadcast_to(ops.split.frames_inv, (W, 3, 3))
     q = np.stack(_plane_basis(frames), axis=-1)  # (W, 3, 2)
@@ -287,8 +287,8 @@ def eta_lipschitz_fd(ops, variant, epsilon, seed, samples=4, h=1e-3):
         jac = np.empty((W, 3, 2))
         for m in range(2):
             step = np.einsum("kij,kj->ki", frames_inv, h * q[..., m])
-            plus = ops.eta(np.einsum("kij,kj->ki", frames_inv, v_amb) + step, variant)
-            minus = ops.eta(np.einsum("kij,kj->ki", frames_inv, v_amb) - step, variant)
+            plus = ops.eta(np.einsum("kij,kj->ki", frames_inv, v_amb) + step)
+            minus = ops.eta(np.einsum("kij,kj->ki", frames_inv, v_amb) - step)
             jac[..., m] = np.einsum("kij,kj->ki", frames, plus - minus) / (2.0 * h)
         worst = max(worst, float(np.max(np.linalg.norm(jac, ord=2, axis=(-2, -1)))))
     return worst
@@ -510,19 +510,20 @@ class ContractionEstimates:
     probes: int
 
 
-def estimate_contraction(sys, orbit, cfg=None):
-    """Probe-based measurement of the scheme's constants on this orbit.
+def estimate_contraction(sys, orbit, cfg=None, probes=8, seed=20240):
+    """Probe-based measurement of the scheme's constants on this orbit for ``cfg``.
 
-    All quantities are maxima over ``cfg.admissibility_probes`` random
-    probes drawn with ``cfg.probe_seed``: the norm equivalence constant,
+    All quantities are maxima over ``probes`` random probes (at least 2)
+    drawn with ``seed``: the norm equivalence constant,
     the Lipschitz constant of eta on the epsilon ball, the solver-norm
     operator norm of P^{-1}, and the Lipschitz factor of Phi on
     transversal pairs.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    ops = OrbitOperators(sys, orbit.points, orbit.cyclic, cfg.chart)
-    rng = np.random.default_rng(cfg.probe_seed)
-    probes = cfg.admissibility_probes
+    if probes < 2:
+        raise ValueError(f"probes must be >= 2, got {probes}")
+    ops = OrbitOperators(sys, orbit.points, orbit.cyclic, cfg)
+    rng = np.random.default_rng(seed)
 
     def draw(center, solver_norm):
         """Random sequences of norm in [eps / 4, eps], with or without a center part."""
@@ -540,7 +541,7 @@ def estimate_contraction(sys, orbit, cfg=None):
 
     v_a = draw(center=False, solver_norm=False)
     v_b = draw(center=False, solver_norm=False)
-    d_eta = ops.eta(v_a, cfg.variant) - ops.eta(v_b, cfg.variant)
+    d_eta = ops.eta(v_a) - ops.eta(v_b)
     c_delta = float(np.max(norm_sup(ops, d_eta) / norm_sup(ops, v_a - v_b)))
 
     r = draw(center=True, solver_norm=True)
@@ -548,7 +549,7 @@ def estimate_contraction(sys, orbit, cfg=None):
 
     u_a = draw(center=False, solver_norm=True)
     u_b = draw(center=False, solver_norm=True)
-    d_phi = ops.phi(u_a, cfg.variant) - ops.phi(u_b, cfg.variant)
+    d_phi = ops.phi(u_a) - ops.phi(u_b)
     observed = float(np.max(ops.norm_one(d_phi) / ops.norm_one(u_a - u_b)))
     return ContractionEstimates(
         norm_equivalence=big_l,

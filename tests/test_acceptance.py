@@ -53,7 +53,7 @@ def test_criterion_2_contraction_bounds():
     for kappa in (0.0, 0.02):
         sys = qs.cat_circle_system(alpha=0.3, kappa=kappa)
         orbit = _noisy(sys)
-        est = estimate_contraction(sys, orbit, qs.SolverConfig(admissibility_probes=32))
+        est = estimate_contraction(sys, orbit, probes=32)
         bound = 1.0 / (1.0 - est.lambda_tilde) + 1e-6
         oks.append(
             _line(

@@ -126,8 +126,8 @@ def test_leaf_return_hypothesis_violated():
 # -- semiconjugacy -------------------------------------------------------
 
 
-def _cfg(probes=4):
-    return qs.SolverConfig(variant="tau1", admissibility_probes=probes)
+def _cfg():
+    return qs.SolverConfig(variant="tau1")
 
 
 def test_semiconjugacy_identity_perturbation(product_sys):

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import gzip
 import json
 import re
@@ -166,12 +168,101 @@ def test_admissibility_probes_below_two_refused(tmp_path, capsys):
     cfg = _write(tmp_path, "probes.json", payload)
     assert main(["shadow", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 2
     assert "ConfigError: admissibility_probes must be >= 2" in capsys.readouterr().err
-    # the measurement draws the configured probes, and SolverConfig is its one check
+    assert not (tmp_path / "probes_report.json").exists()
+    # the probe measurement of the test suite draws the probes it is given, at least two
     sys0 = qs.cat_circle_system(0.3, 0.0)
     orbit = qs.true_orbit_window(sys0, [0.1, 0.2, 0.3], 5)
-    assert estimate_contraction(sys0, orbit, qs.SolverConfig(admissibility_probes=3)).probes == 3
-    with pytest.raises(qs.ConfigError, match="admissibility_probes must be >= 2"):
-        qs.SolverConfig(admissibility_probes=1)
+    assert estimate_contraction(sys0, orbit, probes=3).probes == 3
+    with pytest.raises(ValueError, match="probes must be >= 2"):
+        estimate_contraction(sys0, orbit, probes=1)
+
+
+# small configs of every kind, for the echo-only keys below
+_SMALL = {
+    "shadow": {"orbit": {"n_steps": 20, "seed": 5}},
+    "close": {
+        "system": {"alpha": 0.08333333333333333, "kappa": 0.0},
+        "close": {"x0": [0.1, 0.2, 0.3], "max_n": 5000, "threshold": 1e-3, "mode": "leaf"},
+    },
+    "stability": {"stability": {"grid_per_axis": 2, "window": 10, "alpha_shift": 1e-3}},
+    "sweep": {"orbit": {"n_steps": 20, "seed": 5}, "sweep": {"noise": [1e-5, 1e-4]}},
+}
+
+
+def _small(kind, section=None, **values):
+    payload = {"kind": kind, "system": {"alpha": 0.3, "kappa": 0.0}} | copy.deepcopy(_SMALL[kind])
+    if section is not None:
+        payload.setdefault(section, {}).update(values)
+    return payload
+
+
+def _run(tmp_path, name, payload):
+    cfg = _write(tmp_path, f"{name}.json", payload)
+    return main([payload["kind"], "--config", str(cfg), "--out", str(tmp_path), "--quiet"])
+
+
+def test_solver_schema_is_solver_config_plus_echo_only_keys():
+    fields = {f.name: f.default for f in dataclasses.fields(qs.SolverConfig)}
+    assert list(fields) == ["variant", "epsilon", "fixed_point_tol", "max_iterations", "rho0", "rho"]
+    echo = {"boundary_policy", "admissibility_probes", "probe_seed"}
+    assert set(cli._ECHO_ONLY) == {"system", "solver"}
+    assert set(cli._ECHO_ONLY["solver"]) == echo
+    assert set(cli._ECHO_ONLY["system"]) == {"splitting_mode"}
+    assert set(cli._SCHEMA["solver"]) == set(fields) | echo
+    assert {key: cli._SCHEMA["solver"][key][1] for key in fields} == fields
+    assert "splitting_mode" in cli._SCHEMA["system"]
+
+
+def test_boundary_policy_mismatch(tmp_path, capsys):
+    # the boundary comes from the orbits a kind builds; a policy naming the
+    # other one is refused before any solve
+    payload = _shadow_config()
+    payload["solver"]["boundary_policy"] = "cyclic"
+    assert _run(tmp_path, "mismatch", payload) == 2
+    err = capsys.readouterr().err
+    assert "error: ConfigError: boundary policy 'cyclic' does not match orbit cyclic=False" in err
+    assert list(tmp_path.glob("mismatch_*")) == []
+
+
+_POLICY, _MATCH = "boundary policy", "does not match orbit cyclic"
+
+
+@pytest.mark.parametrize(
+    "kind, section, key, value, message",
+    [
+        ("shadow", "system", "splitting_mode", "numerical", "system.splitting_mode must be 'auto'"),
+        ("close", "system", "splitting_mode", "analytic", "system.splitting_mode must be 'auto'"),
+        ("stability", "system", "splitting_mode", "x", "system.splitting_mode must be 'auto', got 'x'"),
+        ("close", "solver", "boundary_policy", "window", f"{_POLICY} 'window' {_MATCH}=True"),
+        ("stability", "solver", "boundary_policy", "cyclic", f"{_POLICY} 'cyclic' {_MATCH}=False"),
+        ("sweep", "solver", "boundary_policy", "cyclic", f"{_POLICY} 'cyclic' {_MATCH}=False"),
+        ("shadow", "solver", "boundary_policy", "periodic", f"unknown {_POLICY} 'periodic'"),
+        ("close", "solver", "admissibility_probes", 0, "admissibility_probes must be >= 2, got 0"),
+        ("stability", "solver", "admissibility_probes", 1, "admissibility_probes must be >= 2, got 1"),
+        ("shadow", "solver", "rho0", 0.6, "rho0 must lie in (0, 0.5], got 0.6"),
+        ("sweep", "solver", "rho", 0.3, "rho must lie in (0, rho0/2), got 0.3"),
+        ("sweep", "solver", "variant", "tau9", "unknown variant 'tau9'"),
+    ],
+)
+def test_refused_values_exit_2_without_output(tmp_path, capsys, kind, section, key, value, message):
+    # echo-only values are refused when the config resolves, the solver keys
+    # when the solver config is built (once, for a sweep); no file is written
+    payload = _small(kind, section, **{key: value})
+    assert _run(tmp_path, "bad", payload) == 2
+    assert f"error: ConfigError: {message}" in capsys.readouterr().err
+    assert list(tmp_path.glob("bad_*")) == []
+
+
+@pytest.mark.parametrize("kind", ["shadow", "close", "stability", "sweep"])
+def test_boundary_policy_of_the_kind_runs_like_auto(tmp_path, kind):
+    policy = "cyclic" if kind == "close" else "window"
+    code = _run(tmp_path, "auto", _small(kind))
+    assert _run(tmp_path, "named", _small(kind, "solver", boundary_policy=policy)) == code
+    auto, named = (json.loads((tmp_path / f"{n}_report.json").read_text()) for n in ("auto", "named"))
+    assert auto["config"]["solver"].pop("boundary_policy") == "auto"
+    assert named["config"]["solver"].pop("boundary_policy") == policy
+    auto.pop("runtime_seconds"), named.pop("runtime_seconds")
+    assert auto == named
 
 
 def test_nan_tolerance_refused(tmp_path, capsys):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import quasishadow as qs
 from quasishadow.cli import to_json
-from quasishadow.errors import AdmissibilityError, ChartError, ConfigError, ConvergenceError
-from quasishadow.systems import C, LAM, MU, S, U
+from quasishadow.errors import AdmissibilityError, ChartError, ConvergenceError
+from quasishadow.systems import ANALYTIC, C, LAM, MU, S, U
 
 from oracles import (
     dense_block_cyclic,
@@ -25,6 +25,12 @@ from oracles import estimate_contraction, measure_defect, norm_sup, tau2_lipschi
 
 def _noisy(sys, n=200, noise=1e-4, seed=5):
     return qs.generate_noisy(sys, (0.11, 0.23, 0.5), n, noise, seed=seed)
+
+
+def _bounds(ops, defect):
+    """The gate of the first orbit of ``ops`` as :class:`ContractionBounds`."""
+    row = ops.bound_table(defect)[0]
+    return qs.ContractionBounds(*map(float, row[:6]), bool(row[6]))
 
 
 # -- beta ----------------------------------------------------------------
@@ -230,9 +236,9 @@ def test_gate_refuses_non_hyperbolic_orbit_before_phi():
     calls = []
     phi = qs.OrbitOperators.phi
 
-    def spy(ops, w, variant="tau1"):
+    def spy(ops, w):
         calls.append(w.shape)
-        return phi(ops, w, variant)
+        return phi(ops, w)
 
     with mock.patch.object(qs.OrbitOperators, "phi", spy):
         with pytest.raises(AdmissibilityError, match="stable/unstable block norm"):
@@ -316,12 +322,6 @@ def test_max_iterations_exhausted(skew_sys):
     cfg = qs.SolverConfig(max_iterations=1)
     with pytest.raises(ConvergenceError):
         qs.shadow(skew_sys, orbit, cfg)
-
-
-def test_boundary_policy_mismatch(product_sys):
-    orbit = _noisy(product_sys, n=10)
-    with pytest.raises(ConfigError):
-        qs.shadow(product_sys, orbit, qs.SolverConfig(boundary_policy="cyclic"))
 
 
 def test_window_edge_decay(product_sys):
@@ -418,30 +418,42 @@ def test_leaf_mode_big_rotation_needs_tau2(product_sys):
     assert res.step_residual <= 1e-10
 
 
-def test_numerical_splitting_at_zero_kappa_shadows_like_analytic(product_sys):
-    # at kappa = 0 the slope series is zero: the per-point numerical frames
-    # and the one analytic frame differ by rounding in the inverse only
-    numerical = qs.cat_circle_system(0.3, 0.0, splitting_mode="numerical")
-    assert not qs.splitting_at(numerical, np.zeros((2, 3))).constant
+def _per_point_analytic(sys, x):
+    """Per-point copies of the kappa = 0 frame: the splitting of the kappa != 0 code path."""
+    shape = np.shape(x)[:-1] + (3, 3)
+    return qs.Splitting(
+        np.broadcast_to(ANALYTIC.frames, shape).copy(),
+        np.broadcast_to(ANALYTIC.frames_inv, shape).copy(),
+    )
 
+
+def test_numerical_splitting_at_zero_kappa_shadows_like_analytic(product_sys):
+    # per-point frames take the kappa != 0 path through operators, gate and
+    # extraction; at kappa = 0 it must trace like the one constant frame
     def close(a, b):
         assert np.max(qs.dist(a.y, b.y)) <= 1e-15
         assert np.max(np.abs(a.trans - b.trans)) <= 1e-15
         assert np.max(np.abs(a.corrections - b.corrections)) <= 1e-15
 
+    def per_point(orbit, cfg):
+        split = _per_point_analytic(product_sys, orbit.points[None])
+        assert not split.constant
+        return qs.shadow_batch(product_sys, [orbit], cfg, split=split)[0]
+
     orbit = _noisy(product_sys)
     for variant in ("tau1", "tau3"):
         cfg = qs.SolverConfig(variant=variant)
-        close(qs.shadow(numerical, orbit, cfg), qs.shadow(product_sys, orbit, cfg))
+        close(per_point(orbit, cfg), qs.shadow(product_sys, orbit, cfg))
     nr = qs.find_near_return(product_sys, (0.1, 0.2, 0.3), 5000, 1e-3, mode="leaf")
     cyc = qs.make_cyclic(product_sys, nr)
     cfg = qs.SolverConfig(variant="tau2")
-    close(qs.shadow(numerical, cyc, cfg), qs.shadow(product_sys, cyc, cfg))
+    close(per_point(cyc, cfg), qs.shadow(product_sys, cyc, cfg))
 
     shifted = qs.cat_circle_system(0.3, 0.0, shift=(1e-4, -2e-4, 0.0))
     cfg = qs.SolverConfig(variant="tau1")
     grid = qs.grid_points(3)
-    num = qs.build_semiconjugacy(numerical, shifted, grid, cfg, window=30)
+    with mock.patch.object(qs.applications, "splitting_at", _per_point_analytic):
+        num = qs.build_semiconjugacy(product_sys, shifted, grid, cfg, window=30)
     ref = qs.build_semiconjugacy(product_sys, shifted, grid, cfg, window=30)
     assert not num.failures and not ref.failures
     assert np.max(qs.dist(num.values, ref.values)) <= 1e-15
@@ -478,16 +490,16 @@ def test_bounds_dominate_oracles_and_probes(kappa, variant, cyclic, n, seed):
     sys = qs.cat_circle_system(0.3, kappa)
     x0 = np.random.default_rng(seed).random(3)
     orbit = _cyclic_noisy(sys, x0, n) if cyclic else qs.generate_noisy(sys, x0, n, 1e-4, seed)
-    cfg = qs.SolverConfig(variant=variant, admissibility_probes=64)
-    ops = qs.OrbitOperators(sys, orbit.points, orbit.cyclic)
-    bound = ops.bounds(cfg, measure_defect(sys, orbit)[0])[0]
-    probed = estimate_contraction(sys, orbit, cfg)
+    cfg = qs.SolverConfig(variant=variant)
+    ops = qs.OrbitOperators(sys, orbit.points, orbit.cyclic, cfg)
+    bound = _bounds(ops, measure_defect(sys, orbit)[0])
+    probed = estimate_contraction(sys, orbit, cfg, probes=64)
     # the pointwise constant is exact up to rounding; eta is affine at kappa = 0,
     # where the probes and differences read rounding only
     l_pt = bound.norm_equivalence_pointwise * (1.0 + 1e-12)
     assert pointwise_norm_equivalence(ops.split.frames) <= l_pt
     assert probed.norm_equivalence_pointwise <= l_pt
-    assert eta_lipschitz_fd(ops, variant, cfg.epsilon, seed) <= bound.eta_lipschitz + 1e-12
+    assert eta_lipschitz_fd(ops, seed) <= bound.eta_lipschitz + 1e-12
     assert probed.eta_lipschitz <= bound.eta_lipschitz + 1e-12
     assert probed.observed_contraction <= bound.contraction + 1e-12
     assert bound.lambda_tilde == probed.lambda_tilde
@@ -496,14 +508,14 @@ def test_bounds_dominate_oracles_and_probes(kappa, variant, cyclic, n, seed):
 @pytest.mark.parametrize("variant", ["tau1", "tau2", "tau3"])
 def test_predicted_radius_bound_is_tight(skew_sys, variant):
     orbit = _noisy(skew_sys)
-    cfg = qs.SolverConfig(variant=variant, admissibility_probes=64)
+    cfg = qs.SolverConfig(variant=variant)
     res = qs.shadow(skew_sys, orbit, cfg)
     bound = res.diagnostics
     defect = measure_defect(skew_sys, orbit)[0]
     assert dataclasses.replace(bound, iterations=0, final_residual=0.0) == dataclasses.replace(
-        qs.OrbitOperators(skew_sys, orbit.points).bounds(cfg, defect)[0], final_residual=0.0
+        _bounds(qs.OrbitOperators(skew_sys, orbit.points, cfg=cfg), defect), final_residual=0.0
     )
-    est = estimate_contraction(skew_sys, orbit, cfg)
+    est = estimate_contraction(skew_sys, orbit, cfg, probes=64)
     probed = est.norm_equivalence_pointwise * defect / (
         (1.0 - est.lambda_tilde) * (1.0 - est.observed_contraction)
     )
@@ -513,7 +525,7 @@ def test_predicted_radius_bound_is_tight(skew_sys, variant):
 
 def test_norm_equivalence_product(product_sys, rng):
     orbit = _noisy(product_sys, n=50)
-    est = estimate_contraction(product_sys, orbit, qs.SolverConfig(admissibility_probes=64))
+    est = estimate_contraction(product_sys, orbit, probes=64)
     # orthogonal splitting: sqrt(2) pointwise, 2 for the split-supremum norm
     assert est.norm_equivalence_pointwise <= np.sqrt(2.0) + 1e-9
     assert est.norm_equivalence <= 2.0 + 1e-9
@@ -526,7 +538,7 @@ def test_norm_equivalence_product(product_sys, rng):
 def test_contraction_estimates_bounds(product_sys, skew_sys):
     for sys in (product_sys, skew_sys):
         orbit = _noisy(sys)
-        est = estimate_contraction(sys, orbit, qs.SolverConfig(admissibility_probes=32))
+        est = estimate_contraction(sys, orbit, probes=32)
         assert est.observed_contraction <= 0.5
         assert est.p_inv_norm <= 1.0 / (1.0 - est.lambda_tilde) + 1e-6
         gate = qs.shadow(sys, orbit).diagnostics
@@ -541,10 +553,10 @@ def test_shadow_batch_failures_stay_per_orbit(product_sys):
     bad = orbits[1].points
     apply_beta = qs.OrbitOperators.apply_beta
 
-    def failing(ops, v, variant="tau1"):
+    def failing(ops, v):
         if any(np.array_equal(pts, bad) for pts in ops.points):
             raise ChartError("beta left the chart")
-        return apply_beta(ops, v, variant)
+        return apply_beta(ops, v)
 
     with mock.patch.object(qs.OrbitOperators, "apply_beta", failing):
         out = qs.shadow_batch(product_sys, orbits)
@@ -553,6 +565,18 @@ def test_shadow_batch_failures_stay_per_orbit(product_sys):
     assert str(out[1]) == str(alone[1])
     for res, ref in ((out[0], alone[0]), (out[2], alone[2])):
         assert to_json(res) == to_json(ref)
+
+
+@pytest.mark.parametrize("variant", ["tau1", "tau2", "tau3"])
+def test_shadow_batch_results_own_their_arrays(product_sys, variant):
+    # a result kept alone must not keep the (2, 41, 3) arrays of its batch alive
+    orbits = [_noisy(product_sys, n=20, seed=s) for s in (1, 2)]
+    out = qs.shadow_batch(product_sys, orbits, qs.SolverConfig(variant=variant))
+    for res in out:
+        arrays = {f.name: getattr(res, f.name) for f in dataclasses.fields(res)}
+        arrays = {name: a for name, a in arrays.items() if isinstance(a, np.ndarray)}
+        assert {"y", "trans", "corrections", "x", "ks", "delta_history"} <= set(arrays)
+        assert {name: a.base for name, a in arrays.items()} == dict.fromkeys(arrays)
 
 
 def test_shadow_batch_stops_each_orbit_at_its_own_fixed_point(product_sys):
@@ -589,15 +613,15 @@ def test_shadow_batch_failures_at_every_stage_match_solves_alone(skew_sys):
     def holds(ops, orbit):
         return any(np.array_equal(pts, orbit.points) for pts in ops.points)
 
-    def failing_beta(ops, v, variant="tau1"):
+    def failing_beta(ops, v):
         if holds(ops, orbits[1]):
             raise ChartError("beta left the chart")
-        return apply_beta(ops, v, variant)
+        return apply_beta(ops, v)
 
-    def failing_extract(sys, ops, cfg, w):
+    def failing_extract(ops, w):
         if holds(ops, orbits[3]):
             raise ChartError("extraction left the chart")
-        return extract(sys, ops, cfg, w)
+        return extract(ops, w)
 
     cfg = qs.SolverConfig(max_iterations=2)
     with (

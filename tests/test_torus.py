@@ -91,10 +91,10 @@ def test_minimal_rep_range(rng):
 
 
 def test_chart_config_validation():
-    qs.ChartConfig(0.5, 0.05)
-    with pytest.raises(ValueError):
-        qs.ChartConfig(rho0=0.6)
-    with pytest.raises(ValueError):
-        qs.ChartConfig(rho0=0.5, rho=0.25)
-    with pytest.raises(ValueError):
-        qs.ChartConfig(rho0=0.5, rho=0.0)
+    qs.SolverConfig(rho0=0.5, rho=0.05)
+    with pytest.raises(qs.ConfigError, match="rho0 must lie in"):
+        qs.SolverConfig(rho0=0.6)
+    with pytest.raises(qs.ConfigError, match="rho must lie in"):
+        qs.SolverConfig(rho0=0.5, rho=0.25)
+    with pytest.raises(qs.ConfigError, match="rho must lie in"):
+        qs.SolverConfig(rho0=0.5, rho=0.0)
