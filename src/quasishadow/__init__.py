@@ -25,7 +25,6 @@ from .errors import (
     QuasiShadowError,
     RateOrderError,
     SearchError,
-    SplittingError,
 )
 from .orbits import (
     NearReturn,
@@ -46,7 +45,6 @@ from .solver import (
 from .systems import (
     CatCircleSystem,
     HyperbolicityRates,
-    SplitConfig,
     Splitting,
     cat_circle_system,
     center_flow,

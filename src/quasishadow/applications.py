@@ -17,7 +17,7 @@ import numpy as np
 from .errors import QuasiShadowError, SearchError
 from .orbits import NearReturn, PseudoOrbit, make_cyclic, write_table
 from .solver import ShadowResult, SolverConfig, shadow, shadow_batch
-from .systems import C, CatCircleSystem, leaf_dist, splitting_at, splitting_error
+from .systems import C, CatCircleSystem, leaf_dist, splitting_at
 from .torus import RHO0_DEFAULT, dist, expmap, logmap, minimal_rep, wrap
 
 # grid points solved as one batch: large enough that per-call overhead
@@ -208,8 +208,7 @@ def build_semiconjugacy(
     on its own defect, which :func:`shadow_batch` measures against f, and
     on its own closed-form constants.  A grid point fails with the
     first error of its x-window, else of its g(x)-window; failures are
-    collected, not fatal.  A system whose splitting :func:`splitting_error`
-    refuses fails every grid point before any orbit or frame is computed.
+    collected, not fatal.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -240,27 +239,23 @@ def build_semiconjugacy(
                 solved[b] = res.y[window].copy(), res.corrections[window].copy()
         return solved
 
-    refusal = splitting_error(sys_f)
-    if refusal is not None:
-        errors = [refusal] * n_pts
-    else:
-        rows = np.empty((2 * window + 2, n_pts, 3))
-        rows[window] = grid
-        z = grid
-        for j in range(window + 1):
-            z = sys_g.forward(z)
-            rows[window + 1 + j] = z
-        z = grid
-        for j in range(window):
-            z = sys_g.inverse(z)
-            rows[window - 1 - j] = z
-        for lo in range(0, n_pts, _GRID_CHUNK):
-            pts = rows[:, np.arange(lo, min(lo + _GRID_CHUNK, n_pts))].swapaxes(0, 1)
-            split = splitting_at(sys_f, pts)
-            at_x = solve(pts, split, lo, list(range(len(pts))), 0)
-            for b, (y_g, center) in solve(pts, split, lo, list(at_x), 1).items():
-                values[lo + b] = at_x[b][0]
-                values_g[lo + b], center_g[lo + b] = y_g, center
+    rows = np.empty((2 * window + 2, n_pts, 3))
+    rows[window] = grid
+    z = grid
+    for j in range(window + 1):
+        z = sys_g.forward(z)
+        rows[window + 1 + j] = z
+    z = grid
+    for j in range(window):
+        z = sys_g.inverse(z)
+        rows[window - 1 - j] = z
+    for lo in range(0, n_pts, _GRID_CHUNK):
+        pts = rows[:, np.arange(lo, min(lo + _GRID_CHUNK, n_pts))].swapaxes(0, 1)
+        split = splitting_at(sys_f, pts)
+        at_x = solve(pts, split, lo, list(range(len(pts))), 0)
+        for b, (y_g, center) in solve(pts, split, lo, list(at_x), 1).items():
+            values[lo + b] = at_x[b][0]
+            values_g[lo + b], center_g[lo + b] = y_g, center
 
     rho0 = cfg.rho0
     ok = ~np.isnan(values[:, 0])

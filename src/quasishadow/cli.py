@@ -36,7 +36,7 @@ from .applications import (
 from .errors import ConfigError, QuasiShadowError
 from .orbits import RNG_KIND, find_near_return, generate_noisy
 from .solver import VARIANTS, SolverConfig, shadow
-from .systems import SplitConfig, cat_circle_system
+from .systems import cat_circle_system
 
 # schema type of a list of exactly three numbers (a point or a translation)
 _VEC3 = "3-vector"
@@ -49,9 +49,10 @@ def _defaults(cls) -> dict:
 
 # Echo-only keys: no run reads them, but the recorded reports echo them and the
 # benchmark configs send admissibility_probes.  When those references are
-# re-recorded, this block and _check_echo_only go.
+# re-recorded, this block and _check_echo_only go.  n_split echoes the series
+# length the reports were recorded with; every system derives its own.
 _ECHO_ONLY: dict = {
-    "system": {"splitting_mode": (str, "auto")},
+    "system": {"splitting_mode": (str, "auto"), "n_split": (int, 40)},
     "solver": {
         "boundary_policy": (str, "auto"),
         "admissibility_probes": (int, 8),
@@ -66,7 +67,6 @@ _SCHEMA: dict = {
         "alpha": (float, 0.0),
         "kappa": (float, 0.0),
         "shift": (_VEC3, [0.0, 0.0, 0.0]),
-        "n_split": (int, SplitConfig.n_iter),
     }
     | _ECHO_ONLY["system"],
     "solver": _defaults(SolverConfig) | _ECHO_ONLY["solver"],
@@ -180,10 +180,15 @@ def resolve_config(raw: dict) -> dict:
 
 def _check_echo_only(kind: str, resolved: dict) -> None:
     """Refuse echo-only values that no run honours; close solves cycles, other kinds windows."""
-    mode, solver, cyclic = resolved["system"]["splitting_mode"], resolved["solver"], kind == "close"
+    system, solver, cyclic = resolved["system"], resolved["solver"], kind == "close"
+    mode, n_split = system["splitting_mode"], system["n_split"]
     policy, probes = solver["boundary_policy"], solver["admissibility_probes"]
     if mode != "auto":
         raise ConfigError(f"system.splitting_mode must be 'auto', got {mode!r}")
+    if n_split != 40:
+        raise ConfigError(
+            f"system.n_split must be 40, got {n_split}: the series length is derived from kappa"
+        )
     if policy not in ("auto", "window", "cyclic"):
         raise ConfigError(f"unknown boundary policy {policy!r}")
     if policy != "auto" and (policy == "cyclic") != cyclic:
@@ -199,7 +204,6 @@ def _build_system(section: dict):
         section["alpha"],
         section["kappa"],
         shift=section["shift"] if any(section["shift"]) else None,
-        n_split=section["n_split"],
     )
 
 
@@ -385,14 +389,12 @@ def run_sweep(config: dict, out_dir: Path | None = None, stem: str = "sweep") ->
             last_passing_kappa = row["kappa"]
         rows.append(row)
         children.append({k: row[k] for k in _SWEPT if k in row} | {"passed": report["passed"]})
-    ran = [r for r in rows if "error" not in r]
-    ratios = [r["ratio"] for r in ran if r.get("defect", 0.0) > 0]
+    ratios = [r["ratio"] for r in rows if r.get("defect", 0.0) > 0]  # error rows have none
     checks = []
     if ratios:
         checks.append(_check("max_ratio", max(ratios), config["bounds"]["max_ratio"], "<="))
-    checks.append(
-        _check("children_failed", sum(not r["passed"] for r in ran), 0.5, "<=")
-    )
+    # a row the solver refused has passed False: it is a failed child
+    checks.append(_check("children_failed", sum(not r["passed"] for r in rows), 0.5, "<="))
     results = {
         "rows": rows,
         "children": children,

@@ -13,10 +13,6 @@ class RateOrderError(QuasiShadowError):
     """Stretch-factor bounds or measurements violate the partially hyperbolic ordering."""
 
 
-class SplittingError(QuasiShadowError):
-    """The slope-series tail bounds the invariant directions' error above ``direction_tol``."""
-
-
 class AdmissibilityError(QuasiShadowError):
     """Pseudo-orbit defect too large for the requested tracing radius."""
 

@@ -49,7 +49,6 @@ from .systems import (
     center_flow,
     leaf_dist,
     splitting_at,
-    splitting_error,
 )
 from .torus import RHO0_DEFAULT, RHO_DEFAULT, dist, expmap, logmap, minimal_rep, norm, wrap
 
@@ -467,14 +466,13 @@ def shadow_batch(
     Returns one entry per orbit: its :class:`ShadowResult`, or the
     :class:`QuasiShadowError` of the first check it failed.  The checks run
     per orbit in this order: finite points, the defect measurement with the
-    leaf-mode wrap gap, the splitting tail bound (:func:`splitting_error`,
-    one verdict for the system, so every orbit left gets the same error),
-    then the closed-form gate of :meth:`OrbitOperators.bound_table` on the
-    defect: lambda_tilde < 1, contraction bound < 1, predicted radius <
-    epsilon; then, in every Phi step, the chart checks of beta and the
-    epsilon ball, then ``max_iterations`` and the chart checks of the
-    result.  An orbit that fails leaves the others untouched.  The boundary
-    type is the orbits' own; ``cfg`` holds no boundary policy.
+    leaf-mode wrap gap, then the closed-form gate of
+    :meth:`OrbitOperators.bound_table` on the defect: lambda_tilde < 1,
+    contraction bound < 1, predicted radius < epsilon; then, in every Phi
+    step, the chart checks of beta and the epsilon ball, then
+    ``max_iterations`` and the chart checks of the result.  An orbit that
+    fails leaves the others untouched.  The boundary type is the orbits'
+    own; ``cfg`` holds no boundary policy.
 
     The defect is measured against ``sys``: the largest one-step error
     dist(f(x_k), x_{k+1}), a cycle's wrap pair included, reported as
@@ -529,9 +527,6 @@ def shadow_batch(
     defect_index = np.zeros(len(orbits), int)
     defect_index[live] = np.array([orbits[b].k_start for b in live]) + at
     del img, nxt, gaps  # the solve below runs without the measurement's arrays
-    err = splitting_error(sys)
-    if err is not None:
-        return [err if o is None else o for o in out]
     keep = np.array([out[b] is None for b in live])
     if not keep.any():
         return out

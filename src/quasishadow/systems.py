@@ -12,10 +12,12 @@ series along the base orbit (n terms of it are exactly n power-iteration
 pushes of the unperturbed eigendirection).  Its terms are bounded by
 2 pi |kappa| times geometric weights, so the slopes, the tails and the
 rates have closed-form bounds (:func:`slope_bounds`, :func:`rate_bounds`;
-Hirsch, Pugh & Shub, *Invariant Manifolds*, 1977).  The optional
-rigid translation ``shift`` = (w_b, w_theta) perturbs the map without
-changing its differential, which makes base-moving perturbations available
-for stability experiments.
+Hirsch, Pugh & Shub, *Invariant Manifolds*, 1977).  Each system sums the
+fewest terms whose tails are at most :data:`DIRECTION_TOL`, so the series
+length follows from kappa alone.  The optional rigid translation
+``shift`` = (w_b, w_theta) perturbs the map without changing its
+differential, which makes base-moving perturbations available for
+stability experiments.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RateOrderError, SplittingError
+from .errors import RateOrderError
 from .torus import minimal_rep, norm, wrap, wrap_float
 
 CAT = np.array([[2.0, 1.0], [1.0, 1.0]])
@@ -47,6 +49,9 @@ _BASE_DIRS = np.stack([E_STABLE, E_UNSTABLE])
 # bundle order used throughout the package: stable, center, unstable
 S, C, U = 0, 1, 2
 
+# bound on the error of the unit stable and unstable directions of splitting_at
+DIRECTION_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class HyperbolicityRates:
@@ -60,22 +65,17 @@ class HyperbolicityRates:
             raise RateOrderError(f"rate ordering violated: lam={self.lam:.6g}, mu={self.mu:.6g}")
 
 
-@dataclass(frozen=True)
-class SplitConfig:
-    """Terms of the slope series and the bound on the error of its unit directions."""
-
-    n_iter: int = 40
-    direction_tol: float = 1e-12
-
-
 class CatCircleSystem:
     """Partially hyperbolic skew product on T^3 (see module docstring).
 
-    ``alpha`` is the fiber rotation, ``kappa`` the skew strength, ``shift``
-    an optional rigid translation, and ``split_config`` the slope-series
-    truncation of :func:`splitting_at`.  The center foliation is linear
-    exactly when kappa = 0, where one analytic frame serves every point.
-    The rates are bounded in closed form by :func:`rate_bounds`.
+    ``alpha`` is the fiber rotation, ``kappa`` the skew strength (2 pi kappa
+    finite, else ValueError) and ``shift`` an optional rigid translation.
+    ``n_split`` is the number of slope-series terms :func:`splitting_at`
+    sums: the fewest whose tails (:func:`slope_bounds`) are both at most
+    :data:`DIRECTION_TOL`, so 0 at kappa = 0, 27 at 0.02 and 30 at 0.3.
+    The center foliation is linear exactly when kappa = 0, where one
+    analytic frame serves every point.  The rates are bounded in closed
+    form by :func:`rate_bounds`.
 
     :meth:`forward` and :meth:`inverse` map arrays of points.  Loops that
     step one point at a time (:meth:`orbit`, noisy orbits, near-return
@@ -89,20 +89,18 @@ class CatCircleSystem:
 
     center_dimension = 1
 
-    def __init__(
-        self,
-        alpha: float = 0.0,
-        kappa: float = 0.0,
-        shift=None,
-        split_config: SplitConfig | None = None,
-    ) -> None:
+    def __init__(self, alpha: float = 0.0, kappa: float = 0.0, shift=None) -> None:
         self.alpha = float(alpha) % 1.0
         self.kappa = float(kappa)
+        if not np.isfinite(slope_bounds(self.kappa)).all():
+            raise ValueError(f"kappa and 2 pi kappa must be finite, got {kappa!r}")
+        self.n_split = 0
+        while max(slope_bounds(self.kappa, self.n_split)) > DIRECTION_TOL:
+            self.n_split += 1
         self.shift = np.zeros(3) if shift is None else np.asarray(shift, float)
         if self.shift.shape != (3,):
             raise ValueError("shift must be a 3-vector")
         self._shift_floats = tuple(self.shift.tolist())
-        self.split_config = split_config if split_config is not None else SplitConfig()
 
     def __repr__(self) -> str:
         shift = self.shift.tolist()
@@ -198,23 +196,17 @@ def cat_circle_system(
     kappa: float = 0.0,
     *,
     shift=None,
-    n_split: int = SplitConfig.n_iter,
-    direction_tol: float = SplitConfig.direction_tol,
     validate: bool = True,
 ) -> CatCircleSystem:
-    """Build a skew-product system and, unless ``validate=False``, check it in closed form.
+    """Build a skew-product system and, unless ``validate=False``, check its rates.
 
-    :func:`rate_bounds` refuses |kappa| >= 0.4527 and :func:`splitting_error`
-    an ``n_split`` whose series tail exceeds ``direction_tol``.  The splitting
-    follows from ``kappa`` (:func:`splitting_at`): analytic at kappa = 0,
-    the ``n_split``-term slope series otherwise.
+    :func:`rate_bounds` refuses |kappa| >= 0.4527.  The splitting follows
+    from ``kappa`` (:func:`splitting_at`): analytic at kappa = 0, the
+    ``n_split``-term slope series otherwise.
     """
-    split = SplitConfig(n_split, direction_tol)
-    sys = CatCircleSystem(alpha, kappa, shift=shift, split_config=split)
+    sys = CatCircleSystem(alpha, kappa, shift=shift)
     if validate:
         rate_bounds(sys.kappa)
-        if (err := splitting_error(sys)) is not None:
-            raise err
     return sys
 
 
@@ -335,33 +327,18 @@ def rate_bounds(kappa: float) -> HyperbolicityRates:
     return HyperbolicityRates(float(lam), float(mu))
 
 
-def splitting_error(sys: CatCircleSystem) -> SplittingError | None:
-    """The error when a series tail after ``n_iter`` terms exceeds ``direction_tol``, else None.
-
-    :func:`slope_bounds` holds at every point, so this is one verdict for
-    the system; the stable side is judged first.
-    """
-    cfg = sys.split_config
-    for tail, kind in zip(slope_bounds(sys.kappa, cfg.n_iter), ("stable", "unstable")):
-        if tail > cfg.direction_tol:
-            return SplittingError(
-                f"{kind} direction error bound {tail:.3g} after {cfg.n_iter} "
-                f"slope-series terms exceeds tol {cfg.direction_tol:g}"
-            )
-    return None
-
-
 def splitting_at(sys: CatCircleSystem, x) -> Splitting:
     """Invariant splitting at x: :data:`ANALYTIC` at kappa = 0, else one frame per point.
 
-    The stable and unstable slopes are ``sys.split_config.n_iter`` terms
-    of their series (see :func:`_slopes`; :func:`splitting_error` bounds
-    the truncation) and the inverse frames are explicit.
+    The stable and unstable slopes are ``sys.n_split`` terms of their
+    series (see :func:`_slopes`), so the unit directions are within
+    :data:`DIRECTION_TOL` of the invariant ones, and the inverse frames are
+    explicit.
     """
     if sys.kappa == 0.0:
         return ANALYTIC
     x = np.asarray(x, float)
-    slopes = _slopes(sys, x, sys.split_config.n_iter)
+    slopes = _slopes(sys, x, sys.n_split)
     norms = np.sqrt(1.0 + slopes**2)
     dirs = (_BASE_DIRS + slopes[..., None] * E_CENTER) / norms[..., None]
     center = np.broadcast_to(E_CENTER, x.shape)

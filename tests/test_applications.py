@@ -1,5 +1,4 @@
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasishadow as qs
-from quasishadow import applications, solver
 from quasishadow.applications import grid_points
 from quasishadow.cli import to_json
 from quasishadow.errors import QuasiShadowError, SearchError
@@ -283,33 +281,6 @@ def test_semiconjugacy_mixed_failures_match_per_window_loop(product_sys):
     survivors = np.flatnonzero(~np.isnan(cmap.displacement))
     assert survivors.tolist() == [0, 1, 2]
     assert np.array_equal(cmap.grid[survivors, :2], np.zeros((3, 2)))
-
-
-def test_semiconjugacy_splitting_tail_bound_is_one_verdict():
-    # after 26 terms at kappa = 0.02 the stable tail bound is 1.45e-12 at
-    # every point: a tighter tolerance refuses every grid point, a looser
-    # one admits them all
-    def pair(tol):
-        shallow = dict(n_split=26, direction_tol=tol, validate=False)
-        sys_f = qs.cat_circle_system(0.3, 0.02, **shallow)
-        return sys_f, qs.cat_circle_system(0.3, 0.02, shift=(1e-3, 2e-4, 0.0), **shallow)
-
-    # the refusal comes before any frame is computed
-    frames = [
-        mock.patch.object(module, "splitting_at", wraps=module.splitting_at)
-        for module in (applications, solver)
-    ]
-    with frames[0] as at_grid, frames[1] as at_windows:
-        cmap = _assert_matches_per_window(*pair(1e-15), grid_points(3), 1)
-    assert at_grid.call_count == at_windows.call_count == 0
-    assert [p for p, _ in cmap.failures] == list(range(27))
-    message = (
-        "SplittingError: stable direction error bound 1.45e-12 after 26 "
-        "slope-series terms exceeds tol 1e-15"
-    )
-    assert all(msg == message for _, msg in cmap.failures)
-    cmap = _assert_matches_per_window(*pair(2e-12), grid_points(3), 1)
-    assert not cmap.failures and not np.isnan(cmap.residuals).any()
 
 
 @settings(max_examples=12, deadline=None)

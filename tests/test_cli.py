@@ -151,17 +151,6 @@ def test_seed_override(tmp_path):
     assert report["config"]["orbit"]["seed"] == 99
 
 
-@pytest.mark.parametrize("n_split", [0, 1])
-def test_shallow_splitting_refused(tmp_path, capsys, n_split):
-    # one or no term of the slope series leaves frames off by 0.04-0.1 at kappa = 0.02
-    payload = _shadow_config()
-    payload["system"] = {"alpha": 0.3, "kappa": 0.02, "n_split": n_split}
-    cfg = _write(tmp_path, "shallow.json", payload)
-    assert main(["shadow", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 2
-    assert "error: SplittingError: stable direction error bound" in capsys.readouterr().err
-    assert not (tmp_path / "shallow_report.json").exists()
-
-
 def test_admissibility_probes_below_two_refused(tmp_path, capsys):
     payload = _shadow_config()
     payload["solver"] = {"admissibility_probes": 1}
@@ -207,7 +196,7 @@ def test_solver_schema_is_solver_config_plus_echo_only_keys():
     echo = {"boundary_policy", "admissibility_probes", "probe_seed"}
     assert set(cli._ECHO_ONLY) == {"system", "solver"}
     assert set(cli._ECHO_ONLY["solver"]) == echo
-    assert set(cli._ECHO_ONLY["system"]) == {"splitting_mode"}
+    assert set(cli._ECHO_ONLY["system"]) == {"splitting_mode", "n_split"}
     assert set(cli._SCHEMA["solver"]) == set(fields) | echo
     assert {key: cli._SCHEMA["solver"][key][1] for key in fields} == fields
     assert "splitting_mode" in cli._SCHEMA["system"]
@@ -225,6 +214,7 @@ def test_boundary_policy_mismatch(tmp_path, capsys):
 
 
 _POLICY, _MATCH = "boundary policy", "does not match orbit cyclic"
+_N_SPLIT, _DERIVED = "system.n_split must be 40, got", "the series length is derived from kappa"
 
 
 @pytest.mark.parametrize(
@@ -233,6 +223,8 @@ _POLICY, _MATCH = "boundary policy", "does not match orbit cyclic"
         ("shadow", "system", "splitting_mode", "numerical", "system.splitting_mode must be 'auto'"),
         ("close", "system", "splitting_mode", "analytic", "system.splitting_mode must be 'auto'"),
         ("stability", "system", "splitting_mode", "x", "system.splitting_mode must be 'auto', got 'x'"),
+        ("shadow", "system", "n_split", 0, f"{_N_SPLIT} 0: {_DERIVED}"),
+        ("sweep", "system", "n_split", 1, f"{_N_SPLIT} 1: {_DERIVED}"),
         ("close", "solver", "boundary_policy", "window", f"{_POLICY} 'window' {_MATCH}=True"),
         ("stability", "solver", "boundary_policy", "cyclic", f"{_POLICY} 'cyclic' {_MATCH}=False"),
         ("sweep", "solver", "boundary_policy", "cyclic", f"{_POLICY} 'cyclic' {_MATCH}=False"),
@@ -452,6 +444,21 @@ def test_sweep_noise_linear_response(tmp_path):
     assert len(table) == 4
 
 
+def test_refused_sweep_rows_are_failed_children(tmp_path):
+    # both noise levels predict a tracing radius beyond epsilon: the rows are
+    # refused, not run, and each counts as a failed child
+    payload = _sweep_config(noise=[0.03, 0.045])
+    payload["orbit"]["n_steps"] = 20
+    assert _run(tmp_path, "refused", payload) == 1
+    report = json.loads((tmp_path / "refused_report.json").read_text())
+    assert report["results"]["n_errors"] == 2
+    assert all(r["error"].startswith("AdmissibilityError: ") for r in report["results"]["rows"])
+    assert report["checks"] == [
+        {"name": "children_failed", "value": 2.0, "bound": 0.5, "op": "<=", "passed": False}
+    ]
+    assert report["passed"] is False
+
+
 def test_sweep_empty_ranges(tmp_path):
     cfg = _write(tmp_path, "empty.json", _sweep_config())
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
@@ -462,9 +469,10 @@ def test_sweep_empty_ranges(tmp_path):
 
 def test_sweep_kappa_records_last_passing(tmp_path):
     cfg = _write(tmp_path, "kap.json", _sweep_config(kappa=[0.0, 0.02, 0.8]))
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 1
     report = json.loads((tmp_path / "kap_report.json").read_text())
     assert report["results"]["n_errors"] == 1
+    assert {c["name"]: c["value"] for c in report["checks"]}["children_failed"] == 1
     assert report["results"]["last_passing_kappa"] == 0.02
     errors = [r for r in report["results"]["rows"] if "error" in r]
     assert "RateOrderError" in errors[0]["error"]

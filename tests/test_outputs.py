@@ -82,8 +82,9 @@ def test_conjugacy_map_csv_bytes(tmp_path):
     assert (tmp_path / "map.csv").read_bytes() == expected
 
 
-# shadow_tau3_skew_trajectory.csv.gz predates the closed-form splitting,
-# which moved that trajectory by 5.55e-17; the recorded copy is stale
+# shadow_tau3_skew_trajectory.csv.gz predates the closed-form splitting and
+# its series length derived from kappa, which moved that trajectory by at
+# most 2.47e-16; the recorded copy is stale
 STALE = {"shadow_tau3_skew_trajectory.csv"}
 # reports recorded with a matching digest; the shadow_tau1, shadow_tau3_skew
 # and close_leaf reports are stale: their diagnostics sections changed with

@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasishadow as qs
-from quasishadow.errors import RateOrderError, SplittingError
+from quasishadow.errors import RateOrderError
 from quasishadow.systems import (
     ANALYTIC,
     C,
+    DIRECTION_TOL,
     E_CENTER,
     E_UNSTABLE,
     LAM,
@@ -207,12 +210,21 @@ def test_rate_ordering_validation():
 
 
 def test_splitting_convergence_guard():
-    shallow = dict(n_split=2, direction_tol=1e-15)
-    with pytest.raises(SplittingError, match="stable direction error bound"):
-        qs.cat_circle_system(0.3, 0.02, **shallow)
-    twin = qs.cat_circle_system(0.3, 0.02, validate=False, **shallow)
-    with pytest.raises(SplittingError, match="stable direction error bound"):
-        qs.shadow(twin, qs.true_orbit_window(twin, [0.3, 0.4, 0.5], 5))
+    # every system sums the fewest slope-series terms whose tails meet DIRECTION_TOL
+    for kappa in [0.0, 1e-300, 0.005, 0.02, 0.1, 0.3, 0.4526, -0.02]:
+        n = qs.cat_circle_system(0.3, kappa).n_split
+        assert max(slope_bounds(kappa, n)) <= DIRECTION_TOL
+        if n > 0:
+            assert max(slope_bounds(kappa, n - 1)) > DIRECTION_TOL
+
+
+@pytest.mark.parametrize("kappa", [math.inf, -math.inf, math.nan])
+def test_non_finite_kappa_refused(kappa):
+    # the series length could not be derived: inf never ends the search, nan gives 0 terms
+    with pytest.raises(ValueError, match="kappa and 2 pi kappa must be finite"):
+        qs.CatCircleSystem(0.3, kappa)
+    with pytest.raises(ValueError, match="kappa and 2 pi kappa must be finite"):
+        qs.cat_circle_system(0.3, kappa, validate=False)
 
 
 @settings(max_examples=20, deadline=None)
@@ -225,7 +237,8 @@ def test_splitting_convergence_guard():
 )
 def test_splitting_matches_power_iteration(alpha, kappa, shift, n_split, seed):
     # the slope series with n terms is n power-iteration pushes of the seed direction
-    sys = qs.cat_circle_system(alpha, kappa, shift=shift, n_split=n_split, validate=False)
+    sys = qs.cat_circle_system(alpha, kappa, shift=shift)
+    sys.n_split = n_split
     pts = qs.wrap(np.random.default_rng(seed).random((4, 16, 3)))
     split = qs.splitting_at(sys, pts)
     frames, frames_inv, _ = power_splitting(sys, pts, n_split)
@@ -245,7 +258,8 @@ def test_splitting_matches_power_iteration(alpha, kappa, shift, n_split, seed):
 def test_slope_tail_bounds_direction_error(kappa, shift, n, seed):
     # n terms against 60 more: the distance of the unit directions stays
     # within the geometric tail bound (plus a few ulps of rounding)
-    sys = qs.cat_circle_system(0.3, kappa, shift=shift, n_split=n, validate=False)
+    sys = qs.cat_circle_system(0.3, kappa, shift=shift)
+    sys.n_split = n
     pts = qs.wrap(np.random.default_rng(seed).random((4, 16, 3)))
     frames = qs.splitting_at(sys, pts).frames
     deep = power_splitting(sys, pts, n + 60)[0]
