@@ -14,7 +14,6 @@ from .applications import (
     find_periodic_center_leaf,
     find_periodic_center_leaf_from_leaf_return,
     grid_points,
-    perturbation_size,
     verify_semiconjugacy,
 )
 from .errors import (
@@ -31,7 +30,6 @@ from .orbits import (
     PseudoOrbit,
     find_near_return,
     generate_noisy,
-    make_cyclic,
     true_orbit_window,
 )
 from .solver import (

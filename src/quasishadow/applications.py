@@ -1,10 +1,12 @@
 """Periodic center leaves from near returns, and quasi-stability semiconjugacies.
 
-Both constructions ride on the cyclic / windowed quasi-shadowing solver:
-a near return closes into a cyclic pseudo orbit whose periodic tracing
-sequence pins down a periodic center fiber, and the orbits of a nearby
-map g, read as pseudo orbits of f, shadow into a map h with
-h(g(x)) = tau_{g(x)}(f(h(x))) up to solver tolerance.
+Both constructions ride on the cyclic / windowed quasi-shadowing solver.
+A closing traces a cyclic pseudo orbit (the walk of a near return, or an
+anchor chain along one fiber) through one shared tail, and the periodic
+tracing sequence pins down a periodic center fiber.  The orbits of a
+nearby map g, read as pseudo orbits of f, shadow into a map h with
+h(g(x)) = tau_{g(x)}(f(h(x))) up to solver tolerance; each grid residual
+is measured once, while the map is built.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import QuasiShadowError, SearchError
-from .orbits import NearReturn, PseudoOrbit, make_cyclic, write_table
+from .orbits import NearReturn, PseudoOrbit, write_table
 from .solver import ShadowResult, SolverConfig, shadow, shadow_batch
 from .systems import C, CatCircleSystem, leaf_dist, splitting_at
-from .torus import RHO0_DEFAULT, dist, expmap, logmap, minimal_rep, wrap
+from .torus import dist, expmap, logmap, minimal_rep, wrap
 
 # grid points solved as one batch: large enough that per-call overhead
 # vanishes, small enough that the batch's arrays stay a few megabytes
@@ -65,29 +67,38 @@ def _leaf_residual(sys: CatCircleSystem, p: np.ndarray, period: int) -> float:
     return float(leaf_dist(p, z))
 
 
+def _close(
+    sys: CatCircleSystem,
+    cycle: PseudoOrbit,
+    cfg: SolverConfig | None,
+    chain_start: np.ndarray | None = None,
+) -> PeriodicCenterLeaf:
+    """Trace a cyclic pseudo orbit periodically; y_0 represents its periodic center leaf."""
+    res = shadow(sys, cycle, _closing_config(cfg))
+    p = res.y[0]
+    return PeriodicCenterLeaf(
+        point=p,
+        period=len(cycle),
+        leaf_residual=_leaf_residual(sys, p, len(cycle)),
+        trace_max=res.max_trace_dist,
+        result=res,
+        chain_start=chain_start,
+    )
+
+
 def find_periodic_center_leaf(
     sys: CatCircleSystem,
     near_return: NearReturn,
     cfg: SolverConfig | None = None,
 ) -> PeriodicCenterLeaf:
-    """Close a near return into a cyclic pseudo orbit and trace it periodically.
+    """Trace the cycle of a near return periodically.
 
     The tracing sequence of the period-n cyclic orbit is itself periodic,
     so the fiber of y_0 returns to itself after n steps; y_0 is the
     representative.  Fiber-sliding variants only (tau2 default, tau3 for
     pointwise returns).
     """
-    cfg = _closing_config(cfg)
-    orbit = make_cyclic(sys, near_return)
-    res = shadow(sys, orbit, cfg)
-    p = res.y[0]
-    return PeriodicCenterLeaf(
-        point=p,
-        period=near_return.n,
-        leaf_residual=_leaf_residual(sys, p, near_return.n),
-        trace_max=res.max_trace_dist,
-        result=res,
-    )
+    return _close(sys, near_return.cycle, cfg)
 
 
 def find_periodic_center_leaf_from_leaf_return(
@@ -109,7 +120,6 @@ def find_periodic_center_leaf_from_leaf_return(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    cfg = _closing_config(cfg)
     x = wrap(x)
     base = x[:2].tolist()
     thetas = [float(x[2])]
@@ -129,17 +139,8 @@ def find_periodic_center_leaf_from_leaf_return(
             break
     else:
         raise SearchError(f"no recurrence pair on the fiber within {max_chain} chain steps")
-    res = shadow(sys, PseudoOrbit(np.concatenate([w[:n] for w in walks[lo:hi]]), cyclic=True), cfg)
-    period = n * (hi - lo)
-    p = res.y[0]
-    return PeriodicCenterLeaf(
-        point=p,
-        period=period,
-        leaf_residual=_leaf_residual(sys, p, period),
-        trace_max=res.max_trace_dist,
-        result=res,
-        chain_start=np.array([base[0], base[1], thetas[lo]]),
-    )
+    cycle = PseudoOrbit(np.concatenate([w[:n] for w in walks[lo:hi]]), cyclic=True)
+    return _close(sys, cycle, cfg, chain_start=np.array([base[0], base[1], thetas[lo]]))
 
 
 @dataclass
@@ -148,7 +149,8 @@ class ConjugacyMap:
 
     ``values_at_g`` and ``center_at_g`` come from an independent solve at
     g(x); the residual compares h(g(x)) with the center-corrected image of
-    f(h(x)).
+    f(h(x)).  ``perturbation_size`` is the sup of dist(f(x), g(x)) over the
+    grid.
     """
 
     grid: np.ndarray
@@ -177,11 +179,6 @@ def grid_points(per_axis: int) -> np.ndarray:
         raise ValueError("per_axis must be >= 1")
     t = np.arange(per_axis) / per_axis
     return np.stack(np.meshgrid(t, t, t, indexing="ij"), axis=-1).reshape(-1, 3)
-
-
-def perturbation_size(sys_f: CatCircleSystem, sys_g: CatCircleSystem, points) -> float:
-    """Measured sup of dist(f(x), g(x)) over the sample points."""
-    return float(np.max(dist(sys_f.forward(points), sys_g.forward(points))))
 
 
 def build_semiconjugacy(
@@ -280,7 +277,7 @@ def build_semiconjugacy(
         window=window,
         displacement=displacement,
         residuals=residuals,
-        perturbation_size=perturbation_size(sys_f, sys_g, grid),
+        perturbation_size=float(np.max(dist(sys_f.forward(grid), rows[window + 1]))),
         max_displacement=max_disp,
         residual_max=res_max,
         residual_mean=res_mean,
@@ -289,39 +286,23 @@ def build_semiconjugacy(
     )
 
 
-def verify_semiconjugacy(
-    cmap: ConjugacyMap,
-    sys_f: CatCircleSystem,
-    sys_g: CatCircleSystem,
-    probe_points=None,
-    rho0: float = RHO0_DEFAULT,
-) -> dict:
-    """Recompute the intertwining residuals from the stored map data.
+def verify_semiconjugacy(cmap: ConjugacyMap, probe_points=None) -> dict:
+    """The map's residuals, with a finite surjectivity proxy certified alongside.
 
-    Also certifies a finite surjectivity proxy: the image of the grid
-    under h must be dense to within 2 * (grid covering radius + max
-    displacement), measured against ``probe_points`` (the grid itself by
-    default).
+    The residuals and failures are those :func:`build_semiconjugacy`
+    measured.  The proxy: the image of the grid under h must be dense to
+    within 2 * (grid covering radius + max displacement), measured against
+    ``probe_points`` (the grid itself by default).
     """
     ok = ~np.isnan(cmap.displacement)
-    gx = sys_g.forward(cmap.grid[ok])
-    target = expmap(
-        gx,
-        cmap.center_at_g[ok] + logmap(gx, sys_f.forward(cmap.values[ok]), rho0),
-        rho0,
-    )
-    residuals = dist(cmap.values_at_g[ok], target)
     probes = cmap.grid if probe_points is None else wrap(np.asarray(probe_points, float).reshape(-1, 3))
-    image = cmap.values[ok]
-    covering = _covering_radius(probes, image)
     grid_covering = _covering_radius(probes, cmap.grid)
-    bound = 2.0 * (grid_covering + cmap.max_displacement)
     return {
-        "residual_max": float(np.max(residuals)) if residuals.size else float("nan"),
-        "residual_mean": float(np.mean(residuals)) if residuals.size else float("nan"),
+        "residual_max": cmap.residual_max,
+        "residual_mean": cmap.residual_mean,
         "pairs_checked": int(ok.sum()),
-        "density_radius": covering,
-        "density_bound": bound,
+        "density_radius": _covering_radius(probes, cmap.values[ok]),
+        "density_bound": 2.0 * (grid_covering + cmap.max_displacement),
         "grid_covering_radius": grid_covering,
         "failures": len(cmap.failures),
     }

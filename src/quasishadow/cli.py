@@ -320,9 +320,7 @@ def run_stability(config: dict, out_dir: Path | None = None, stem: str = "stabil
     grid = grid_points(st["grid_per_axis"])
     cmap = build_semiconjugacy(sys_f, sys_g, grid, cfg, window=st["window"])
     probes = (grid + 0.5 / st["grid_per_axis"]) % 1.0
-    verification = verify_semiconjugacy(
-        cmap, sys_f, sys_g, probe_points=probes, rho0=cfg.rho0
-    )
+    verification = verify_semiconjugacy(cmap, probe_points=probes)
     results = {
         "perturbation_size": cmap.perturbation_size,
         "max_displacement": cmap.max_displacement,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,21 +77,28 @@ class PseudoOrbit:
 
 @dataclass
 class NearReturn:
-    """An orbit point whose n-th image comes back within ``gap`` of it.
+    """A cyclic pseudo orbit x, f(x), ..., f^(n-1)(x) whose n-th image comes back within ``gap``.
 
-    ``mode`` is "point" for plain distance, "leaf" for the Hausdorff
-    distance between center fibers (base distance here).
+    The cycle is the walk of :func:`find_near_return`, so its one inexact
+    pair is the wrap, whose error is ``gap``.  A leaf-mode return ("leaf":
+    Hausdorff distance between center fibers, which is the base distance
+    here) gives a leaf-mode cycle; "point" compares plain distance.
     """
 
-    point: np.ndarray
-    n: int
+    cycle: PseudoOrbit
     gap: float
-    mode: str
 
-    def __post_init__(self) -> None:
-        self.point = wrap(self.point)
-        if self.mode not in ("point", "leaf"):
-            raise ValueError(f"unknown near-return mode {self.mode!r}")
+    @property
+    def n(self) -> int:
+        return len(self.cycle)
+
+    @property
+    def point(self) -> np.ndarray:
+        return self.cycle.points[0]
+
+    @property
+    def mode(self) -> str:
+        return "leaf" if self.cycle.leaf_mode else "point"
 
 
 def _ball_draws(rng: np.random.Generator, count: int, radius: float, dim: int) -> np.ndarray:
@@ -155,11 +163,12 @@ def find_near_return(
     threshold: float,
     mode: str,
 ) -> NearReturn:
-    """Smallest n <= max_n with dist(x0, f^n(x0)) < threshold.
+    """Smallest n <= max_n with dist(x0, f^n(x0)) < threshold, with the n points walked.
 
     In leaf mode the comparison uses the Hausdorff distance between the
     center fibers, which for circle fibers is the base distance.  Steps on
-    the float kernel; the gap repeats the operation order of :func:`dist`.
+    the float kernel, so the cycle holds the rows of ``sys.orbit(x0, n - 1)``;
+    the gap repeats the operation order of :func:`dist`.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -167,26 +176,18 @@ def find_near_return(
         raise ValueError(f"unknown near-return mode {mode!r}")
     x0 = wrap(x0)
     p0, p1, p2 = z = x0.tolist()
+    walk = array("d", z)  # x0 .. f^(n-1)(x0), 24 bytes a point
     leaf = mode == "leaf"
-    for n in range(1, max_n + 1):
+    for _ in range(max_n):
         z = sys.step(*z)
         d0, d1, d2 = z[0] - p0, z[1] - p1, z[2] - p2
         d0, d1, d2 = d0 - round(d0), d1 - round(d1), d2 - round(d2)
         sq = d0 * d0 + d1 * d1
         gap = math.sqrt(sq if leaf else sq + d2 * d2)
         if gap < threshold:
-            return NearReturn(x0, n, gap, mode)
+            cycle = PseudoOrbit(np.frombuffer(walk).reshape(-1, 3), cyclic=True, leaf_mode=leaf)
+            return NearReturn(cycle, gap)
+        walk.extend(z)
     raise SearchError(
         f"no {mode}-mode return below {threshold:g} within {max_n} steps from {x0.tolist()}"
     )
-
-
-def make_cyclic(sys: CatCircleSystem, near_return: NearReturn) -> PseudoOrbit:
-    """Period-n cyclic pseudo orbit x, f(x), ..., f^(n-1)(x) from a near return.
-
-    Only the wrap pair is inexact; its error is the return gap.  A leaf-mode
-    return gives a leaf-mode cycle, whose wrap error a tau2 solve measures
-    fiber-wise, against the point of the starting fiber closest to f^n(x).
-    """
-    pts = sys.orbit(near_return.point, near_return.n - 1)
-    return PseudoOrbit(pts, cyclic=True, leaf_mode=(near_return.mode == "leaf"))

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import quasishadow as qs
 from quasishadow.applications import grid_points
-from quasishadow.cli import to_json
+from quasishadow.cli import main, to_json
 from quasishadow.errors import QuasiShadowError, SearchError
 from quasishadow.systems import LAM
 
@@ -54,12 +55,38 @@ def test_closing_nontrivial_gap_matches_dense_cycle():
     assert nr.n == oracle_scan[0] == 30
     assert 1e-6 < nr.gap < 0.01
     leaf = qs.find_periodic_center_leaf(sys0, nr)
-    cyc = qs.make_cyclic(sys0, nr)
-    y_o, v_o, _ = dense_tau1_cyclic(cyc.points, 0.0)
+    y_o, v_o, _ = dense_tau1_cyclic(sys0.orbit((0.13, 0.41, 0.0), 29), 0.0)
     assert np.max(qs.dist(leaf.result.y, y_o)) < 1e-10
     base_oracle = periodic_base_point((0.13, 0.41), 30)
     assert np.linalg.norm(qs.minimal_rep(leaf.point[:2] - base_oracle)) < 1e-6
     assert leaf.trace_max <= 0.04
+
+
+def test_closing_at_nonzero_kappa(tmp_path):
+    # the base map ignores the fiber, so a kappa != 0 leaf return closes on
+    # the same periodic base orbit; the tau2 solve slides along the bent fibers
+    sys = qs.cat_circle_system(alpha=1.0 / 12.0, kappa=0.02)
+    nr = qs.find_near_return(sys, (0.1, 0.2, 0.3), 5000, 1e-3, mode="leaf")
+    assert nr.n == 6 and nr.mode == "leaf"
+    leaf = qs.find_periodic_center_leaf(sys, nr)
+    assert leaf.result.variant == "tau2"
+    assert (leaf.result.diagnostics.defect, leaf.result.defect_index) == (nr.gap, 5)
+    assert leaf.period == 6
+    assert leaf.leaf_residual <= 1e-13 and leaf.trace_max <= 1e-13
+    oracle = periodic_base_point((0.1, 0.2), 6)
+    assert qs.dist(np.r_[leaf.point[:2], 0.0], np.r_[oracle, 0.0]) < 1e-12
+    payload = {
+        "kind": "close",
+        "system": {"alpha": 1.0 / 12.0, "kappa": 0.02},
+        "close": {"x0": [0.1, 0.2, 0.3], "threshold": 1e-3, "mode": "leaf"},
+        "solver": {"variant": "tau2"},
+    }
+    cfg = tmp_path / "close_kappa.json"
+    cfg.write_text(json.dumps(payload))
+    assert main(["close", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    results = json.loads((tmp_path / "close_kappa_report.json").read_text())["results"]
+    assert (results["period"], results["return_gap"]) == (6, nr.gap)
+    assert results["leaf_residual"] == leaf.leaf_residual
 
 
 def test_leaf_return_chain_trivial():
@@ -201,13 +228,26 @@ def test_semiconjugacy_verify_recomputes(product_sys):
     moved = qs.cat_circle_system(0.3, 0.0, shift=(1e-3, 0.0, 0.0))
     grid = grid_points(3)
     cmap = qs.build_semiconjugacy(product_sys, moved, grid, _cfg(), window=30)
-    ver = qs.verify_semiconjugacy(cmap, product_sys, moved)
-    assert abs(ver["residual_max"] - cmap.residual_max) < 1e-15
-    assert ver["pairs_checked"] == len(grid)
+    # the residuals recomputed here from the stored solves at g(x) are the map's own
+    gx = moved.forward(grid)
+    target = qs.expmap(gx, cmap.center_at_g + qs.logmap(gx, product_sys.forward(cmap.values)))
+    residuals = qs.dist(cmap.values_at_g, target)
+    assert np.array_equal(cmap.residuals, residuals)
+    ver = qs.verify_semiconjugacy(cmap)
+    assert ver["residual_max"] == cmap.residual_max == np.max(residuals)
+    assert ver["residual_mean"] == cmap.residual_mean == np.mean(residuals)
+    assert ver["pairs_checked"] == len(grid) and ver["failures"] == 0
     assert ver["density_radius"] <= ver["density_bound"]
     probes = qs.wrap(grid + 1.0 / 6.0)
-    ver_off = qs.verify_semiconjugacy(cmap, product_sys, moved, probe_points=probes)
+    ver_off = qs.verify_semiconjugacy(cmap, probe_points=probes)
     assert ver_off["density_radius"] <= ver_off["density_bound"]
+    # the density proxy against a brute-force covering radius
+    for check, pts in ((ver, grid), (ver_off, probes)):
+        to_image = qs.dist(pts[:, None], cmap.values[None])
+        to_grid = qs.dist(pts[:, None], grid[None])
+        assert check["density_radius"] == np.max(np.min(to_image, axis=1))
+        assert check["grid_covering_radius"] == np.max(np.min(to_grid, axis=1))
+        assert check["density_bound"] == 2.0 * (check["grid_covering_radius"] + cmap.max_displacement)
 
 
 def test_semiconjugacy_collects_failures(product_sys):

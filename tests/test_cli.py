@@ -359,11 +359,13 @@ def test_stability_verifies_with_the_solver_chart_radius(tmp_path):
         "solver": {"rho0": 0.3},
     }
     cfg = _write(tmp_path, "chart.json", payload)
-    spy = mock.patch.object(cli, "verify_semiconjugacy", wraps=cli.verify_semiconjugacy)
-    with spy as verify:
+    # the grid residual's chart maps run inside build_semiconjugacy
+    exp_spy = mock.patch.object(qs.applications, "expmap", wraps=qs.applications.expmap)
+    log_spy = mock.patch.object(qs.applications, "logmap", wraps=qs.applications.logmap)
+    with exp_spy as expmap, log_spy as logmap:
         assert main(["stability", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
-    assert verify.call_count == 1
-    assert verify.call_args.kwargs["rho0"] == 0.3
+    assert expmap.call_count == 1 and logmap.call_count == 2
+    assert all(c.args[2] == 0.3 for c in expmap.call_args_list + logmap.call_args_list)
 
 
 def test_stability_all_points_fail(tmp_path):

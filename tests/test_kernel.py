@@ -120,6 +120,9 @@ def test_find_near_return_matches_array_loop(alpha, kappa, shift, x0, threshold,
     nr = qs.find_near_return(sys, x0, 150, threshold, mode)
     assert nr.n == expected[0] and _same_bits(nr.gap, expected[1])
     assert _same_bits(nr.point, qs.wrap(x0))
+    # the cycle is the walk itself: x0 .. f^(n-1)(x0) with the array map's bits
+    assert _same_bits(nr.cycle.points, array_orbit(sys, x0, nr.n - 1))
+    assert nr.cycle.cyclic and nr.cycle.leaf_mode == (mode == "leaf")
 
 
 @settings(max_examples=30, deadline=None)

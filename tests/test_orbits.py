@@ -108,30 +108,30 @@ def test_find_near_return_exhausts(product_sys):
         qs.find_near_return(product_sys, (0.137, 0.411, 0.0), 5, 1e-9, mode="point")
 
 
-def test_make_cyclic_fixed_point():
+def test_near_return_cycle_fixed_point():
     sys0 = qs.cat_circle_system(alpha=0.0, kappa=0.0)
     nr = qs.find_near_return(sys0, (0.0, 0.0, 0.3), 10, 0.5, mode="leaf")
-    cyc = qs.make_cyclic(sys0, nr)
+    cyc = nr.cycle
     assert len(cyc) == 1 and cyc.cyclic
     assert measure_defect(sys0, cyc)[0] == 0.0
     assert qs.shadow(sys0, cyc, qs.SolverConfig(variant="tau2")).diagnostics.defect == 0.0
 
 
-def test_make_cyclic_point_mode_defect_equals_gap():
+def test_near_return_cycle_point_mode_defect_equals_gap():
     sys0 = qs.cat_circle_system(alpha=1.0 / 12.0, kappa=0.0)
     nr = qs.find_near_return(sys0, (0.1, 0.2, 0.3), 5000, 1e-3, mode="point")
-    cyc = qs.make_cyclic(sys0, nr)
+    cyc = nr.cycle
     assert nr.n == 12
     res = qs.shadow(sys0, cyc)
     assert res.diagnostics.defect == nr.gap
     assert res.defect_index == len(cyc) - 1
 
 
-def test_make_cyclic_leaf_mode_measures_fiberwise(product_sys):
+def test_near_return_cycle_leaf_mode_measures_fiberwise(product_sys):
     # fiber rotation 0.3 makes the pointwise wrap gap large; the leaf-wise
     # defect is the base gap of the near return
     nr = qs.find_near_return(product_sys, (0.1, 0.2, 0.3), 5000, 1e-3, mode="leaf")
-    cyc = qs.make_cyclic(product_sys, nr)
+    cyc = nr.cycle
     assert cyc.leaf_mode
     res = qs.shadow(product_sys, cyc, qs.SolverConfig(variant="tau2"))
     assert res.diagnostics.defect == nr.gap

@@ -3,7 +3,8 @@
 The three numeric writers share one row-format helper; it must write the
 bytes that csv.writer with format(v, ".17g") per value wrote, "\\r\\n" line
 ends included.  The shipped configs must reproduce the recorded CSVs and,
-where the recorded copy is current, the report without ``runtime_seconds``.
+where the recorded copy is current, the report without ``runtime_seconds``
+(without ``results.diagnostics`` either, where only that section is stale).
 """
 
 import gzip
@@ -91,6 +92,9 @@ STALE = {"shadow_tau3_skew_trajectory.csv"}
 # the closed-form splitting and the closed-form admissibility bounds, and the
 # copies wait for a re-recording of the benchmark references
 CURRENT_REPORTS = ["stability_alpha", "stability_translation", "sweep_noise"]
+# reports whose recorded copies are stale under results.diagnostics only; every
+# other key is pinned.  shadow_tau3_skew stays out: its results moved as well
+DIAGNOSTICS_STALE = ["shadow_tau1", "close_leaf"]
 SHIPPED_CONFIGS = ["shadow_tau1", "shadow_tau3_skew", "close_leaf"] + CURRENT_REPORTS
 
 
@@ -111,10 +115,12 @@ def shipped_outputs(tmp_path_factory):
     return run
 
 
-def _canonical_report(raw: bytes) -> str:
-    """Report text without its runtime field, keys sorted."""
+def _canonical_report(raw: bytes, diagnostics: bool = True) -> str:
+    """Report text without its runtime field (and the results' diagnostics), keys sorted."""
     report = json.loads(raw)
     report.pop("runtime_seconds", None)
+    if not diagnostics:
+        del report["results"]["diagnostics"]
     return json.dumps(report, sort_keys=True, indent=2)
 
 
@@ -130,9 +136,10 @@ def test_shipped_config_csvs_match_reference(shipped_outputs, config):
             assert (out / name).read_bytes() == fh.read(), name
 
 
-@pytest.mark.parametrize("config", CURRENT_REPORTS)
+@pytest.mark.parametrize("config", CURRENT_REPORTS + DIAGNOSTICS_STALE)
 def test_shipped_config_reports_match_reference(shipped_outputs, config):
     name = f"{config}_report.json"
+    diagnostics = config not in DIAGNOSTICS_STALE
     with gzip.open(SHIPPED / f"{name}.gz", "rb") as fh:
-        recorded = _canonical_report(fh.read())
-    assert _canonical_report((shipped_outputs(config) / name).read_bytes()) == recorded
+        recorded = _canonical_report(fh.read(), diagnostics)
+    assert _canonical_report((shipped_outputs(config) / name).read_bytes(), diagnostics) == recorded

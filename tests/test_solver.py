@@ -146,8 +146,7 @@ def test_solve_p_matches_dense_window(product_sys, rng):
 
 
 def test_solve_p_matches_dense_cyclic(product_sys, rng):
-    nr = qs.NearReturn(np.array([0.1, 0.2, 0.3]), 30, 0.0, "point")
-    pts = product_sys.orbit(nr.point, 29)
+    pts = product_sys.orbit((0.1, 0.2, 0.3), 29)
     orbit = qs.PseudoOrbit(pts, cyclic=True)
     ops = qs.OrbitOperators(product_sys, orbit.points, cyclic=True)
     rhs = rng.standard_normal((30, 3)) * 1e-3
@@ -219,7 +218,7 @@ def test_period_one_cycle_solves_alone_as_batched():
     sys = qs.cat_circle_system(0.001)
     nr = qs.find_near_return(sys, (0.004, 0.002, 0.3), 10, 0.02, "point")
     assert nr.n == 1 and 7e-3 < nr.gap < 7.5e-3
-    cycle = qs.make_cyclic(sys, nr)
+    cycle = nr.cycle
     alone = qs.shadow(sys, cycle)
     batched = qs.shadow_batch(sys, [cycle, cycle])
     for res in batched:
@@ -410,7 +409,7 @@ def test_step_residuals_per_variant(product_sys):
 def test_leaf_mode_big_rotation_needs_tau2(product_sys):
     # fiber rotation 0.3 over a 6-cycle leaves a 0.2 fiber jump at the seam
     nr = qs.find_near_return(product_sys, (0.1, 0.2, 0.3), 5000, 1e-3, mode="leaf")
-    cyc = qs.make_cyclic(product_sys, nr)
+    cyc = nr.cycle
     with pytest.raises(AdmissibilityError):
         qs.shadow(product_sys, cyc)
     res = qs.shadow(product_sys, cyc, qs.SolverConfig(variant="tau2"))
@@ -445,7 +444,7 @@ def test_numerical_splitting_at_zero_kappa_shadows_like_analytic(product_sys):
         cfg = qs.SolverConfig(variant=variant)
         close(per_point(orbit, cfg), qs.shadow(product_sys, orbit, cfg))
     nr = qs.find_near_return(product_sys, (0.1, 0.2, 0.3), 5000, 1e-3, mode="leaf")
-    cyc = qs.make_cyclic(product_sys, nr)
+    cyc = nr.cycle
     cfg = qs.SolverConfig(variant="tau2")
     close(per_point(cyc, cfg), qs.shadow(product_sys, cyc, cfg))
 
@@ -739,7 +738,7 @@ def test_gate_measures_against_the_solving_system():
 def test_leaf_mode_wrap_counts_along_the_fiber_for_tau2_only():
     sys = qs.cat_circle_system(0.001)
     nr = qs.find_near_return(sys, (0.1, 0.2, 0.3), 5000, 1e-3, mode="leaf")
-    cyc = qs.make_cyclic(sys, nr)
+    cyc = nr.cycle
     pointwise = dataclasses.replace(cyc, leaf_mode=False)
     wrap_gap = qs.dist(sys.forward(cyc.points[-1]), cyc.points[0])
     assert nr.gap < wrap_gap < 0.05
