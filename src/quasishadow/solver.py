@@ -59,42 +59,53 @@ _SCAN_BLOCK = 64
 _SCAN_TINY = 1e-3
 
 
-def _align(mult: np.ndarray, ndim: int) -> np.ndarray:
-    """Reshape step-major multipliers (L, *orbits) to broadcast against (L, ..., *orbits)."""
-    return mult.reshape(mult.shape[:1] + (1,) * (ndim - mult.ndim) + mult.shape[1:])
-
-
 def _affine_scan(mult: np.ndarray, rhs: np.ndarray, init=0.0) -> np.ndarray:
     """First-order recursion s_j = mult[j] * s_{j-1} + rhs[j], s_{-1} = init.
 
     ``mult`` has shape (L,) or (L, B) with per-orbit multipliers; ``rhs``
     has shape (L, ..., B), its middle axes batching several right-hand
-    sides per orbit.  Evaluated block-wise with cumulative products so the
-    python-level loop runs over L/block chunks.  The plain-loop fallback
-    for multipliers below _SCAN_TINY is decided per block over all B
-    orbits at once, so a tiny multiplier on one orbit switches its
-    neighbours in the batch to the loop as well; their results then differ
-    from a solve on their own by rounding only.  Cat-map multipliers
-    (about 0.38 and 1/2.62) never trigger it.
+    sides per orbit.  Blocks of _SCAN_BLOCK steps are solved all at once
+    with cumulative products q (padding the last block with multiplier 1
+    and right-hand side 0): a block's values are q * (carry + cumsum(rhs / q)),
+    and the only python-level loop carries each block's last value into the
+    next, so it runs L / _SCAN_BLOCK times.  A block whose multipliers
+    (over all B orbits at once) drop below _SCAN_TINY keeps out of the
+    division and runs the plain loop, so a tiny multiplier on one orbit
+    switches its neighbours in the batch to the loop as well; their results
+    then differ from a solve on their own by rounding only.  Cat-map
+    multipliers (about 0.38 and 1/2.62) never trigger it.
     """
     mult = np.asarray(mult, float)
     rhs = np.asarray(rhs, float)
     L = mult.shape[0]
-    out = np.empty(rhs.shape)
+    blocks = -(-L // _SCAN_BLOCK)
+    pad = blocks * _SCAN_BLOCK - L
+    m = np.concatenate([mult, np.ones((pad,) + mult.shape[1:])])
+    m = m.reshape((blocks, _SCAN_BLOCK) + mult.shape[1:])
+    r = np.concatenate([rhs, np.zeros((pad,) + rhs.shape[1:])])
+    r = r.reshape((blocks, _SCAN_BLOCK) + rhs.shape[1:])
+    tiny = np.abs(m).min(axis=tuple(range(1, m.ndim))) < _SCAN_TINY
+    m[tiny] = 1.0
+    r[tiny] = 0.0
+    q = np.cumprod(m, axis=1)
+    q = q.reshape(q.shape[:2] + (1,) * (r.ndim - q.ndim) + q.shape[2:])
+    cs = np.cumsum(r / q, axis=1)
     carry = np.zeros(rhs.shape[1:]) + init
-    for lo in range(0, L, _SCAN_BLOCK):
-        hi = min(lo + _SCAN_BLOCK, L)
-        m = mult[lo:hi]
-        if np.min(np.abs(m)) < _SCAN_TINY:
+    carries = np.zeros((blocks,) + rhs.shape[1:])
+    looped = []  # blocks run by the plain loop; their values wait in r
+    for b in range(blocks):
+        if tiny[b]:
+            lo, hi = b * _SCAN_BLOCK, min((b + 1) * _SCAN_BLOCK, L)
             for j in range(lo, hi):
                 carry = mult[j] * carry + rhs[j]
-                out[j] = carry
+                r[b, j - lo] = carry
+            looped.append(b)
             continue
-        q = _align(np.cumprod(m, axis=0), rhs.ndim)
-        block = q * (carry + np.cumsum(rhs[lo:hi] / q, axis=0))
-        out[lo:hi] = block
-        carry = block[-1]
-    return out
+        carries[b] = carry
+        carry = q[b, -1] * (carry + cs[b, -1])
+    out = q * (carries[:, None] + cs)
+    out[looped] = r[looped]
+    return out.reshape((blocks * _SCAN_BLOCK,) + rhs.shape[1:])[:L]
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ stability experiments.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,13 +161,14 @@ class CatCircleSystem:
         x = wrap(x0)
         if x.shape != (3,):
             raise ValueError("orbit starts from one point, a 3-vector")
-        out = np.empty((n_steps + 1, 3))
-        out[0] = x
+        if n_steps < 0:
+            raise ValueError("n_steps must be >= 0")
         p = x.tolist()
-        for j in range(1, n_steps + 1):
+        out = array("d", p)
+        for _ in range(n_steps):
             p = self.step(*p)
-            out[j] = p
-        return out
+            out.extend(p)
+        return np.frombuffer(out).reshape(-1, 3)
 
 
 def _cat(b0, b1):

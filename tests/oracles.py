@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from quasishadow.solver import OrbitOperators, SolverConfig, _fiber_slide
+from quasishadow.solver import _SCAN_BLOCK, _SCAN_TINY, OrbitOperators, SolverConfig, _fiber_slide
 from quasishadow.systems import C, S, U, HyperbolicityRates, splitting_at
 from quasishadow.torus import dist, minimal_rep, norm, wrap
 
@@ -83,6 +83,40 @@ def dense_block_cyclic(mult, rhs):
     for k in range(n):
         mat[k, (k - 1) % n] -= mult[k]
     return np.linalg.solve(mat, np.asarray(rhs, float))
+
+
+def _align(mult: np.ndarray, ndim: int) -> np.ndarray:
+    """Reshape step-major multipliers (L, *orbits) to broadcast against (L, ..., *orbits)."""
+    return mult.reshape(mult.shape[:1] + (1,) * (ndim - mult.ndim) + mult.shape[1:])
+
+
+def blocked_affine_scan(mult: np.ndarray, rhs: np.ndarray, init=0.0) -> np.ndarray:
+    """The solver's affine scan as a python loop over blocks of _SCAN_BLOCK steps.
+
+    First-order recursion s_j = mult[j] * s_{j-1} + rhs[j], s_{-1} = init,
+    shapes as in :func:`quasishadow.solver._affine_scan`.  Each block runs
+    its own cumulative product and sum; a block with a multiplier below
+    _SCAN_TINY runs the plain loop.  The library's block-parallel scan must
+    give these bits.
+    """
+    mult = np.asarray(mult, float)
+    rhs = np.asarray(rhs, float)
+    L = mult.shape[0]
+    out = np.empty(rhs.shape)
+    carry = np.zeros(rhs.shape[1:]) + init
+    for lo in range(0, L, _SCAN_BLOCK):
+        hi = min(lo + _SCAN_BLOCK, L)
+        m = mult[lo:hi]
+        if np.min(np.abs(m)) < _SCAN_TINY:
+            for j in range(lo, hi):
+                carry = mult[j] * carry + rhs[j]
+                out[j] = carry
+            continue
+        q = _align(np.cumprod(m, axis=0), rhs.ndim)
+        block = q * (carry + np.cumsum(rhs[lo:hi] / q, axis=0))
+        out[lo:hi] = block
+        carry = block[-1]
+    return out
 
 
 def _frame_defects(points, alpha, cyclic):

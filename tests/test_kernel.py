@@ -211,3 +211,5 @@ def test_nan_start_refused(skew_sys):
 def test_orbit_takes_one_point(skew_sys):
     with pytest.raises(ValueError):
         skew_sys.orbit(np.zeros((2, 3)), 3)
+    with pytest.raises(ValueError):
+        skew_sys.orbit(np.zeros(3), -1)

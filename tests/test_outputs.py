@@ -1,10 +1,12 @@
 """Byte-level checks of the CSV outputs.
 
-The three numeric writers share one row-format helper; it must write the
-bytes that csv.writer with format(v, ".17g") per value wrote, "\\r\\n" line
-ends included.  The shipped configs must reproduce the recorded CSVs and,
-where the recorded copy is current, the report without ``runtime_seconds``
-(without ``results.diagnostics`` either, where only that section is stale).
+The three numeric writers share ``write_table``; it must write the bytes
+that csv.writer with format(v, ".17g") per value wrote, "\\r\\n" line ends
+included, for any float: its exact decimals, their rounding and the %g
+layout are checked here against Python's own formatting.  The shipped
+configs must reproduce the recorded CSVs and, where the recorded copy is
+current, the report without ``runtime_seconds`` (without
+``results.diagnostics`` either, where only that section is stale).
 """
 
 import gzip
@@ -14,10 +16,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasishadow.applications import ConjugacyMap
 from quasishadow.cli import main
-from quasishadow.orbits import PseudoOrbit
+from quasishadow.orbits import _ROW_CHUNK, PseudoOrbit, write_table
 from quasishadow.solver import ShadowResult
 from quasishadow.torus import dist
 
@@ -81,6 +85,91 @@ def test_conjugacy_map_csv_bytes(tmp_path):
     header = ["x1", "x2", "x3", "h1", "h2", "h3", "displacement", "residual"]
     expected = csv_writer_bytes(tmp_path / "oracle.csv", header, rows)
     assert (tmp_path / "map.csv").read_bytes() == expected
+
+
+@pytest.fixture(scope="module")
+def table_bytes(tmp_path_factory):
+    """(written, expected): write_table's bytes and csv.writer's for the same table."""
+    out = tmp_path_factory.mktemp("tables")
+
+    def run(table, index=True):
+        table = np.asarray(table, float)
+        header = [f"c{i}" for i in range(table.shape[1])]
+        write_table(out / "table.csv", header, table, index=index)
+        rows = [[int(r[0])] + r[1:] if index else r for r in table.tolist()]
+        return (out / "table.csv").read_bytes(), csv_writer_bytes(out / "oracle.csv", header, rows)
+
+    return run
+
+
+def _decimal_edges() -> list[float]:
+    """Values where the 17 digits or their layout change."""
+    powers = [float(f"1e{e}") for e in range(-30, 21)]
+    values = powers + [math.nextafter(p, s) for p in powers for s in (0.0, math.inf)]
+    # exact values of 18 significant digits ending in 5: ties at 17 digits, in
+    # fixed notation (E = 15 and E = -1) and in exponent notation (E = -5)
+    values += [(2**52 + j) / 4 for j in range(1, 40, 2)]
+    values += [j / 2**18 for j in range(26215, 26255, 2)]
+    values += [j / 2**22 for j in range(43, 420, 14)]
+    # the exact range and the switch from fixed to exponent notation
+    values += [1e-6, 1e16, 1e-4, 1e-5, 9.99995e-5, 0.000099999999999999995, 123456.78e-9]
+    return values + [-v for v in values] + [0.0, -0.0]
+
+
+def test_write_table_decimal_edges(table_bytes):
+    written, expected = table_bytes(np.array(_decimal_edges()).reshape(-1, 1), index=False)
+    assert written == expected
+
+
+@pytest.mark.parametrize("index", [0, -1, -7, 10**15, -(10**15), 2.9, -2.9, 2.0**63, 1e300])
+def test_write_table_index_values(table_bytes, index):
+    written, expected = table_bytes([[index, 0.5]])
+    assert written == expected
+
+
+@pytest.mark.parametrize(
+    "index, error", [(math.nan, ValueError), (math.inf, OverflowError), (-math.inf, OverflowError)]
+)
+def test_write_table_refuses_non_finite_index(tmp_path, index, error):
+    # the errors of "%d" % index
+    with pytest.raises(error):
+        write_table(tmp_path / "t.csv", ["k", "x"], np.array([[0.0, 1.0], [index, 1.0]]))
+
+
+@pytest.mark.parametrize("rows", [0, 1, _ROW_CHUNK - 1, _ROW_CHUNK, _ROW_CHUNK + 1])
+def test_write_table_chunk_edges(table_bytes, rows):
+    r = np.random.default_rng(rows)
+    values = r.random((rows, 2)) * 10.0 ** r.integers(-8, 17, (rows, 2))
+    table = np.column_stack([np.arange(rows) - rows // 2, values])
+    written, expected = table_bytes(table)
+    assert written == expected
+    assert written.count(b"\r\n") == rows + 1
+
+
+any_float = st.one_of(
+    st.floats(),
+    st.floats(1e-6, 1e16),
+    st.floats(-1.0, 1.0),
+    st.integers(-(10**17), 10**17).map(float),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(0, 6),
+    cols=st.integers(1, 4),
+    index=st.booleans(),
+    data=st.data(),
+)
+def test_write_table_matches_csv_writer(table_bytes, rows, cols, index, data):
+    values = data.draw(st.lists(any_float, min_size=rows * cols, max_size=rows * cols))
+    table = np.array(values, float).reshape(rows, cols)
+    if index:
+        index_value = st.integers(-(2**53), 2**53) | st.floats(-1e20, 1e20)
+        ks = data.draw(st.lists(index_value, min_size=rows, max_size=rows))
+        table = np.column_stack([np.array(ks, float), table])
+    written, expected = table_bytes(table, index)
+    assert written == expected
 
 
 # shadow_tau3_skew_trajectory.csv.gz predates the closed-form splitting and

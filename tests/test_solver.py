@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 import quasishadow as qs
 from quasishadow.cli import to_json
 from quasishadow.errors import AdmissibilityError, ChartError, ConvergenceError
+from quasishadow.solver import _SCAN_BLOCK, _SCAN_TINY, _affine_scan
 from quasishadow.systems import ANALYTIC, C, LAM, MU, S, U
 
 from oracles import (
+    blocked_affine_scan,
     dense_block_cyclic,
     dense_stable_window,
     dense_tau1_window,
@@ -113,6 +115,42 @@ def test_cross_blocks_small_for_tight_pseudo_orbits(skew_sys):
 
 
 # -- P solve -------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    blocks=st.integers(0, 4),
+    tail=st.sampled_from([0, 1, _SCAN_BLOCK - 1]),
+    batch=st.sampled_from([None, 1, 3]),
+    middle=st.sampled_from([(), (2,)]),
+    tiny=st.sampled_from([None, "first", "last", "any"]),
+    tiny_value=st.sampled_from([0.0, -0.0, 1e-5, -0.5 * _SCAN_TINY, np.nextafter(_SCAN_TINY, 0.0)]),
+    array_init=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_affine_scan_matches_blocked_loop(
+    blocks, tail, batch, middle, tiny, tiny_value, array_init, seed
+):
+    # the block-parallel scan gives the bits of the loop over blocks, for
+    # lengths L = 0, 1 and -1 (mod 64), one or B multipliers per step, extra
+    # right-hand sides per orbit, and a zero or sub-_SCAN_TINY multiplier in
+    # the first, the last or any block; no step of either may warn
+    L = blocks * _SCAN_BLOCK + tail
+    if L == 0:
+        L = _SCAN_BLOCK
+    r = np.random.default_rng(seed)
+    orbits = () if batch is None else (batch,)
+    mult = r.uniform(0.2, 1.5, (L,) + orbits) * r.choice([-1.0, 1.0], (L,) + orbits)
+    if tiny is not None:
+        j = {"first": 0, "last": L - 1, "any": int(r.integers(L))}[tiny]
+        mult[(j,) + tuple(r.integers(n) for n in orbits)] = tiny_value
+    rhs = r.standard_normal((L,) + middle + orbits)
+    init = r.standard_normal(middle + orbits) if array_init else float(r.standard_normal())
+    with np.errstate(all="raise"):
+        got = _affine_scan(mult, rhs, init)
+        want = blocked_affine_scan(mult, rhs, init)
+    assert got.shape == want.shape == rhs.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_solve_p_identity_when_transfer_vanishes(product_sys, rng):
