@@ -30,7 +30,6 @@ from .orbits import (
     PseudoOrbit,
     find_near_return,
     generate_noisy,
-    true_orbit_window,
 )
 from .solver import (
     ContractionBounds,

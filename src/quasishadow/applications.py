@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import QuasiShadowError, SearchError
-from .orbits import NearReturn, PseudoOrbit, write_table
+from .orbits import PseudoOrbit, write_table
 from .solver import ShadowResult, SolverConfig, shadow, shadow_batch
 from .systems import C, CatCircleSystem, leaf_dist, splitting_at
 from .torus import dist, expmap, logmap, minimal_rep, wrap
@@ -54,51 +54,30 @@ def closing_variant(variant: str) -> str:
     return "tau2" if variant == "tau1" else variant
 
 
-def _closing_config(cfg: SolverConfig | None) -> SolverConfig:
-    cfg = cfg if cfg is not None else SolverConfig()
-    return replace(cfg, variant=closing_variant(cfg.variant))
-
-
-def _leaf_residual(sys: CatCircleSystem, p: np.ndarray, period: int) -> float:
-    """Base gap between the fiber of p and f^period(p), iterated on the float kernel."""
-    z = p.tolist()
-    for _ in range(period):
-        z = sys.step(*z)
-    return float(leaf_dist(p, z))
-
-
-def _close(
+def find_periodic_center_leaf(
     sys: CatCircleSystem,
     cycle: PseudoOrbit,
-    cfg: SolverConfig | None,
-    chain_start: np.ndarray | None = None,
+    cfg: SolverConfig | None = None,
 ) -> PeriodicCenterLeaf:
-    """Trace a cyclic pseudo orbit periodically; y_0 represents its periodic center leaf."""
-    res = shadow(sys, cycle, _closing_config(cfg))
+    """Trace a cyclic pseudo orbit periodically; y_0 represents its periodic center leaf.
+
+    The tail of both closings: the cycle is the walk of a near return
+    (:func:`~quasishadow.orbits.find_near_return`) or an anchor chain along
+    one fiber.  The tracing sequence of the period-n cyclic orbit is itself
+    periodic, so the fiber of y_0 returns to itself after n steps; the leaf
+    residual iterates y_0 n times on :meth:`CatCircleSystem.orbit`.
+    Fiber-sliding variants only (tau2 default, tau3 for pointwise returns).
+    """
+    cfg = cfg if cfg is not None else SolverConfig()
+    res = shadow(sys, cycle, replace(cfg, variant=closing_variant(cfg.variant)))
     p = res.y[0]
     return PeriodicCenterLeaf(
         point=p,
         period=len(cycle),
-        leaf_residual=_leaf_residual(sys, p, len(cycle)),
+        leaf_residual=leaf_dist(p, sys.orbit(p, len(cycle))[-1]),
         trace_max=res.max_trace_dist,
         result=res,
-        chain_start=chain_start,
     )
-
-
-def find_periodic_center_leaf(
-    sys: CatCircleSystem,
-    near_return: NearReturn,
-    cfg: SolverConfig | None = None,
-) -> PeriodicCenterLeaf:
-    """Trace the cycle of a near return periodically.
-
-    The tracing sequence of the period-n cyclic orbit is itself periodic,
-    so the fiber of y_0 returns to itself after n steps; y_0 is the
-    representative.  Fiber-sliding variants only (tau2 default, tau3 for
-    pointwise returns).
-    """
-    return _close(sys, near_return.cycle, cfg)
 
 
 def find_periodic_center_leaf_from_leaf_return(
@@ -140,7 +119,8 @@ def find_periodic_center_leaf_from_leaf_return(
     else:
         raise SearchError(f"no recurrence pair on the fiber within {max_chain} chain steps")
     cycle = PseudoOrbit(np.concatenate([w[:n] for w in walks[lo:hi]]), cyclic=True)
-    return _close(sys, cycle, cfg, chain_start=np.array([base[0], base[1], thetas[lo]]))
+    leaf = find_periodic_center_leaf(sys, cycle, cfg)
+    return replace(leaf, chain_start=np.array([base[0], base[1], thetas[lo]]))
 
 
 @dataclass

@@ -284,9 +284,9 @@ def run_close(config: dict, out_dir: Path | None = None, stem: str = "close") ->
     cfg = _solver_config(config["solver"])
     cl = config["close"]
     near = find_near_return(system, cl["x0"], cl["max_n"], cl["threshold"], cl["mode"])
-    leaf = find_periodic_center_leaf(system, near, cfg)
+    leaf = find_periodic_center_leaf(system, near.cycle, cfg)
     results = {
-        "mode": near.mode,
+        "mode": cl["mode"],
         "return_n": near.n,
         "return_gap": near.gap,
         "period": leaf.period,

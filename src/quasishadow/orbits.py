@@ -2,21 +2,22 @@
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SearchError
-from .systems import CatCircleSystem
-from .torus import RHO_DEFAULT, norm, wrap, wrap_float
+from .systems import CatCircleSystem, leaf_dist
+from .torus import RHO_DEFAULT, dist, norm, wrap, wrap_float
 
 # generator recorded in reports so runs are reproducible from the config
 RNG_KIND = "numpy.random.default_rng (PCG64)"
 
 # rows converted or formatted at a time: lists and byte buffers of a whole long table cost megabytes
 _ROW_CHUNK = 1024
+# steps a near-return search walks and measures at a time
+_WALK_CHUNK = 512
 
 # --- write_table's exact decimals ------------------------------------------------
 # The 17 significant digits of v are D = round(|v| * 10^k), k = 16 - E with
@@ -142,24 +143,17 @@ def _float_slots(v: np.ndarray) -> np.ndarray:
 
 
 def _index_slots(k: np.ndarray) -> np.ndarray:
-    """"%d" % v + "," of each value (truncated like int(v)), NUL-padded to at least 28 bytes."""
-    exact = np.abs(k) < 2.0**63
-    ki = np.where(exact, k, 0.0).astype(np.int64)
+    """"%d" % v + "," of each integer value (|v| < 2^63), NUL-padded to 28 bytes."""
+    ki = k.astype(np.int64)
     quads = np.abs(ki)[:, None] // _POW10[16::-4]
     # a group with no digit before it strips its leading zeros; the last keeps one
     blank = np.ones(quads.shape, bool)
     blank[:, 1:] = quads[:, :-1] == 0
     words = _LEADING.take(blank * [10_000, 10_000, 10_000, 10_000, 20_000] + quads % 10_000)
-    rest = np.flatnonzero(~exact)
-    # nan raises ValueError here and infinities OverflowError, as "%d" % v does
-    text = ("%d," * rest.size % tuple(k[rest].tolist())).split(",")[:-1]
-    width = max([24] + [len(t) for t in text])
-    out = np.zeros((len(k), width + 4), np.uint8)
+    out = np.zeros((len(k), 28), np.uint8)
     out[:, 0] = np.where(ki < 0, ord("-"), 0)
     out[:, 4:24] = words.view(np.uint8)
-    if rest.size:
-        out[rest, :width] = _ascii(text, width)
-    out[:, width] = ord(",")
+    out[:, 24] = ord(",")
     return out
 
 
@@ -179,9 +173,9 @@ def _csv_rows(rows: np.ndarray, index: bool) -> bytes:
 def write_table(path, header: list[str], table: np.ndarray, index: bool = True) -> None:
     """CSV of a float table, every value as format(v, ".17g"); the bytes csv.writer writes.
 
-    With ``index`` the first column holds integers and is written as "%d"
-    writes them (truncated; nan raises ValueError, infinities OverflowError).  Lines end
-    with "\r\n", as csv.writer ends them; no value needs quoting.
+    With ``index`` the first column holds integers (an orbit's k) and is
+    written as "%d" writes them.  Lines end with "\r\n", as csv.writer ends
+    them; no value needs quoting.
 
     The text is built in numpy a chunk of rows at a time.  A value with
     1e-6 <= |v| < 1e16 gets its 17 digits from an exact product |v| * 10^k
@@ -237,9 +231,8 @@ class NearReturn:
     """A cyclic pseudo orbit x, f(x), ..., f^(n-1)(x) whose n-th image comes back within ``gap``.
 
     The cycle is the walk of :func:`find_near_return`, so its one inexact
-    pair is the wrap, whose error is ``gap``.  A leaf-mode return ("leaf":
-    Hausdorff distance between center fibers, which is the base distance
-    here) gives a leaf-mode cycle; "point" compares plain distance.
+    pair is the wrap, whose error is ``gap``.  A leaf-mode return gives a
+    leaf-mode cycle.
     """
 
     cycle: PseudoOrbit
@@ -248,14 +241,6 @@ class NearReturn:
     @property
     def n(self) -> int:
         return len(self.cycle)
-
-    @property
-    def point(self) -> np.ndarray:
-        return self.cycle.points[0]
-
-    @property
-    def mode(self) -> str:
-        return "leaf" if self.cycle.leaf_mode else "point"
 
 
 def _ball_draws(rng: np.random.Generator, count: int, radius: float, dim: int) -> np.ndarray:
@@ -315,11 +300,6 @@ def generate_noisy(
     return PseudoOrbit(pts, k_start=-n_steps)
 
 
-def true_orbit_window(sys: CatCircleSystem, x0, n_steps: int) -> PseudoOrbit:
-    """Zero-defect window built by forward iteration only (exact orbit segment)."""
-    return PseudoOrbit(sys.orbit(x0, 2 * n_steps), k_start=-n_steps)
-
-
 def find_near_return(
     sys: CatCircleSystem,
     x0,
@@ -329,29 +309,27 @@ def find_near_return(
 ) -> NearReturn:
     """Smallest n <= max_n with dist(x0, f^n(x0)) < threshold, with the n points walked.
 
-    In leaf mode the comparison uses the Hausdorff distance between the
-    center fibers, which for circle fibers is the base distance.  Steps on
-    the float kernel, so the cycle holds the rows of ``sys.orbit(x0, n - 1)``;
-    the gap repeats the operation order of :func:`dist`.
+    "point" mode measures :func:`dist`; "leaf" mode measures :func:`leaf_dist`,
+    the Hausdorff distance between center fibers, which for circle fibers is
+    the base distance.  The walk is :meth:`CatCircleSystem.orbit`, taken
+    ``_WALK_CHUNK`` steps at a time and measured a chunk at once, so the
+    cycle holds the rows of ``sys.orbit(x0, n - 1)``.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     if mode not in ("point", "leaf"):
         raise ValueError(f"unknown near-return mode {mode!r}")
     x0 = wrap(x0)
-    p0, p1, p2 = z = x0.tolist()
-    walk = array("d", z)  # x0 .. f^(n-1)(x0), 24 bytes a point
-    leaf = mode == "leaf"
-    for _ in range(max_n):
-        z = sys.step(*z)
-        d0, d1, d2 = z[0] - p0, z[1] - p1, z[2] - p2
-        d0, d1, d2 = d0 - round(d0), d1 - round(d1), d2 - round(d2)
-        sq = d0 * d0 + d1 * d1
-        gap = math.sqrt(sq if leaf else sq + d2 * d2)
-        if gap < threshold:
-            cycle = PseudoOrbit(np.frombuffer(walk).reshape(-1, 3), cyclic=True, leaf_mode=leaf)
-            return NearReturn(cycle, gap)
-        walk.extend(z)
+    measure = leaf_dist if mode == "leaf" else dist
+    walk = [x0[None]]  # x0, then f(x0) .. f^max_n(x0) a chunk at a time
+    for lo in range(0, max_n, _WALK_CHUNK):
+        walk.append(sys.orbit(walk[-1][-1], min(_WALK_CHUNK, max_n - lo))[1:])
+        gaps = measure(x0, walk[-1])
+        hits = np.flatnonzero(gaps < threshold)
+        if hits.size:
+            n = lo + hits[0] + 1
+            cycle = PseudoOrbit(np.concatenate(walk)[:n], cyclic=True, leaf_mode=mode == "leaf")
+            return NearReturn(cycle, float(gaps[hits[0]]))
     raise SearchError(
         f"no {mode}-mode return below {threshold:g} within {max_n} steps from {x0.tolist()}"
     )

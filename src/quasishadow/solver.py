@@ -476,10 +476,10 @@ def shadow_batch(
 
     Returns one entry per orbit: its :class:`ShadowResult`, or the
     :class:`QuasiShadowError` of the first check it failed.  The checks run
-    per orbit in this order: finite points, the defect measurement with the
-    leaf-mode wrap gap, then the closed-form gate of
-    :meth:`OrbitOperators.bound_table` on the defect: lambda_tilde < 1,
-    contraction bound < 1, predicted radius < epsilon; then, in every Phi
+    per orbit in this order: finite points, then one refusal pass on the
+    measured defect: the leaf-mode wrap gap, then the closed-form gate of
+    :meth:`OrbitOperators.bound_table`: lambda_tilde < 1, contraction
+    bound < 1, predicted radius < epsilon; then, in every Phi
     step, the chart checks of beta and the epsilon ball, then
     ``max_iterations`` and the chart checks of the result.  An orbit that
     fails leaves the others untouched.  The boundary type is the orbits'
@@ -519,39 +519,35 @@ def shadow_batch(
         return out
     if live.size < len(orbits):
         points = points[live]
+        split = split if split is None else split[live]
     # one-step errors dist(f(x_j), x_{j+1}); a cycle's last pair is its wrap
     img = sys.forward(points if cyclic else points[:, :-1])
     nxt = np.roll(points, -1, axis=1) if cyclic else points[:, 1:]
     gaps = dist(img, nxt)
     leaf = cyclic & np.array([orbits[b].leaf_mode for b in live])
+    wrap_gap = np.zeros(len(orbits))  # the pointwise leaf-mode wrap gaps a variant must absorb
     if cfg.variant == "tau2":
         gaps[leaf, -1] = leaf_dist(img[leaf, -1], nxt[leaf, -1])
     else:
-        for b, gap in zip(live[leaf], gaps[leaf, -1]):
-            if gap > cfg.rho:
-                out[b] = AdmissibilityError(
-                    f"leaf-mode orbit has pointwise wrap gap {gap:.6g} > rho="
-                    f"{cfg.rho}; only the fiber-sliding variant (tau2) applies"
-                )
+        wrap_gap[live[leaf]] = gaps[leaf, -1]
     at = np.argmax(gaps, axis=-1)
     defect = gaps[np.arange(len(live)), at]
     defect_index = np.zeros(len(orbits), int)
     defect_index[live] = np.array([orbits[b].k_start for b in live]) + at
     del img, nxt, gaps  # the solve below runs without the measurement's arrays
-    keep = np.array([out[b] is None for b in live])
-    if not keep.any():
-        return out
-    if not keep.all():
-        points, defect, live = points[keep], defect[keep], live[keep]
-    if split is not None and live.size < len(orbits):
-        split = split[live]
     ops = OrbitOperators(sys, points, cyclic, cfg, split)
 
     gate = np.full((len(orbits), 7), np.nan)
     gate[live] = ops.bound_table(defect)
     lam, contraction, defect, radius = gate[:, [0, 3, 4, 5]].T
-    for b in np.flatnonzero((lam >= 1.0) | (contraction >= 1.0) | (radius >= cfg.epsilon)):
-        if lam[b] >= 1.0:
+    refused = (wrap_gap > cfg.rho) | (lam >= 1.0) | (contraction >= 1.0) | (radius >= cfg.epsilon)
+    for b in np.flatnonzero(refused):
+        if wrap_gap[b] > cfg.rho:
+            out[b] = AdmissibilityError(
+                f"leaf-mode orbit has pointwise wrap gap {wrap_gap[b]:.6g} > rho="
+                f"{cfg.rho}; only the fiber-sliding variant (tau2) applies"
+            )
+        elif lam[b] >= 1.0:
             out[b] = AdmissibilityError(
                 f"stable/unstable block norm {lam[b]:.6g} >= 1; "
                 "not partially hyperbolic at this scale"

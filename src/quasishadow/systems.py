@@ -78,11 +78,11 @@ class CatCircleSystem:
     analytic frame serves every point.  The rates are bounded in closed
     form by :func:`rate_bounds`.
 
-    :meth:`forward` and :meth:`inverse` map arrays of points.  Loops that
-    step one point at a time (:meth:`orbit`, noisy orbits, near-return
-    searches, leaf residuals) run on :meth:`step` and :meth:`step_inverse`,
-    which take three Python floats and repeat the operation order of the
-    array maps.  Their results are bit-identical as long as ``math.sin``
+    :meth:`forward` and :meth:`inverse` map arrays of points.  The loops
+    that step one point at a time (:meth:`orbit`, which near-return searches
+    and leaf residuals walk, and the two of noisy orbits) run on :meth:`step`
+    and :meth:`step_inverse`, which take three Python floats and repeat the
+    operation order of the array maps.  Their results are bit-identical as long as ``math.sin``
     and ``np.sin`` agree, which rests on the platform's libm; the test
     suite checks it.  At kappa = 0 all four skip the kappa sin term, whose +-0.0 :func:`wrap`
     makes +0.0; only an overflowing 2 pi x_0 (0 sin(inf) = nan) is now mapped, not refused.

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from quasishadow.orbits import PseudoOrbit
 from quasishadow.solver import _SCAN_BLOCK, _SCAN_TINY, OrbitOperators, SolverConfig, _fiber_slide
 from quasishadow.systems import C, S, U, HyperbolicityRates, splitting_at
 from quasishadow.torus import dist, minimal_rep, norm, wrap
@@ -28,6 +29,11 @@ LAM = float((3.0 - np.sqrt(5.0)) / 2.0)
 def minrep(d):
     d = np.asarray(d, float)
     return d - np.round(d)
+
+
+def true_window(sys, x0, n_steps):
+    """Zero-defect window on [-n_steps, n_steps]: the orbit of x0, read from k = -n_steps."""
+    return PseudoOrbit(sys.orbit(x0, 2 * n_steps), k_start=-n_steps)
 
 
 def product_map(x, alpha):

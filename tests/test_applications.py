@@ -21,7 +21,7 @@ from oracles import dense_tau1_cyclic, dense_tau1_window, periodic_base_point, s
 def test_closing_fixed_fiber():
     sys0 = qs.cat_circle_system(alpha=0.0, kappa=0.0)
     nr = qs.find_near_return(sys0, (0.0, 0.0, 0.3), 10, 0.5, mode="leaf")
-    leaf = qs.find_periodic_center_leaf(sys0, nr)
+    leaf = qs.find_periodic_center_leaf(sys0, nr.cycle)
     assert leaf.period == 1
     assert np.array_equal(leaf.point[:2], [0.0, 0.0])
     assert leaf.leaf_residual == 0.0
@@ -32,7 +32,7 @@ def test_closing_matches_periodic_base_oracle():
     sys0 = qs.cat_circle_system(alpha=1.0 / 12.0, kappa=0.0)
     nr = qs.find_near_return(sys0, (0.1, 0.2, 0.3), 5000, 1e-3, mode="leaf")
     assert nr.n == 6
-    leaf = qs.find_periodic_center_leaf(sys0, nr)
+    leaf = qs.find_periodic_center_leaf(sys0, nr.cycle)
     oracle = periodic_base_point((0.1, 0.2), 6)
     assert qs.dist(np.r_[leaf.point[:2], 0.0], np.r_[oracle, 0.0]) < 1e-6
     assert leaf.trace_max <= 0.04
@@ -54,7 +54,7 @@ def test_closing_nontrivial_gap_matches_dense_cycle():
     )
     assert nr.n == oracle_scan[0] == 30
     assert 1e-6 < nr.gap < 0.01
-    leaf = qs.find_periodic_center_leaf(sys0, nr)
+    leaf = qs.find_periodic_center_leaf(sys0, nr.cycle)
     y_o, v_o, _ = dense_tau1_cyclic(sys0.orbit((0.13, 0.41, 0.0), 29), 0.0)
     assert np.max(qs.dist(leaf.result.y, y_o)) < 1e-10
     base_oracle = periodic_base_point((0.13, 0.41), 30)
@@ -67,8 +67,8 @@ def test_closing_at_nonzero_kappa(tmp_path):
     # the same periodic base orbit; the tau2 solve slides along the bent fibers
     sys = qs.cat_circle_system(alpha=1.0 / 12.0, kappa=0.02)
     nr = qs.find_near_return(sys, (0.1, 0.2, 0.3), 5000, 1e-3, mode="leaf")
-    assert nr.n == 6 and nr.mode == "leaf"
-    leaf = qs.find_periodic_center_leaf(sys, nr)
+    assert nr.n == 6 and nr.cycle.leaf_mode
+    leaf = qs.find_periodic_center_leaf(sys, nr.cycle)
     assert leaf.result.variant == "tau2"
     assert (leaf.result.diagnostics.defect, leaf.result.defect_index) == (nr.gap, 5)
     assert leaf.period == 6
@@ -114,6 +114,16 @@ def test_leaf_return_chain_rotation():
             break
     assert minimal == 1
     assert leaf.period % minimal == 0
+
+
+def test_leaf_return_chain_closes_through_the_shared_tail():
+    # the fiber-chain closing is find_periodic_center_leaf of its cycle, plus chain_start
+    sys3 = qs.cat_circle_system(alpha=0.3, kappa=0.02)
+    leaf = qs.find_periodic_center_leaf_from_leaf_return(sys3, (0.1, 0.2, 0.3), 6, 0.01)
+    cycle = qs.PseudoOrbit(leaf.result.x, cyclic=True)
+    tail = qs.find_periodic_center_leaf(sys3, cycle)
+    assert tail.chain_start is None and leaf.chain_start is not None
+    assert to_json(leaf) == to_json(replace(tail, chain_start=leaf.chain_start))
 
 
 def test_leaf_return_chain_preserves_fiber():
@@ -375,7 +385,7 @@ def test_periodic_leaf_serialization():
 
     sys0 = qs.cat_circle_system(alpha=0.0, kappa=0.0)
     nr = qs.find_near_return(sys0, (0.0, 0.0, 0.3), 10, 0.5, mode="leaf")
-    leaf = qs.find_periodic_center_leaf(sys0, nr)
+    leaf = qs.find_periodic_center_leaf(sys0, nr.cycle)
     payload = to_json(leaf)
     json.dumps(payload)
     assert payload["period"] == 1

@@ -14,7 +14,7 @@ import quasishadow as qs
 from quasishadow import cli
 from quasishadow.cli import main, resolve_config
 
-from oracles import estimate_contraction
+from oracles import estimate_contraction, true_window
 
 
 def _write(tmp_path, name, payload):
@@ -160,7 +160,7 @@ def test_admissibility_probes_below_two_refused(tmp_path, capsys):
     assert not (tmp_path / "probes_report.json").exists()
     # the probe measurement of the test suite draws the probes it is given, at least two
     sys0 = qs.cat_circle_system(0.3, 0.0)
-    orbit = qs.true_orbit_window(sys0, [0.1, 0.2, 0.3], 5)
+    orbit = true_window(sys0, [0.1, 0.2, 0.3], 5)
     assert estimate_contraction(sys0, orbit, probes=3).probes == 3
     with pytest.raises(ValueError, match="probes must be >= 2"):
         estimate_contraction(sys0, orbit, probes=1)

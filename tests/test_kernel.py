@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quasishadow as qs
-from quasishadow.applications import _leaf_residual
+from quasishadow import orbits
 from quasishadow.errors import ChartError, SearchError
 from quasishadow.systems import CatCircleSystem
 from quasishadow.torus import wrap_float
@@ -113,24 +113,66 @@ def test_generate_noisy_matches_array_loop(alpha, kappa, shift, x0, n, noise, se
 def test_find_near_return_matches_array_loop(alpha, kappa, shift, x0, threshold, mode):
     sys = CatCircleSystem(alpha, kappa, shift=shift)
     expected = array_near_return(sys, x0, 150, threshold, mode)
-    if expected is None:
-        with pytest.raises(SearchError):
-            qs.find_near_return(sys, x0, 150, threshold, mode)
-        return
-    nr = qs.find_near_return(sys, x0, 150, threshold, mode)
-    assert nr.n == expected[0] and _same_bits(nr.gap, expected[1])
-    assert _same_bits(nr.point, qs.wrap(x0))
-    # the cycle is the walk itself: x0 .. f^(n-1)(x0) with the array map's bits
-    assert _same_bits(nr.cycle.points, array_orbit(sys, x0, nr.n - 1))
-    assert nr.cycle.cyclic and nr.cycle.leaf_mode == (mode == "leaf")
+    for chunk in (1, 7, orbits._WALK_CHUNK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orbits, "_WALK_CHUNK", chunk)
+            if expected is None:
+                with pytest.raises(SearchError):
+                    qs.find_near_return(sys, x0, 150, threshold, mode)
+                continue
+            nr = qs.find_near_return(sys, x0, 150, threshold, mode)
+        assert nr.n == expected[0] and _same_bits(nr.gap, expected[1])
+        # the cycle is the walk itself: x0 .. f^(n-1)(x0) with the array map's bits
+        assert _same_bits(nr.cycle.points, array_orbit(sys, x0, nr.n - 1))
+        assert nr.cycle.cyclic and nr.cycle.leaf_mode == (mode == "leaf")
 
 
-@settings(max_examples=30, deadline=None)
-@given(alpha=alphas, kappa=kappas, shift=shifts, p=points, period=st.integers(1, 60))
-def test_leaf_residual_matches_array_loop(alpha, kappa, shift, p, period):
-    sys = CatCircleSystem(alpha, kappa, shift=shift)
-    p = np.array(p)
-    assert _same_bits(_leaf_residual(sys, p, period), array_leaf_residual(sys, p, period))
+@pytest.mark.parametrize("chunk", [1, 3, 5, 6, orbits._WALK_CHUNK])
+def test_find_near_return_chunk_edges(chunk):
+    # the leaf return of (0.1, 0.2) comes at n = 6: on a chunk multiple for
+    # chunks 1, 3 and 6, one past one for chunk 5; max_n = 5 just misses it
+    sys = CatCircleSystem(1.0 / 12.0, 0.02)
+    x0 = (0.1, 0.2, 0.3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbits, "_WALK_CHUNK", chunk)
+        for max_n in (5, 6, 7, 12, 13):
+            expected = array_near_return(sys, x0, max_n, 1e-3, "leaf")
+            if expected is None:
+                with pytest.raises(SearchError, match=f"within {max_n} steps"):
+                    qs.find_near_return(sys, x0, max_n, 1e-3, "leaf")
+                continue
+            nr = qs.find_near_return(sys, x0, max_n, 1e-3, "leaf")
+            assert (nr.n, nr.gap) == expected and nr.n == 6
+            assert _same_bits(nr.cycle.points, array_orbit(sys, x0, 5))
+        # no return at all: the walk ends on max_n, a chunk multiple or one past it
+        for max_n in (2 * chunk, 2 * chunk + 1):
+            assert array_near_return(sys, x0, max_n, 1e-12, "point") is None
+            with pytest.raises(SearchError, match=f"within {max_n} steps"):
+                qs.find_near_return(sys, x0, max_n, 1e-12, "point")
+
+
+# closings whose cycles the solver admits: near returns (period 6 to 1228,
+# shifted and skewed systems among them) and one fiber-chain closing
+CLOSINGS = [
+    ((1.0 / 12.0, 0.02, None), (0.1, 0.2, 0.3), 1e-3, "leaf"),
+    ((1.0 / 12.0, 0.0, None), (0.1, 0.2, 0.3), 1e-3, "point"),
+    ((0.0, 0.0, None), (0.13, 0.41, 0.0), 0.01, "leaf"),
+    ((0.37, 0.02, (-5e-4, 3e-4, 0.0)), (0.7, 0.05, 0.9), 0.01, "leaf"),
+    ((0.37, 0.0, (1e-3, -2e-3, 5e-4)), (0.13, 0.41, 0.0), 0.01, "leaf"),
+    ((0.3, 0.0, None), (0.0, 0.0, 0.3), 0.01, "chain"),
+]
+
+
+def test_leaf_residual_matches_array_loop():
+    for (alpha, kappa, shift), x0, threshold, mode in CLOSINGS:
+        sys = CatCircleSystem(alpha, kappa, shift=shift)
+        if mode == "chain":
+            leaf = qs.find_periodic_center_leaf_from_leaf_return(sys, x0, 1, threshold)
+        else:
+            nr = qs.find_near_return(sys, x0, 5000, threshold, mode)
+            leaf = qs.find_periodic_center_leaf(sys, nr.cycle)
+        expected = array_leaf_residual(sys, leaf.point, leaf.period)
+        assert _same_bits(leaf.leaf_residual, expected), (alpha, kappa, shift, x0)
 
 
 def test_math_sin_matches_np_sin():

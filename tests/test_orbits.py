@@ -5,11 +5,11 @@ import quasishadow as qs
 from quasishadow.cli import to_json
 from quasishadow.errors import SearchError
 
-from oracles import measure_defect, product_map, scan_near_return
+from oracles import measure_defect, product_map, scan_near_return, true_window
 
 
 def test_true_orbit_zero_defect(product_sys):
-    orbit = qs.true_orbit_window(product_sys, (0.11, 0.23, 0.5), 50)
+    orbit = true_window(product_sys, (0.11, 0.23, 0.5), 50)
     assert measure_defect(product_sys, orbit)[0] == 0.0
     assert qs.shadow(product_sys, orbit).diagnostics.defect == 0.0
 
@@ -52,7 +52,7 @@ def test_window_needs_two_points():
 
 
 def test_measure_defect_tampered_point(product_sys):
-    orbit = qs.true_orbit_window(product_sys, (0.11, 0.23, 0.5), 10)
+    orbit = true_window(product_sys, (0.11, 0.23, 0.5), 10)
     pts = orbit.points.copy()
     j = 13  # row index of k = 3
     pts[j] = qs.wrap(pts[j] + np.array([1e-3, 0.0, 0.0]))

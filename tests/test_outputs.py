@@ -121,19 +121,10 @@ def test_write_table_decimal_edges(table_bytes):
     assert written == expected
 
 
-@pytest.mark.parametrize("index", [0, -1, -7, 10**15, -(10**15), 2.9, -2.9, 2.0**63, 1e300])
+@pytest.mark.parametrize("index", [0, -1, -7, 10**15, -(10**15), 2**53, -(2**53)])
 def test_write_table_index_values(table_bytes, index):
     written, expected = table_bytes([[index, 0.5]])
     assert written == expected
-
-
-@pytest.mark.parametrize(
-    "index, error", [(math.nan, ValueError), (math.inf, OverflowError), (-math.inf, OverflowError)]
-)
-def test_write_table_refuses_non_finite_index(tmp_path, index, error):
-    # the errors of "%d" % index
-    with pytest.raises(error):
-        write_table(tmp_path / "t.csv", ["k", "x"], np.array([[0.0, 1.0], [index, 1.0]]))
 
 
 @pytest.mark.parametrize("rows", [0, 1, _ROW_CHUNK - 1, _ROW_CHUNK, _ROW_CHUNK + 1])
@@ -165,8 +156,7 @@ def test_write_table_matches_csv_writer(table_bytes, rows, cols, index, data):
     values = data.draw(st.lists(any_float, min_size=rows * cols, max_size=rows * cols))
     table = np.array(values, float).reshape(rows, cols)
     if index:
-        index_value = st.integers(-(2**53), 2**53) | st.floats(-1e20, 1e20)
-        ks = data.draw(st.lists(index_value, min_size=rows, max_size=rows))
+        ks = data.draw(st.lists(st.integers(-(2**53), 2**53), min_size=rows, max_size=rows))
         table = np.column_stack([np.array(ks, float), table])
     written, expected = table_bytes(table, index)
     assert written == expected
@@ -184,7 +174,8 @@ CURRENT_REPORTS = ["stability_alpha", "stability_translation", "sweep_noise"]
 # reports whose recorded copies are stale under results.diagnostics only; every
 # other key is pinned.  shadow_tau3_skew stays out: its results moved as well
 DIAGNOSTICS_STALE = ["shadow_tau1", "close_leaf"]
-SHIPPED_CONFIGS = ["shadow_tau1", "shadow_tau3_skew", "close_leaf"] + CURRENT_REPORTS
+# every config under configs/, so a new one needs recorded copies of its CSVs
+SHIPPED_CONFIGS = sorted(path.stem for path in (ROOT / "configs").glob("*.json"))
 
 
 @pytest.fixture(scope="module")

@@ -21,6 +21,7 @@ from oracles import (
     eta_lipschitz_fd,
     periodic_base_point,
     pointwise_norm_equivalence,
+    true_window,
 )
 from oracles import estimate_contraction, measure_defect, norm_sup, tau2_lipschitz, transversal_slide
 
@@ -39,7 +40,7 @@ def _bounds(ops, defect):
 
 
 def test_beta_zero_on_true_orbit(product_sys):
-    orbit = qs.true_orbit_window(product_sys, (0.11, 0.23, 0.5), 30)
+    orbit = true_window(product_sys, (0.11, 0.23, 0.5), 30)
     ops = qs.OrbitOperators(product_sys, orbit.points)
     out = ops.apply_beta(np.zeros((len(orbit), 3)))
     assert np.array_equal(out, np.zeros((len(orbit), 3)))
@@ -287,7 +288,7 @@ def test_gate_refuses_non_hyperbolic_orbit_before_phi():
 
 
 def test_true_orbit_fixed_point_is_zero(product_sys):
-    orbit = qs.true_orbit_window(product_sys, (0.11, 0.23, 0.5), 100)
+    orbit = true_window(product_sys, (0.11, 0.23, 0.5), 100)
     res = qs.shadow(product_sys, orbit)
     assert res.diagnostics.iterations == 1
     assert res.max_trace_dist == 0.0
@@ -411,7 +412,7 @@ def test_tau1_tau2_consistency(product_sys, skew_sys):
 
 
 def test_tau3_true_orbit_zero_times(product_sys):
-    orbit = qs.true_orbit_window(product_sys, (0.11, 0.23, 0.5), 50)
+    orbit = true_window(product_sys, (0.11, 0.23, 0.5), 50)
     res = qs.shadow(product_sys, orbit, qs.SolverConfig(variant="tau3"))
     assert np.array_equal(res.corrections, np.zeros(len(orbit)))
 
@@ -617,7 +618,7 @@ def test_shadow_batch_results_own_their_arrays(product_sys, variant):
 
 
 def test_shadow_batch_stops_each_orbit_at_its_own_fixed_point(product_sys):
-    true = qs.true_orbit_window(product_sys, (0.11, 0.23, 0.5), 20)
+    true = true_window(product_sys, (0.11, 0.23, 0.5), 20)
     noisy = _noisy(product_sys, n=20)
     cfg = qs.SolverConfig(max_iterations=1)
     out = qs.shadow_batch(product_sys, [true, noisy, true], cfg)
@@ -639,7 +640,7 @@ def test_shadow_batch_failures_at_every_stage_match_solves_alone(skew_sys):
     orbits = [
         qs.generate_noisy(skew_sys, x0, 20, 3e-2, seed=1),  # refused by the gate
         qs.generate_noisy(skew_sys, x0, 20, 1e-6, seed=3),  # fails inside Phi
-        qs.true_orbit_window(skew_sys, x0, 20),  # converges in one step
+        true_window(skew_sys, x0, 20),  # converges in one step
         qs.generate_noisy(skew_sys, x0, 20, 1e-6, seed=4),  # fails in _extract
         qs.generate_noisy(skew_sys, x0, 20, 1e-4, seed=1),  # needs three steps
         qs.generate_noisy(skew_sys, x0, 20, 1e-6, seed=2),  # converges in two steps
@@ -671,6 +672,34 @@ def test_shadow_batch_failures_at_every_stage_match_solves_alone(skew_sys):
     assert [type(res) for res in out] == kinds + [qs.ShadowResult] * 2
     assert "no fixed point within 2 iterations" in str(out[4])
     assert [out[b].diagnostics.iterations for b in (2, 5, 6)] == [1, 2, 2]
+    for res, ref in zip(out, alone):
+        assert type(res) is type(ref)
+        if isinstance(res, qs.ShadowResult):
+            assert to_json(res) == to_json(ref)
+        else:
+            assert str(res) == str(ref)
+
+
+def test_shadow_batch_refusals_before_phi_match_solves_alone(product_sys):
+    # one cycle of each refusal before the Phi loop, and one that solves: rotation
+    # 0.3 closes after ten steps, so the periodic base orbit carries an exact cycle
+    cfg = qs.SolverConfig(variant="tau1")
+    solves = _cyclic_noisy(product_sys, (0.1, 0.2, 0.3), 10)
+    drift = solves.points.copy()
+    drift[:, 2] = qs.wrap(drift[:, 2] + 0.01 * np.arange(10))  # wrap gap 0.09 > rho
+    nan = solves.points.copy()
+    nan[4, 0] = np.nan
+    cycles = [
+        qs.PseudoOrbit(nan, cyclic=True),
+        qs.PseudoOrbit(drift, cyclic=True, leaf_mode=True),
+        qs.PseudoOrbit(drift, cyclic=True),  # the same steps read pointwise: the gate refuses
+        solves,
+    ]
+    out = qs.shadow_batch(product_sys, cycles, cfg)
+    alone = [qs.shadow_batch(product_sys, [cycle], cfg)[0] for cycle in cycles]
+    kinds = [ChartError, AdmissibilityError, AdmissibilityError, qs.ShadowResult]
+    assert [type(res) for res in out] == kinds
+    assert "wrap gap" in str(out[1]) and "tracing radius" in str(out[2])
     for res, ref in zip(out, alone):
         assert type(res) is type(ref)
         if isinstance(res, qs.ShadowResult):
