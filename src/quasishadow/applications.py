@@ -25,6 +25,8 @@ from .torus import dist, expmap, logmap, minimal_rep, wrap
 # grid points solved as one batch: large enough that per-call overhead
 # vanishes, small enough that the batch's arrays stay a few megabytes
 _GRID_CHUNK = 32
+# probes measured at once by _covering_radius, on (chunk, N) distance planes
+_COVER_CHUNK = 64
 
 
 @dataclass
@@ -67,7 +69,10 @@ def find_periodic_center_leaf(
     periodic, so the fiber of y_0 returns to itself after n steps; the leaf
     residual iterates y_0 n times on :meth:`CatCircleSystem.orbit`.
     Fiber-sliding variants only (tau2 default, tau3 for pointwise returns).
+    A window (a non-cyclic orbit) raises ValueError: it has no period.
     """
+    if not cycle.cyclic:
+        raise ValueError("a periodic center leaf needs a cyclic orbit, got a window")
     cfg = cfg if cfg is not None else SolverConfig()
     res = shadow(sys, cycle, replace(cfg, variant=closing_variant(cfg.variant)))
     p = res.y[0]
@@ -288,16 +293,16 @@ def verify_semiconjugacy(cmap: ConjugacyMap, probe_points=None) -> dict:
     }
 
 
-def _covering_radius(probes: np.ndarray, points: np.ndarray, chunk: int = 64) -> float:
+def _covering_radius(probes: np.ndarray, points: np.ndarray) -> float:
     """max over probes of the distance to the nearest point of ``points`` (inf when empty)."""
     if len(points) == 0:
         return float("inf")
-    # per axis on (chunk, N) planes, squares summed in torus.norm's order; sqrt is monotone
+    # per axis on (_COVER_CHUNK, N) planes, squares summed in torus.norm's order; sqrt is monotone
     # and correctly rounded, so one sqrt after the min and max gives the bits of the norms
     worst = 0.0
-    for lo in range(0, len(probes), chunk):
+    for lo in range(0, len(probes), _COVER_CHUNK):
         for j in range(points.shape[1]):
-            d = probes[lo : lo + chunk, j, None] - points[:, j]
+            d = probes[lo : lo + _COVER_CHUNK, j, None] - points[:, j]
             d -= np.round(d)
             d *= d
             total = d if j == 0 else total + d

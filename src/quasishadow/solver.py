@@ -157,18 +157,17 @@ class ContractionBounds:
 class ShadowResult:
     """Tracing sequence with per-variant center bookkeeping and diagnostics.
 
-    ``trans`` holds the ambient transversal components v_k (y_k equals
-    exp_{x_k} v_k); ``corrections`` holds center vectors u_k for tau1 and
-    scalar fiber moves / flow times for tau2 / tau3.  ``defect_index`` is
-    the k of the pair (x_k, x_{k+1}) whose one-step error is
-    ``diagnostics.defect``.
+    y_k equals exp_{x_k} v_k for the ambient transversal part v_k, which
+    ``logmap(x, y)`` reads back; ``corrections`` holds center vectors u_k
+    for tau1 and scalar fiber moves / flow times for tau2 / tau3.
+    ``defect_index`` is the k of the pair (x_k, x_{k+1}) whose one-step
+    error is ``diagnostics.defect``.
     """
 
     variant: str
     ks: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    trans: np.ndarray
     corrections: np.ndarray
     diagnostics: ContractionBounds
     defect_index: int
@@ -448,18 +447,17 @@ def shadow(
     sys: CatCircleSystem,
     orbit: PseudoOrbit,
     cfg: SolverConfig | None = None,
-    initial: np.ndarray | None = None,
 ) -> ShadowResult:
     """Trace ``orbit`` with the variant requested in ``cfg``.
 
-    Starts from the zero sequence (or ``initial`` coefficients inside the
-    epsilon ball), iterates Phi until the solver-norm update drops below
-    ``fixed_point_tol``, and verifies the step relation of the variant.
-    An admissibility check runs first and refuses orbits whose measured
-    defect cannot be traced within epsilon.  This is the one-orbit case of
-    :func:`shadow_batch`; the first check the orbit fails is raised.
+    Starts from the zero sequence, iterates Phi until the solver-norm
+    update drops below ``fixed_point_tol``, and verifies the step relation
+    of the variant.  An admissibility check runs first and refuses orbits
+    whose measured defect cannot be traced within epsilon.  This is the
+    one-orbit case of :func:`shadow_batch`; the first check the orbit fails
+    is raised.
     """
-    out = shadow_batch(sys, [orbit], cfg, initial=initial)[0]
+    out = shadow_batch(sys, [orbit], cfg)[0]
     if isinstance(out, QuasiShadowError):
         raise out
     return out
@@ -470,7 +468,6 @@ def shadow_batch(
     orbits: list[PseudoOrbit],
     cfg: SolverConfig | None = None,
     split: Splitting | None = None,
-    initial: np.ndarray | None = None,
 ) -> list:
     """Trace orbits of one length and boundary type together, as one batch.
 
@@ -493,15 +490,20 @@ def shadow_batch(
 
     Per-orbit arrays (entries, iterates, update norms, gate constants) are
     indexed by position in ``orbits``; ``live`` holds the orbits behind the
-    rows of the operators, which are narrowed whenever it changes.  An orbit
-    runs while its entry is empty: each failure goes to the entry where it
-    is found, and the result of an orbit is written in the step it converges.
-    Every result owns its arrays, so keeping one keeps no batch array alive.
+    rows of the operators, which are narrowed whenever it changes.  Every
+    orbit starts from the zero sequence and runs while its entry is empty:
+    each failure goes to the entry where it is found, and the result of an
+    orbit is written in the step it converges.  A chart check that raises
+    inside a batched Phi step or extraction stops the batch: every orbit
+    whose entry is still empty is then solved alone, a batch of one orbit,
+    which writes its error to its entry.  Orbits of a batch do not interact
+    (up to the rounding note in :func:`_affine_scan`), so every entry is
+    what its orbit gets alone.  Every result owns its arrays, so keeping
+    one keeps no batch array alive.
 
     ``split`` is the :class:`Splitting` at the stacked points
-    (:func:`splitting_at`), computed when not given.  ``initial`` (shape
-    (W, 3)) starts every orbit.  Orbits of mixed boundary types raise
-    ValueError; no orbits give no entries.
+    (:func:`splitting_at`), computed when not given.  Orbits of mixed
+    boundary types raise ValueError; no orbits give no entries.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     if not orbits:
@@ -517,9 +519,10 @@ def shadow_batch(
     live = np.flatnonzero([o is None for o in out])
     if not live.size:
         return out
+    live_split = split
     if live.size < len(orbits):
         points = points[live]
-        split = split if split is None else split[live]
+        live_split = split if split is None else split[live]
     # one-step errors dist(f(x_j), x_{j+1}); a cycle's last pair is its wrap
     img = sys.forward(points if cyclic else points[:, :-1])
     nxt = np.roll(points, -1, axis=1) if cyclic else points[:, 1:]
@@ -535,7 +538,7 @@ def shadow_batch(
     defect_index = np.zeros(len(orbits), int)
     defect_index[live] = np.array([orbits[b].k_start for b in live]) + at
     del img, nxt, gaps  # the solve below runs without the measurement's arrays
-    ops = OrbitOperators(sys, points, cyclic, cfg, split)
+    ops = OrbitOperators(sys, points, cyclic, cfg, live_split)
 
     gate = np.full((len(orbits), 7), np.nan)
     gate[live] = ops.bound_table(defect)
@@ -563,64 +566,59 @@ def shadow_batch(
     if not live.size:
         return out
 
-    W = ops.n_points
-    w = np.zeros((len(orbits), W, 3))
-    if initial is not None:
-        w0 = np.array(initial, float)
-        if w0.shape != (W, 3):
-            raise ValueError(f"initial guess must have shape ({W}, 3)")
-        if np.any(ops.norm_one(w0) > cfg.epsilon):
-            raise ValueError("initial guess lies outside the epsilon ball")
-        if cfg.variant == "tau2":
-            w0[:, C] = 0.0
-        w[:] = w0
-
+    w = np.zeros((len(orbits), ops.n_points, 3))
     history = []  # per Phi step, the update norm of every orbit (nan where it did not run)
-    for _ in range(cfg.max_iterations):
-        w_new, ops, live = _isolate(OrbitOperators.phi, ops, live, w, out)
-        if not live.size:
-            return out
-        delta = ops.norm_one(w_new - w[live])
-        w[live] = w_new
-        size = ops.norm_one(w_new)
-        del w_new  # the extraction below runs without a second copy of the iterates
-        history.append(np.full(len(orbits), np.nan))
-        history[-1][live] = delta
-        escaped = size > cfg.epsilon
-        for b, s in zip(live[escaped], size[escaped]):
-            out[b] = ConvergenceError(
-                f"iterate of solver norm {s:.6g} escaped the epsilon ball ({cfg.epsilon})"
-            )
-        # an orbit stops at its first update below the tolerance, and its result is extracted
-        done = ~escaped & (delta < cfg.fixed_point_tol)
-        if done.any():
-            sub, rows = (ops, live) if done.all() else (ops.take(done), live[done])
-            fields, _, rows = _isolate(_extract, sub, rows, w, out)
-            for r, b in enumerate(rows):
-                y, trans, corrections, trace, center, step = (f[r] for f in fields)
-                deltas = np.array([h[b] for h in history])
-                diagnostics = ContractionBounds(
-                    *map(float, gate[b, :6]), bool(gate[b, 6]),
-                    iterations=len(deltas), final_residual=float(deltas[-1]),
+    try:
+        for _ in range(cfg.max_iterations):
+            w_new = ops.phi(w[live])
+            delta = ops.norm_one(w_new - w[live])
+            w[live] = w_new
+            size = ops.norm_one(w_new)
+            del w_new  # the extraction below runs without a second copy of the iterates
+            history.append(np.full(len(orbits), np.nan))
+            history[-1][live] = delta
+            escaped = size > cfg.epsilon
+            for b, s in zip(live[escaped], size[escaped]):
+                out[b] = ConvergenceError(
+                    f"iterate of solver norm {s:.6g} escaped the epsilon ball ({cfg.epsilon})"
                 )
-                out[b] = ShadowResult(
-                    variant=cfg.variant,
-                    ks=orbits[b].ks,
-                    x=orbits[b].points.copy(),
-                    y=y.copy(),
-                    trans=trans.copy(),
-                    corrections=corrections.copy(),
-                    diagnostics=diagnostics,
-                    defect_index=int(defect_index[b]),
-                    max_trace_dist=float(trace),
-                    step_residual=float(step),
-                    center_residual=float(center),
-                    delta_history=deltas,
-                    cyclic=cyclic,
-                )
-        ops, live = _narrow(ops, live, out)
-        if not live.size:
-            return out
+            # an orbit stops at its first update below the tolerance, and its result is extracted
+            done = ~escaped & (delta < cfg.fixed_point_tol)
+            if done.any():
+                sub, rows = (ops, live) if done.all() else (ops.take(done), live[done])
+                fields = _extract(sub, w[rows])
+                for r, b in enumerate(rows):
+                    y, corrections, trace, center, step = (f[r] for f in fields)
+                    deltas = np.array([h[b] for h in history])
+                    diagnostics = ContractionBounds(
+                        *map(float, gate[b, :6]), bool(gate[b, 6]),
+                        iterations=len(deltas), final_residual=float(deltas[-1]),
+                    )
+                    out[b] = ShadowResult(
+                        variant=cfg.variant,
+                        ks=orbits[b].ks,
+                        x=orbits[b].points.copy(),
+                        y=y.copy(),
+                        corrections=corrections.copy(),
+                        diagnostics=diagnostics,
+                        defect_index=int(defect_index[b]),
+                        max_trace_dist=float(trace),
+                        step_residual=float(step),
+                        center_residual=float(center),
+                        delta_history=deltas,
+                        cyclic=cyclic,
+                    )
+            ops, live = _narrow(ops, live, out)
+            if not live.size:
+                return out
+    except QuasiShadowError as exc:
+        if len(orbits) == 1:
+            return [exc]
+        for b, entry in enumerate(out):
+            if entry is None:
+                alone = split if split is None else split[[b]]
+                out[b] = shadow_batch(sys, [orbits[b]], cfg, alone)[0]
+        return out
     for b in live:
         out[b] = ConvergenceError(
             f"no fixed point within {cfg.max_iterations} iterations "
@@ -635,33 +633,11 @@ def _narrow(ops: OrbitOperators, live: np.ndarray, out: list):
     return (ops, live[keep]) if keep.all() or not keep.any() else (ops.take(keep), live[keep])
 
 
-def _isolate(step, ops: OrbitOperators, live: np.ndarray, w: np.ndarray, out: list):
-    """``step(ops, w[live])`` on the batch ``live``; when it raises, each orbit runs alone.
-
-    The error of every orbit that fails alone goes to its entry of ``out``.
-    Returns the result of the orbits that pass, with their operators and
-    ``live``.  Orbits of a batch do not interact (up to the rounding note
-    in :func:`_affine_scan`), so the passing orbits get the values they get
-    on their own.
-    """
-    try:
-        return step(ops, w[live]), ops, live
-    except QuasiShadowError:
-        pass
-    for r, b in enumerate(live):
-        try:
-            step(ops.take([r]), w[b : b + 1])
-        except QuasiShadowError as exc:
-            out[b] = exc
-    ops, live = _narrow(ops, live, out)
-    return (step(ops, w[live]) if live.size else None), ops, live
-
-
 def _extract(ops: OrbitOperators, w: np.ndarray):
     """Tracing points, center bookkeeping and per-orbit residuals of solved iterates.
 
-    Returns y, the transversal parts v, the corrections, and per orbit the
-    largest trace distance, center residual and step residual.
+    Returns y, the corrections, and per orbit the largest trace distance,
+    center residual and step residual.
     """
     X = ops.points
     variant, rho0 = ops.cfg.variant, ops.cfg.rho0
@@ -684,4 +660,4 @@ def _extract(ops: OrbitOperators, w: np.ndarray):
         corrections = np.zeros(X.shape[:-1])
         corrections[..., dst] = minimal_rep(targets[..., 2] - fy[..., 2])
     step_residual = dist(y[..., dst, :], targets).max(axis=-1)
-    return y, v_amb, corrections, max_trace, center_res, step_residual
+    return y, corrections, max_trace, center_res, step_residual

@@ -4,9 +4,9 @@ Most of this is built from first principles (inline map formulas, dense
 linear algebra, brute-force scans) so library results can be checked
 against a second, unrelated code path.  ``eta_lipschitz_fd`` and the
 measurement section at the end are the exception: they drive the
-library's own operators with differences, random probes and samples, and
-the tests compare their maxima with the closed-form bounds that gate
-every solve.
+library's own operators with differences, random probes, samples and
+other starting points, and the tests compare what they find with the
+closed-form bounds that gate every solve and with the solver's results.
 """
 
 from __future__ import annotations
@@ -600,6 +600,24 @@ def estimate_contraction(sys, orbit, cfg=None, probes=8, seed=20240):
         observed_contraction=observed,
         probes=probes,
     )
+
+
+def fixed_point_from(sys, orbit, start, max_steps=200):
+    """The tau1 fixed point of Phi reached from the coefficients ``start``: (y, center vectors).
+
+    Iterates :meth:`OrbitOperators.phi` on the orbit until the solver-norm
+    update drops below 1e-12, without the gate or the stop rule of a solve.
+    """
+    ops = OrbitOperators(sys, orbit.points, orbit.cyclic)
+    w = np.array(start, float)
+    for _ in range(max_steps):
+        w_new = ops.phi(w)
+        update = float(ops.norm_one(w_new - w))
+        w = w_new
+        if update < 1e-12:
+            y = wrap(ops.points + ops.split.transversal(w))
+            return y, ops.split.frames[..., C] * w[..., C, None]
+    raise AssertionError(f"no fixed point within {max_steps} steps")
 
 
 def transversal_slide(sys, x, z):

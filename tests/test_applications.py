@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -87,6 +88,15 @@ def test_closing_at_nonzero_kappa(tmp_path):
     results = json.loads((tmp_path / "close_kappa_report.json").read_text())["results"]
     assert (results["period"], results["return_gap"]) == (6, nr.gap)
     assert results["leaf_residual"] == leaf.leaf_residual
+
+
+def test_closing_refuses_a_window():
+    # a window has no period: the tail must not read its last point as a return
+    sys = qs.cat_circle_system(alpha=0.3, kappa=0.02)
+    window = qs.generate_noisy(sys, (0.11, 0.23, 0.5), 20, 1e-4, seed=5)
+    assert not window.cyclic
+    with pytest.raises(ValueError, match="cyclic"):
+        qs.find_periodic_center_leaf(sys, window)
 
 
 def test_leaf_return_chain_trivial():
@@ -345,6 +355,20 @@ def test_semiconjugacy_batches_match_per_window_loop(alpha, kappa, translation, 
     sys_f = qs.cat_circle_system(alpha, kappa)
     sys_g = qs.cat_circle_system(alpha, kappa, shift=translation, validate=False)
     _assert_matches_per_window(sys_f, sys_g, grid_points(per_axis), window)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.02])
+def test_passing_grid_solves_no_orbit_alone(kappa):
+    # one spy on the grid's batches and on the solver's own solves of single
+    # orbits: a grid that passes runs its two batches and nothing else
+    sys_f = qs.cat_circle_system(0.3, kappa)
+    moved = qs.cat_circle_system(0.3, kappa, shift=(1e-3, 2e-4, 0.0))
+    spy = mock.Mock(wraps=qs.solver.shadow_batch)
+    with mock.patch.object(qs.solver, "shadow_batch", spy):
+        with mock.patch.object(qs.applications, "shadow_batch", spy):
+            cmap = qs.build_semiconjugacy(sys_f, moved, grid_points(3), _cfg(), window=10)
+    assert not cmap.failures
+    assert [len(call.args[1]) for call in spy.call_args_list] == [27, 27]
 
 
 def test_grid_points_shape():

@@ -56,7 +56,7 @@ def test_pseudo_orbit_csv_bytes(tmp_path):
 def test_shadow_result_csv_bytes(tmp_path, corrections):
     x, y = AWKWARD, np.roll(AWKWARD, 1, axis=1)
     res = ShadowResult(
-        variant="tau1", ks=np.arange(-3, 1), x=x, y=y, trans=None, corrections=corrections,
+        variant="tau1", ks=np.arange(-3, 1), x=x, y=y, corrections=corrections,
         diagnostics=None, defect_index=0, max_trace_dist=0.0, step_residual=0.0, center_residual=0.0,
         delta_history=None, cyclic=False,
     )

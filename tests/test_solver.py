@@ -19,6 +19,7 @@ from oracles import (
     dense_tau1_window,
     dense_unstable_window,
     eta_lipschitz_fd,
+    fixed_point_from,
     periodic_base_point,
     pointwise_norm_equivalence,
     true_window,
@@ -301,7 +302,7 @@ def test_fixed_point_matches_dense_oracle(product_sys):
     res = qs.shadow(product_sys, orbit)
     y_o, v_o, u_o = dense_tau1_window(orbit.points, product_sys.alpha)
     assert np.max(qs.dist(res.y, y_o)) < 1e-10
-    assert np.max(np.abs(res.trans - v_o)) < 1e-10
+    assert np.max(np.abs(qs.logmap(res.x, res.y) - v_o)) < 1e-10
     assert np.max(np.abs(res.corrections - u_o)) < 1e-10
 
 
@@ -326,10 +327,10 @@ def test_uniqueness_from_two_admissible_starts(product_sys, skew_sys, rng):
         res_a = qs.shadow(sys, orbit)
         w0 = rng.standard_normal((len(orbit), 3))
         w0 *= 0.01 / np.linalg.norm(w0, axis=1).max()
-        res_b = qs.shadow(sys, orbit, initial=w0)
+        y_b, u_b = fixed_point_from(sys, orbit, w0)
         tol = 1e-12
-        assert np.max(qs.dist(res_a.y, res_b.y)) <= 2.0 * tol
-        assert np.max(np.abs(res_a.corrections - res_b.corrections)) <= 2.0 * tol
+        assert np.max(qs.dist(res_a.y, y_b)) <= 2.0 * tol
+        assert np.max(np.abs(res_a.corrections - u_b)) <= 2.0 * tol
 
 
 def test_monotone_convergence(skew_sys):
@@ -340,13 +341,6 @@ def test_monotone_convergence(skew_sys):
     ratios = deltas[1:] / deltas[:-1]
     assert np.all(ratios <= 0.5)
     assert deltas[-1] < 1e-12
-
-
-def test_invalid_initial_guess_rejected(product_sys, rng):
-    orbit = _noisy(product_sys, n=20)
-    big = np.full((len(orbit), 3), 1.0)
-    with pytest.raises(ValueError):
-        qs.shadow(product_sys, orbit, initial=big)
 
 
 def test_admissibility_refuses_large_defect(product_sys):
@@ -470,7 +464,7 @@ def test_numerical_splitting_at_zero_kappa_shadows_like_analytic(product_sys):
     # extraction; at kappa = 0 it must trace like the one constant frame
     def close(a, b):
         assert np.max(qs.dist(a.y, b.y)) <= 1e-15
-        assert np.max(np.abs(a.trans - b.trans)) <= 1e-15
+        assert np.max(np.abs(qs.logmap(a.x, a.y) - qs.logmap(b.x, b.y))) <= 1e-15
         assert np.max(np.abs(a.corrections - b.corrections)) <= 1e-15
 
     def per_point(orbit, cfg):
@@ -613,7 +607,7 @@ def test_shadow_batch_results_own_their_arrays(product_sys, variant):
     for res in out:
         arrays = {f.name: getattr(res, f.name) for f in dataclasses.fields(res)}
         arrays = {name: a for name, a in arrays.items() if isinstance(a, np.ndarray)}
-        assert {"y", "trans", "corrections", "x", "ks", "delta_history"} <= set(arrays)
+        assert {"y", "corrections", "x", "ks", "delta_history"} <= set(arrays)
         assert {name: a.base for name, a in arrays.items()} == dict.fromkeys(arrays)
 
 
@@ -665,9 +659,13 @@ def test_shadow_batch_failures_at_every_stage_match_solves_alone(skew_sys):
     with (
         mock.patch.object(qs.OrbitOperators, "apply_beta", failing_beta),
         mock.patch.object(qs.solver, "_extract", failing_extract),
+        _solo_spy() as spy,
     ):
         out = qs.shadow_batch(skew_sys, orbits, cfg)
+        resolved = _resolved(spy, orbits)
         alone = [qs.shadow_batch(skew_sys, [orbit], cfg)[0] for orbit in orbits]
+    # the first Phi step raises, while every orbit the gate passed is unfinished
+    assert resolved == [1, 2, 3, 4, 5, 6]
     kinds = [AdmissibilityError, ChartError, qs.ShadowResult, ChartError, ConvergenceError]
     assert [type(res) for res in out] == kinds + [qs.ShadowResult] * 2
     assert "no fixed point within 2 iterations" in str(out[4])
@@ -678,6 +676,93 @@ def test_shadow_batch_failures_at_every_stage_match_solves_alone(skew_sys):
             assert to_json(res) == to_json(ref)
         else:
             assert str(res) == str(ref)
+
+
+def _solo_spy():
+    """A spy on the solver's own calls of shadow_batch: the solves of single orbits after a raise."""
+    return mock.patch.object(qs.solver, "shadow_batch", wraps=qs.solver.shadow_batch)
+
+
+def _resolved(spy, orbits):
+    """The positions in ``orbits`` of the orbits that ``spy`` saw solved alone, in call order."""
+    assert all(len(call.args[1]) == 1 for call in spy.call_args_list)
+    return [[o is call.args[1][0] for o in orbits].index(True) for call in spy.call_args_list]
+
+
+def test_shadow_batch_raise_resolves_only_the_unfinished_orbits(skew_sys):
+    # the extraction raises in the second step, after the gate refused orbit 0
+    # and orbit 1 converged: those entries stay, and orbits 2-5 run again alone
+    x0 = (0.11, 0.23, 0.5)
+    orbits = [
+        qs.generate_noisy(skew_sys, x0, 20, 3e-2, seed=1),  # refused by the gate
+        true_window(skew_sys, x0, 20),  # converges in one step
+        qs.generate_noisy(skew_sys, x0, 20, 1e-6, seed=4),  # fails in _extract in step two
+        qs.generate_noisy(skew_sys, x0, 20, 1e-4, seed=1),  # converges in three steps
+        qs.generate_noisy(skew_sys, x0, 20, 1e-6, seed=2),  # converges in two steps
+        qs.generate_noisy(skew_sys, x0, 20, 1e-6, seed=3),  # the same
+    ]
+    extract = qs.solver._extract
+
+    def failing_extract(ops, w):
+        if any(np.array_equal(pts, orbits[2].points) for pts in ops.points):
+            raise ChartError("extraction left the chart")
+        return extract(ops, w)
+
+    with mock.patch.object(qs.solver, "_extract", failing_extract), _solo_spy() as spy:
+        out = qs.shadow_batch(skew_sys, orbits)
+        resolved = _resolved(spy, orbits)
+        alone = [qs.shadow_batch(skew_sys, [orbit])[0] for orbit in orbits]
+    assert resolved == [2, 3, 4, 5]
+    kinds = [AdmissibilityError, qs.ShadowResult, ChartError] + [qs.ShadowResult] * 3
+    assert [type(res) for res in out] == kinds
+    assert [out[b].diagnostics.iterations for b in (1, 3, 4, 5)] == [1, 3, 2, 2]
+    for res, ref in zip(out, alone):
+        assert type(res) is type(ref)
+        if isinstance(res, qs.ShadowResult):
+            assert to_json(res) == to_json(ref)
+        else:
+            assert str(res) == str(ref)
+
+
+def test_one_orbit_batch_returns_its_error_without_a_second_solve(product_sys):
+    orbit = _noisy(product_sys, n=20)
+
+    def failing(ops, v):
+        raise ChartError("beta left the chart")
+
+    with mock.patch.object(qs.OrbitOperators, "apply_beta", failing), _solo_spy() as spy:
+        out = qs.shadow_batch(product_sys, [orbit])
+    assert spy.call_count == 0
+    assert len(out) == 1 and isinstance(out[0], ChartError)
+    assert str(out[0]) == "beta left the chart"
+
+
+def _same_bits(a, b) -> bool:
+    """Arrays with the same shape, dtype and bits; splittings by their frames; else equality."""
+    if isinstance(a, qs.Splitting):
+        frames = _same_bits(a.frames, b.frames) and _same_bits(a.frames_inv, b.frames_inv)
+        return isinstance(b, qs.Splitting) and a.constant == b.constant and frames
+    if isinstance(a, np.ndarray):
+        b = np.asarray(b)
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    return a is b or a == b
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.02])
+@pytest.mark.parametrize("cyclic", [False, True], ids=["window", "cycle"])
+def test_take_matches_operators_built_on_the_subset(kappa, cyclic):
+    sys = qs.cat_circle_system(0.3, kappa)
+    x0 = (0.11, 0.23, 0.5)
+    points = np.stack([qs.generate_noisy(sys, x0, 12, 1e-4, seed=s).points for s in range(4)])
+    ops = qs.OrbitOperators(sys, points, cyclic)
+    defect = np.array([1e-4, 2e-4, 3e-3, 4e-4])
+    for idx in ([2, 0], np.array([True, False, False, True])):
+        sub = ops.take(idx)
+        fresh = qs.OrbitOperators(sys, points[idx], cyclic)
+        assert vars(sub).keys() == vars(fresh).keys()
+        for name, want in vars(fresh).items():
+            assert _same_bits(getattr(sub, name), want), name
+        assert _same_bits(sub.bound_table(defect[idx]), fresh.bound_table(defect[idx]))
 
 
 def test_shadow_batch_refusals_before_phi_match_solves_alone(product_sys):
