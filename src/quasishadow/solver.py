@@ -47,7 +47,6 @@ from .systems import (
     CatCircleSystem,
     Splitting,
     center_flow,
-    leaf_dist,
     splitting_at,
 )
 from .torus import RHO0_DEFAULT, RHO_DEFAULT, dist, expmap, logmap, minimal_rep, norm, wrap
@@ -341,42 +340,77 @@ class OrbitOperators:
 
     # -- norms ---------------------------------------------------------
 
+    def transversal(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ambient transversal parts of coefficient sequences and their norms.
+
+        A solve builds them once per iterate: they give the solver norm of
+        the escape check, the input of the next :meth:`apply_beta` and the
+        tracing points of the extraction.
+        """
+        v = self.split.transversal(coeffs)
+        return v, norm(v)
+
     def norm_one(self, coeffs: np.ndarray):
         center = np.abs(coeffs[..., C]).max(axis=-1)
-        return center + norm(self.split.transversal(coeffs)).max(axis=-1)
+        return center + self.transversal(coeffs)[1].max(axis=-1)
 
     # -- operators -----------------------------------------------------
 
-    def apply_beta(self, v_coeffs: np.ndarray) -> np.ndarray:
+    def apply_beta(self, v_amb: np.ndarray, norms: np.ndarray) -> np.ndarray:
         """beta(v) in frame coordinates, scattered to the step target rows.
 
-        Accepts batched input (..., W, 3); the center column of the input
-        is ignored.  Raises ChartError when an intermediate point leaves
-        the chart, which signals defect or epsilon too large.
+        Takes the ambient transversal parts of v and their norms as
+        :meth:`transversal` gives them, shape (..., W, 3) and (..., W); each
+        step reads the row of its source.  Raises ChartError when a source
+        row leaves the working ball rho or an intermediate point leaves the
+        chart, which signals defect or epsilon too large.
         """
         X = self.points
         src, dst = self.step_src, self.step_dst
-        rho, rho0 = self.cfg.rho, self.cfg.rho0
-        v_amb = self.split[..., src].transversal(v_coeffs[..., src, :])
-        norms = norm(v_amb)
-        if norms.size and float(norms.max()) > rho:
+        rho = self.cfg.rho
+        n = norms[..., src]
+        if n.size and float(n.max()) > rho:
             raise ChartError(
-                f"transversal component of size {float(norms.max()):.6g} "
+                f"transversal component of size {float(n.max()):.6g} "
                 f"left the working ball of radius {rho}"
             )
-        z = self.sys.forward(wrap(X[..., src, :] + v_amb))
-        out = np.zeros(v_coeffs.shape)
+        z = self.sys.forward(wrap(X[..., src, :] + v_amb[..., src, :]))
+        d = minimal_rep(z - X[..., dst, :])
+        return self._beta(d, None if self.cfg.variant == "tau2" else norm(d))
+
+    def beta_at_zero(self, d: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+        """beta(0), the first Phi step, from the defect measurement of :func:`shadow_batch`.
+
+        ``d`` holds the one-step chart differences minimal_rep(f(x_j) - x_{j+1})
+        at the wrapped points, one row per pair (a cycle's wrap pair last),
+        and ``gaps`` their norms: at v = 0 these are the differences
+        :meth:`apply_beta` would compute, so the step runs no transversal
+        assembly, ``wrap``, ``forward`` or ``logmap``, with the same chart checks.
+        """
+        if self.cyclic:
+            d = np.roll(d, 1, axis=-2)  # step k maps point k - 1 to point k
+        return self._beta(d, gaps)
+
+    def _beta(self, d: np.ndarray, gaps) -> np.ndarray:
+        """beta at the step targets from the step-aligned chart differences d = minimal_rep(z - x_dst).
+
+        tau2 slides d along the fibers; tau1 and tau3 take its frame
+        coefficients, after checking its norms ``gaps`` against the chart radius.
+        """
+        dst, rho0 = self.step_dst, self.cfg.rho0
+        out = np.zeros(d.shape[:-2] + (self.n_points, 3))
         if self.cfg.variant == "tau2":
-            w = self._slide_coeffs(z, dst)[0]
-        else:
-            w_amb = logmap(X[..., dst, :], z, rho0)
-            w = self.split[..., dst].coeffs(w_amb)
-        out[..., dst, :] = w
+            out[..., dst, :] = self._slide(d[..., :2], dst)[0]
+            return out
+        if gaps.size and float(gaps.max()) > rho0:
+            raise ChartError(
+                f"points at distance {float(gaps.max()):.6g} exceed chart radius {rho0}"
+            )
+        out[..., dst, :] = self.split[..., dst].coeffs(d)
         return out
 
-    def _slide_coeffs(self, z: np.ndarray, dst_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fiber slide of z onto the transversal disks at the dst rows: (coefficients, move)."""
-        d_base = minimal_rep(z[..., :2] - self.points[..., dst_rows, :2])
+    def _slide(self, d_base: np.ndarray, dst_rows) -> tuple[np.ndarray, np.ndarray]:
+        """Fiber slide of the base offsets d_base onto the transversal disks at the dst rows: (coefficients, move)."""
         w, move = _fiber_slide(self.split[..., dst_rows], d_base)
         n = norm(move)
         if n.size and float(n.max()) > self.cfg.rho0:
@@ -394,7 +428,7 @@ class OrbitOperators:
         return out
 
     def eta(self, v_coeffs: np.ndarray) -> np.ndarray:
-        return self.apply_beta(v_coeffs) - self.apply_transfer(v_coeffs)
+        return self.apply_beta(*self.transversal(v_coeffs)) - self.apply_transfer(v_coeffs)
 
     def _solve_block(self, mult: np.ndarray, rhs_pts: np.ndarray) -> np.ndarray:
         """Solve v_k - mult_k v_{k-1} = r_k forward for one contracting 1-d block of every orbit.
@@ -435,9 +469,14 @@ class OrbitOperators:
         out[..., U] = self._solve_block(m, rev)[..., ::-1]
         return out
 
-    def phi(self, w_coeffs: np.ndarray) -> np.ndarray:
-        """One fixed-point update Phi(w) = P^{-1} eta(v)."""
-        out = self.solve_p(self.eta(w_coeffs))
+    def phi(self, eta_v: np.ndarray) -> np.ndarray:
+        """One fixed-point update Phi(w) = P^{-1} eta(v), given eta(v); tau2 drops the center part.
+
+        :meth:`eta` evaluates eta(v) from coefficients; a solve builds it
+        from what it holds: :meth:`beta_at_zero` in the first step, then
+        :meth:`apply_beta` of the transversal parts minus :meth:`apply_transfer`.
+        """
+        out = self.solve_p(eta_v)
         if self.cfg.variant == "tau2":
             out[..., C] = 0.0
         return out
@@ -483,15 +522,24 @@ def shadow_batch(
     own; ``cfg`` holds no boundary policy.
 
     The defect is measured against ``sys``: the largest one-step error
-    dist(f(x_k), x_{k+1}), a cycle's wrap pair included, reported as
-    ``diagnostics.defect`` with its k as ``defect_index``.  A leaf-mode
+    dist(f(x_k), x_{k+1}) = |minimal_rep(f(wrap(x_k)) - x_{k+1})|, a cycle's
+    wrap pair included, reported as ``diagnostics.defect`` with its k as
+    ``defect_index`` (for points in [0, 1), wrap(x_k) is x_k).  A leaf-mode
     wrap counts along the fiber for tau2; the other variants must absorb
     the pointwise wrap gap, which is refused above rho and counts otherwise.
 
-    Per-orbit arrays (entries, iterates, update norms, gate constants) are
-    indexed by position in ``orbits``; ``live`` holds the orbits behind the
-    rows of the operators, which are narrowed whenever it changes.  Every
-    orbit starts from the zero sequence and runs while its entry is empty:
+    Each Phi step computes each per-point array once.  The first starts
+    from the zero sequence, where beta reads only the chart differences
+    of the measurement (:meth:`OrbitOperators.beta_at_zero`); its update
+    norm is the size of its iterate.  Every iterate's transversal parts
+    and their norms (:meth:`OrbitOperators.transversal`) serve its escape
+    check, the next step's :meth:`~OrbitOperators.apply_beta` and, once
+    it converges, :func:`_extract`.
+
+    Per-orbit values (entries, update norms, gate constants) are indexed
+    by position in ``orbits``; ``live`` holds the orbits behind the rows of
+    the operators, the iterates and their transversal parts, all narrowed
+    together whenever it changes.  Every orbit runs while its entry is empty:
     each failure goes to the entry where it is found, and the result of an
     orbit is written in the step it converges.  A chart check that raises
     inside a batched Phi step or extraction stops the batch: every orbit
@@ -523,22 +571,26 @@ def shadow_batch(
     if live.size < len(orbits):
         points = points[live]
         live_split = split if split is None else split[live]
-    # one-step errors dist(f(x_j), x_{j+1}); a cycle's last pair is its wrap
-    img = sys.forward(points if cyclic else points[:, :-1])
+    # the operators come first, so that their set-up runs without the measurement's arrays
+    ops = OrbitOperators(sys, points, cyclic, cfg, live_split)
+    # one-step chart differences d_j = minimal_rep(f(x_j) - x_{j+1}) at the wrapped
+    # points, which the first Phi step reuses; a cycle's last pair is its wrap
+    src = points if cyclic else points[:, :-1]
     nxt = np.roll(points, -1, axis=1) if cyclic else points[:, 1:]
-    gaps = dist(img, nxt)
+    d = minimal_rep(sys.forward(wrap(src)) - nxt)
+    del src, nxt
+    gaps = norm(d)  # the one-step errors dist(f(x_j), x_{j+1})
     leaf = cyclic & np.array([orbits[b].leaf_mode for b in live])
     wrap_gap = np.zeros(len(orbits))  # the pointwise leaf-mode wrap gaps a variant must absorb
     if cfg.variant == "tau2":
-        gaps[leaf, -1] = leaf_dist(img[leaf, -1], nxt[leaf, -1])
+        # tau2 checks no gaps in its first step; a leaf-mode wrap counts along the fiber
+        gaps[leaf, -1] = norm(d[leaf, -1, :2])
     else:
         wrap_gap[live[leaf]] = gaps[leaf, -1]
     at = np.argmax(gaps, axis=-1)
     defect = gaps[np.arange(len(live)), at]
     defect_index = np.zeros(len(orbits), int)
     defect_index[live] = np.array([orbits[b].k_start for b in live]) + at
-    del img, nxt, gaps  # the solve below runs without the measurement's arrays
-    ops = OrbitOperators(sys, points, cyclic, cfg, live_split)
 
     gate = np.full((len(orbits), 7), np.nan)
     gate[live] = ops.bound_table(defect)
@@ -562,19 +614,30 @@ def shadow_batch(
                 f"defect {defect[b]:.6g} predicts tracing radius {radius[b]:.6g} "
                 f">= epsilon {cfg.epsilon}; reduce the defect or raise epsilon"
             )
-    ops, live = _narrow(ops, live, out)
+    ops, live, (d, gaps) = _narrow(ops, live, out, d, gaps)
     if not live.size:
         return out
 
-    w = np.zeros((len(orbits), ops.n_points, 3))
+    w = None  # the iterates of the live orbits, one row each; the first step starts from zero
     history = []  # per Phi step, the update norm of every orbit (nan where it did not run)
     try:
         for _ in range(cfg.max_iterations):
-            w_new = ops.phi(w[live])
-            delta = ops.norm_one(w_new - w[live])
-            w[live] = w_new
-            size = ops.norm_one(w_new)
-            del w_new  # the extraction below runs without a second copy of the iterates
+            if w is None:
+                eta = ops.beta_at_zero(d, gaps)
+                d = gaps = None
+            else:
+                eta = ops.apply_beta(trans, norms) - ops.apply_transfer(w)
+            # each array is dropped once read, so no two iterates' parts are held at once
+            trans = norms = None
+            w_new = ops.phi(eta)
+            del eta
+            delta = None if w is None else ops.norm_one(w_new - w)
+            w = w_new
+            del w_new
+            trans, norms = ops.transversal(w)
+            size = np.abs(w[..., C]).max(axis=-1) + norms.max(axis=-1)
+            if delta is None:
+                delta = size  # the update from zero is the iterate itself
             history.append(np.full(len(orbits), np.nan))
             history[-1][live] = delta
             escaped = size > cfg.epsilon
@@ -585,8 +648,10 @@ def shadow_batch(
             # an orbit stops at its first update below the tolerance, and its result is extracted
             done = ~escaped & (delta < cfg.fixed_point_tol)
             if done.any():
-                sub, rows = (ops, live) if done.all() else (ops.take(done), live[done])
-                fields = _extract(sub, w[rows])
+                if done.all():
+                    rows, fields = live, _extract(ops, w, trans)
+                else:
+                    rows, fields = live[done], _extract(ops.take(done), w[done], trans[done])
                 for r, b in enumerate(rows):
                     y, corrections, trace, center, step = (f[r] for f in fields)
                     deltas = np.array([h[b] for h in history])
@@ -608,7 +673,7 @@ def shadow_batch(
                         delta_history=deltas,
                         cyclic=cyclic,
                     )
-            ops, live = _narrow(ops, live, out)
+            ops, live, (w, trans, norms) = _narrow(ops, live, out, w, trans, norms)
             if not live.size:
                 return out
     except QuasiShadowError as exc:
@@ -627,24 +692,29 @@ def shadow_batch(
     return out
 
 
-def _narrow(ops: OrbitOperators, live: np.ndarray, out: list):
-    """``ops`` and ``live`` cut to the orbits with an empty entry (``ops`` kept if none is left)."""
+def _narrow(ops: OrbitOperators, live: np.ndarray, out: list, *arrays):
+    """``ops``, ``live`` and the per-orbit ``arrays`` cut to the orbits with an empty entry.
+
+    Nothing is cut when no orbit is left.
+    """
     keep = np.array([out[b] is None for b in live])
-    return (ops, live[keep]) if keep.all() or not keep.any() else (ops.take(keep), live[keep])
+    if keep.all() or not keep.any():
+        return ops, live[keep], arrays
+    return ops.take(keep), live[keep], tuple(a[keep] for a in arrays)
 
 
-def _extract(ops: OrbitOperators, w: np.ndarray):
+def _extract(ops: OrbitOperators, w: np.ndarray, v_amb: np.ndarray):
     """Tracing points, center bookkeeping and per-orbit residuals of solved iterates.
 
+    ``v_amb`` holds the transversal parts of ``w`` (:meth:`OrbitOperators.transversal`).
     Returns y, the corrections, and per orbit the largest trace distance,
     center residual and step residual.
     """
     X = ops.points
     variant, rho0 = ops.cfg.variant, ops.cfg.rho0
-    v_amb = ops.split.transversal(w)
     y = expmap(X, v_amb, rho0)
     max_trace = dist(X, y).max(axis=-1)
-    center_res = np.abs(ops.split.coeffs(v_amb)[..., C]).max(axis=-1)
+    center_res = np.abs(ops.split.center_coeff(v_amb)).max(axis=-1)
 
     src, dst = ops.step_src, ops.step_dst
     fy = ops.sys.forward(y[..., src, :])
@@ -656,7 +726,7 @@ def _extract(ops: OrbitOperators, w: np.ndarray):
         corrections = w[..., C].copy()
         targets = center_flow(fy, corrections[..., dst])
     else:
-        targets = wrap(x_dst + ops._slide_coeffs(fy, dst)[1])
+        targets = wrap(x_dst + ops._slide(minimal_rep(fy[..., :2] - x_dst[..., :2]), dst)[1])
         corrections = np.zeros(X.shape[:-1])
         corrections[..., dst] = minimal_rep(targets[..., 2] - fy[..., 2])
     step_residual = dist(y[..., dst, :], targets).max(axis=-1)

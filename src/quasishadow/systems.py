@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RateOrderError
+from .errors import ChartError, RateOrderError
 from .torus import minimal_rep, norm, wrap, wrap_float
 
 CAT = np.array([[2.0, 1.0], [1.0, 1.0]])
@@ -86,6 +86,7 @@ class CatCircleSystem:
     and ``np.sin`` agree, which rests on the platform's libm; the test
     suite checks it.  At kappa = 0 all four skip the kappa sin term, whose +-0.0 :func:`wrap`
     makes +0.0; only an overflowing 2 pi x_0 (0 sin(inf) = nan) is now mapped, not refused.
+    The array maps also skip adding an all-zero ``shift``, for the same reason.
     """
 
     center_dimension = 1
@@ -102,6 +103,8 @@ class CatCircleSystem:
         if self.shift.shape != (3,):
             raise ValueError("shift must be a 3-vector")
         self._shift_floats = tuple(self.shift.tolist())
+        # adding +-0.0 changes at most the sign of a zero, which wrap resets
+        self._shifted = bool(self.shift.any())
 
     def __repr__(self) -> str:
         shift = self.shift.tolist()
@@ -114,11 +117,14 @@ class CatCircleSystem:
         out[..., 2] = x[..., 2] + self.alpha
         if self.kappa != 0.0:
             out[..., 2] += self.kappa * np.sin(2.0 * np.pi * x[..., 0])
-        out += self.shift
+        if self._shifted:
+            out += self.shift
         return wrap(out)
 
     def inverse(self, x) -> np.ndarray:
-        z = np.asarray(x, float) - self.shift
+        z = np.asarray(x, float)
+        if self._shifted:
+            z = z - self.shift
         out = np.empty(z.shape)
         out[..., 0], out[..., 1] = _cat_inv(z[..., 0], z[..., 1])
         out[..., 2] = z[..., 2] - self.alpha
@@ -218,7 +224,7 @@ _FRAME_ENTRIES = ((None, 0.0, None), (None, 0.0, None), (None, 1.0, None))
 _INVERSE_ENTRIES = ((None, None, 0.0), (None, None, 1.0), (None, None, 0.0))
 
 
-def _product(m: np.ndarray, v, entries, skip: int | None = None) -> np.ndarray:
+def _product(m: np.ndarray, v, entries, skip: int | None = None, rows=(0, 1, 2)) -> np.ndarray:
     """m @ v over the last axes, row i summed as ((0.0 + m_i0 v_0) + m_i2 v_2) + m_i1 v_1.
 
     numpy 2.4.6 sums the ``...ij,...j`` contraction of C-ordered operands
@@ -226,19 +232,21 @@ def _product(m: np.ndarray, v, entries, skip: int | None = None) -> np.ndarray:
     (``entries``, or all of a (3, 3) m) is exactly 0 are dropped, as is
     column ``skip``: adding +-0.0 to a sum that starts from +0.0 keeps its
     bits for finite v.  An entry 1 adds v_j itself, and the trailing + 0.0
-    gives the bits of the leading one.
+    gives the bits of the leading one.  Only the ``rows`` of m are summed,
+    into that many output columns.
     """
     v = np.asarray(v, float)
-    out = np.empty(np.broadcast_shapes(m.shape[:-1], v.shape))
-    for i, row in enumerate(m.tolist() if m.ndim == 2 else entries):
-        terms = []
+    out = np.empty(np.broadcast_shapes(m.shape[:-2], v.shape[:-1]) + (len(rows),))
+    table = m.tolist() if m.ndim == 2 else entries
+    for k, i in enumerate(rows):
+        row, terms = table[i], []
         for j in (0, 2, 1):
             e = 0.0 if j == skip else row[j]
             if e == 1.0:
                 terms.append(v[..., j])
             elif e != 0.0:
                 terms.append((m[..., i, j] if e is None else e) * v[..., j])
-        np.add(sum(terms[1:], terms[0]) if terms else 0.0, 0.0, out=out[..., i])
+        np.add(sum(terms[1:], terms[0]) if terms else 0.0, 0.0, out=out[..., k])
     return out
 
 
@@ -270,6 +278,10 @@ class Splitting:
     def coeffs(self, vectors) -> np.ndarray:
         return _product(self.frames_inv, vectors, _INVERSE_ENTRIES)
 
+    def center_coeff(self, vectors) -> np.ndarray:
+        """``coeffs(vectors)[..., C]``, with only the center row summed."""
+        return _product(self.frames_inv, vectors, _INVERSE_ENTRIES, rows=(C,))[..., 0]
+
     def assemble(self, coeffs) -> np.ndarray:
         return _product(self.frames, coeffs, _FRAME_ENTRIES)
 
@@ -289,22 +301,60 @@ def _slopes(sys: CatCircleSystem, x: np.ndarray, n: int) -> np.ndarray:
     With c(b1) = 2 pi kappa cos(2 pi b1) the theta row of the differential,
     r_s = -e_s[0] sum_{j<n} lam^j c(f^j x) and
     r_u = e_u[0] sum_{1<=j<=n} mu^-j c(f^-j x); only the base orbit enters.
+
+    The base orbit steps in place in flat coordinate arrays, with the float
+    operations of :meth:`CatCircleSystem.forward`, :meth:`~CatCircleSystem.inverse`
+    and :func:`wrap`; a zero shift is not added.  A non-finite coordinate stays
+    nan through every later step, so one check of the last coordinates raises
+    the :class:`ChartError` that :func:`wrap` would have raised at any step.
     """
-    shift = sys.shift[:2]
-    fwd = bwd = x[..., :2]
-    total = np.zeros(x.shape[:-1] + (2,))
-    for j in range(n):
-        z = bwd - shift
-        bwd = np.empty(z.shape)
-        bwd[..., 0], bwd[..., 1] = _cat_inv(z[..., 0], z[..., 1])
-        bwd = wrap(bwd)
-        cos = np.cos(2.0 * np.pi * np.stack([fwd[..., 0], bwd[..., 0]], axis=-1))
-        total = total + cos * [LAM**j, MU ** -(j + 1)]
-        step = np.empty(fwd.shape)
-        step[..., 0], step[..., 1] = _cat(fwd[..., 0], fwd[..., 1])
-        step += shift
-        fwd = wrap(step)
-    return 2.0 * np.pi * sys.kappa * np.array([-E_STABLE[0], E_UNSTABLE[0]]) * total
+    s0, s1 = sys.shift[:2].tolist()
+    shifted = s0 != 0.0 or s1 != 0.0
+    f0, f1 = (np.array(x[..., i], float).reshape(-1) for i in (0, 1))
+    b0, b1 = f0.copy(), f1.copy()
+    t, floor = np.empty(f0.shape), np.empty(f0.shape)
+    ts, tu = np.zeros(f0.shape), np.zeros(f0.shape)
+
+    def wrap_in_place(a):
+        np.floor(a, out=floor)
+        np.subtract(a, floor, out=a)
+        a[a >= 1.0] = 0.0
+
+    def add_term(total, b, weight):
+        np.multiply(b, 2.0 * np.pi, out=t)
+        np.cos(t, out=t)
+        np.multiply(t, weight, out=t)
+        np.add(total, t, out=total)
+
+    # an overflow or a non-finite input leaves a nan that every later step keeps
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            if shifted:
+                np.subtract(b0, s0, out=b0)
+                np.subtract(b1, s1, out=b1)
+            # CAT^-1: (z0 - z1, -z0 + 2 z1)
+            np.subtract(b0, b1, out=t)
+            np.multiply(b1, 2.0, out=b1)
+            np.subtract(b1, b0, out=b1)
+            b0, t = t, b0
+            wrap_in_place(b0)
+            wrap_in_place(b1)
+            add_term(ts, f0, LAM**j)
+            add_term(tu, b0, MU ** -(j + 1))
+            # CAT: (2 f0 + f1, f0 + f1)
+            np.add(f0, f1, out=t)
+            np.multiply(f0, 2.0, out=f0)
+            np.add(f0, f1, out=f0)
+            f1, t = t, f1
+            if shifted:
+                np.add(f0, s0, out=f0)
+                np.add(f1, s1, out=f1)
+            wrap_in_place(f0)
+            wrap_in_place(f1)
+    if n and not all(np.isfinite(a).all() for a in (f0, f1, b0, b1)):
+        raise ChartError("non-finite coordinate in point")
+    c = 2.0 * np.pi * sys.kappa * np.array([-E_STABLE[0], E_UNSTABLE[0]])
+    return np.stack([c[0] * ts, c[1] * tu], axis=-1).reshape(x.shape[:-1] + (2,))
 
 
 def slope_bounds(kappa: float, n: int = 0) -> np.ndarray:

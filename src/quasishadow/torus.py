@@ -41,9 +41,10 @@ def wrap(coords) -> np.ndarray:
     (0-d for scalar input).
     """
     arr = np.asarray(coords, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ChartError("non-finite coordinate in point")
     out = np.floor(arr, out=np.empty(arr.shape))
+    # floor keeps nan and +-inf, so its result shows every non-finite input
+    if not np.isfinite(out).all():
+        raise ChartError("non-finite coordinate in point")
     np.subtract(arr, out, out=out)
     # x - floor(x) rounds up to exactly 1.0 for tiny negative x
     out[out >= 1.0] = 0.0

@@ -589,7 +589,7 @@ def estimate_contraction(sys, orbit, cfg=None, probes=8, seed=20240):
 
     u_a = draw(center=False, solver_norm=True)
     u_b = draw(center=False, solver_norm=True)
-    d_phi = ops.phi(u_a) - ops.phi(u_b)
+    d_phi = ops.phi(ops.eta(u_a)) - ops.phi(ops.eta(u_b))
     observed = float(np.max(ops.norm_one(d_phi) / ops.norm_one(u_a - u_b)))
     return ContractionEstimates(
         norm_equivalence=big_l,
@@ -602,21 +602,36 @@ def estimate_contraction(sys, orbit, cfg=None, probes=8, seed=20240):
     )
 
 
-def fixed_point_from(sys, orbit, start, max_steps=200):
-    """The tau1 fixed point of Phi reached from the coefficients ``start``: (y, center vectors).
+def fixed_point_from(sys, orbit, start, cfg=None, max_steps=200):
+    """The fixed point of Phi reached from the coefficients ``start``: (y, corrections, delta_history).
 
-    Iterates :meth:`OrbitOperators.phi` on the orbit until the solver-norm
-    update drops below 1e-12, without the gate or the stop rule of a solve.
+    Iterates ``ops.phi(ops.eta(w))`` on the orbit alone, with the variant
+    and tolerance of ``cfg``, until the update ``ops.norm_one(w_new - w)``
+    drops below ``cfg.fixed_point_tol``; no gate, no epsilon ball.  The
+    corrections are read off as a solve reports them: center vectors
+    (tau1), flow times (tau3), or the theta moves of the fiber slides onto
+    the transversal disks (tau2, zero in a window's row 0).
     """
-    ops = OrbitOperators(sys, orbit.points, orbit.cyclic)
+    cfg = cfg if cfg is not None else SolverConfig()
+    ops = OrbitOperators(sys, orbit.points, orbit.cyclic, cfg)
     w = np.array(start, float)
+    deltas = []
     for _ in range(max_steps):
-        w_new = ops.phi(w)
-        update = float(ops.norm_one(w_new - w))
+        w_new = ops.phi(ops.eta(w))
+        deltas.append(ops.norm_one(w_new - w))
         w = w_new
-        if update < 1e-12:
+        if deltas[-1] < cfg.fixed_point_tol:
             y = wrap(ops.points + ops.split.transversal(w))
-            return y, ops.split.frames[..., C] * w[..., C, None]
+            if cfg.variant == "tau1":
+                corrections = ops.split.frames[..., C] * w[..., C, None]
+            elif cfg.variant == "tau3":
+                corrections = w[..., C].copy()
+            else:
+                fy, x = sys.forward(y[ops.step_src]), ops.points[ops.step_dst]
+                move = _fiber_slide(ops.split[ops.step_dst], minimal_rep(fy[..., :2] - x[..., :2]))[1]
+                corrections = np.zeros(len(y))
+                corrections[ops.step_dst] = minimal_rep(wrap(x + move)[..., 2] - fy[..., 2])
+            return y, corrections, np.array(deltas)
     raise AssertionError(f"no fixed point within {max_steps} steps")
 
 

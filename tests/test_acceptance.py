@@ -125,7 +125,7 @@ def test_criterion_5_normalization_and_uniqueness():
         res_a = qs.shadow(sys, orbit)
         start = rng.standard_normal((len(orbit), 3))
         start *= 0.01 / np.linalg.norm(start, axis=1).max()
-        y_b, u_b = fixed_point_from(sys, orbit, start)
+        y_b, u_b, _ = fixed_point_from(sys, orbit, start)
         agree = max(
             float(np.max(qs.dist(res_a.y, y_b))),
             float(np.max(np.abs(res_a.corrections - u_b))),

@@ -145,14 +145,45 @@ def test_array_maps_match_matmul_oracles(data, alpha, kappa, shift, shape, view)
     assert _same_bits(sys.inverse(x), matmul_inverse(sys, x))
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), alpha=st.floats(0.0, 1.0), kappa=kappas, shift=shifts, view=views)
-def test_slopes_match_matmul_oracle(data, alpha, kappa, shift, view):
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    alpha=st.floats(0.0, 1.0),
+    kappa=kappas,
+    shift=shifts,
+    view=views,
+    n=st.sampled_from([1, 2, 40]),
+)
+def test_slopes_match_matmul_oracle(data, alpha, kappa, shift, view, n):
+    # base coordinates in [0, 1), in [-1, 2] with the edge values, one point,
+    # and views of stacked windows; the slope series steps them in place
     sys = CatCircleSystem(alpha, kappa, shift=shift)
-    shape = data.draw(st.sampled_from([(3,), (7, 3), (2, 5, 3)]))
+    shape = data.draw(st.sampled_from([(3,), (1, 3), (7, 3), (2, 5, 3)]))
     unit = st.floats(0.0, 1.0, exclude_max=True)
-    x = VIEWS[view](data.draw(hnp.arrays(np.float64, shape, elements=unit)))
-    assert _same_bits(systems._slopes(sys, x, 40), matmul_slopes(sys, x, 40))
+    elements = data.draw(st.sampled_from([unit, points]))
+    x = VIEWS[view](data.draw(hnp.arrays(np.float64, shape, elements=elements)))
+    before = x.copy()
+    got = systems._slopes(sys, x, n)
+    assert _same_bits(got, matmul_slopes(sys, x, n))
+    assert got.shape == x.shape[:-1] + (2,)
+    assert _same_bits(x, before)  # the input is not stepped
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308, -1e308])
+@pytest.mark.parametrize("slot", range(3))
+@pytest.mark.parametrize("shift", [None, (1e-3, -2e-4, 0.0)])
+def test_slopes_reject_a_non_finite_base_orbit(bad, slot, shift):
+    # a base coordinate that is, or steps to, a non-finite value raises the
+    # ChartError of wrap; the theta coordinate does not enter the series
+    sys = CatCircleSystem(0.3, 0.02, shift=shift)
+    for shape in ((3,), (2, 5, 3)):
+        x = np.full(shape, 0.25)
+        x[(1, 2, slot) if len(shape) == 3 else slot] = bad
+        if slot == 2:
+            assert np.isfinite(systems._slopes(sys, x, 27)).all()
+            continue
+        with pytest.raises(ChartError, match="non-finite coordinate"):
+            systems._slopes(sys, x, 27)
 
 
 def test_splitting_frames_unchanged(monkeypatch):

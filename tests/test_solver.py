@@ -43,14 +43,14 @@ def _bounds(ops, defect):
 def test_beta_zero_on_true_orbit(product_sys):
     orbit = true_window(product_sys, (0.11, 0.23, 0.5), 30)
     ops = qs.OrbitOperators(product_sys, orbit.points)
-    out = ops.apply_beta(np.zeros((len(orbit), 3)))
+    out = ops.apply_beta(*ops.transversal(np.zeros((len(orbit), 3))))
     assert np.array_equal(out, np.zeros((len(orbit), 3)))
 
 
 def test_beta_zero_matches_defects(product_sys):
     orbit = _noisy(product_sys, n=50)
     ops = qs.OrbitOperators(product_sys, orbit.points)
-    beta0 = ops.apply_beta(np.zeros((len(orbit), 3)))
+    beta0 = ops.apply_beta(*ops.transversal(np.zeros((len(orbit), 3))))
     amb = ops.split.assemble(beta0)
     norms = np.linalg.norm(amb[1:], axis=-1)
     gaps = qs.dist(product_sys.forward(orbit.points[:-1]), orbit.points[1:])
@@ -64,8 +64,8 @@ def test_beta_affine_for_product_system(product_sys, rng):
     W = len(orbit)
     v = rng.standard_normal((W, 3)) * 5e-3
     v[:, C] = 0.0
-    beta_v = ops.apply_beta(v)
-    beta_0 = ops.apply_beta(np.zeros((W, 3)))
+    beta_v = ops.apply_beta(*ops.transversal(v))
+    beta_0 = ops.apply_beta(*ops.transversal(np.zeros((W, 3))))
     # the linear part acts diagonally in the eigenframe
     expected = np.zeros((W, 3))
     expected[1:, S] = LAM * v[:-1, S]
@@ -78,8 +78,8 @@ def test_beta_rejects_large_transversal(product_sys):
     ops = qs.OrbitOperators(product_sys, orbit.points)
     v = np.zeros((len(orbit), 3))
     v[:, U] = 0.2  # above the working radius
-    with pytest.raises(ChartError):
-        ops.apply_beta(v)
+    with pytest.raises(ChartError, match="working ball"):
+        ops.apply_beta(*ops.transversal(v))
 
 
 # -- transfer blocks -----------------------------------------------------
@@ -327,7 +327,7 @@ def test_uniqueness_from_two_admissible_starts(product_sys, skew_sys, rng):
         res_a = qs.shadow(sys, orbit)
         w0 = rng.standard_normal((len(orbit), 3))
         w0 *= 0.01 / np.linalg.norm(w0, axis=1).max()
-        y_b, u_b = fixed_point_from(sys, orbit, w0)
+        y_b, u_b, _ = fixed_point_from(sys, orbit, w0)
         tol = 1e-12
         assert np.max(qs.dist(res_a.y, y_b)) <= 2.0 * tol
         assert np.max(np.abs(res_a.corrections - u_b)) <= 2.0 * tol
@@ -580,17 +580,17 @@ def test_contraction_estimates_bounds(product_sys, skew_sys):
 
 
 def test_shadow_batch_failures_stay_per_orbit(product_sys):
-    # the middle orbit passes the gate and then fails inside Phi
+    # the middle orbit passes the gate and then fails in the first Phi step
     orbits = [_noisy(product_sys, n=20, seed=s) for s in (1, 2, 3)]
     bad = orbits[1].points
-    apply_beta = qs.OrbitOperators.apply_beta
+    beta_at_zero = qs.OrbitOperators.beta_at_zero
 
-    def failing(ops, v):
+    def failing(ops, d, gaps):
         if any(np.array_equal(pts, bad) for pts in ops.points):
             raise ChartError("beta left the chart")
-        return apply_beta(ops, v)
+        return beta_at_zero(ops, d, gaps)
 
-    with mock.patch.object(qs.OrbitOperators, "apply_beta", failing):
+    with mock.patch.object(qs.OrbitOperators, "beta_at_zero", failing):
         out = qs.shadow_batch(product_sys, orbits)
         alone = [qs.shadow_batch(product_sys, [orbit])[0] for orbit in orbits]
     assert isinstance(out[1], ChartError)
@@ -633,31 +633,31 @@ def test_shadow_batch_failures_at_every_stage_match_solves_alone(skew_sys):
     x0 = (0.11, 0.23, 0.5)
     orbits = [
         qs.generate_noisy(skew_sys, x0, 20, 3e-2, seed=1),  # refused by the gate
-        qs.generate_noisy(skew_sys, x0, 20, 1e-6, seed=3),  # fails inside Phi
+        qs.generate_noisy(skew_sys, x0, 20, 1e-6, seed=3),  # fails in the first Phi step
         true_window(skew_sys, x0, 20),  # converges in one step
         qs.generate_noisy(skew_sys, x0, 20, 1e-6, seed=4),  # fails in _extract
         qs.generate_noisy(skew_sys, x0, 20, 1e-4, seed=1),  # needs three steps
         qs.generate_noisy(skew_sys, x0, 20, 1e-6, seed=2),  # converges in two steps
         qs.generate_noisy(skew_sys, x0, 20, 1e-6, seed=5),  # the same, in one batch with it
     ]
-    apply_beta, extract = qs.OrbitOperators.apply_beta, qs.solver._extract
+    beta_at_zero, extract = qs.OrbitOperators.beta_at_zero, qs.solver._extract
 
     def holds(ops, orbit):
         return any(np.array_equal(pts, orbit.points) for pts in ops.points)
 
-    def failing_beta(ops, v):
+    def failing_beta(ops, d, gaps):
         if holds(ops, orbits[1]):
             raise ChartError("beta left the chart")
-        return apply_beta(ops, v)
+        return beta_at_zero(ops, d, gaps)
 
-    def failing_extract(ops, w):
+    def failing_extract(ops, w, v_amb):
         if holds(ops, orbits[3]):
             raise ChartError("extraction left the chart")
-        return extract(ops, w)
+        return extract(ops, w, v_amb)
 
     cfg = qs.SolverConfig(max_iterations=2)
     with (
-        mock.patch.object(qs.OrbitOperators, "apply_beta", failing_beta),
+        mock.patch.object(qs.OrbitOperators, "beta_at_zero", failing_beta),
         mock.patch.object(qs.solver, "_extract", failing_extract),
         _solo_spy() as spy,
     ):
@@ -703,10 +703,10 @@ def test_shadow_batch_raise_resolves_only_the_unfinished_orbits(skew_sys):
     ]
     extract = qs.solver._extract
 
-    def failing_extract(ops, w):
+    def failing_extract(ops, w, v_amb):
         if any(np.array_equal(pts, orbits[2].points) for pts in ops.points):
             raise ChartError("extraction left the chart")
-        return extract(ops, w)
+        return extract(ops, w, v_amb)
 
     with mock.patch.object(qs.solver, "_extract", failing_extract), _solo_spy() as spy:
         out = qs.shadow_batch(skew_sys, orbits)
@@ -727,14 +727,72 @@ def test_shadow_batch_raise_resolves_only_the_unfinished_orbits(skew_sys):
 def test_one_orbit_batch_returns_its_error_without_a_second_solve(product_sys):
     orbit = _noisy(product_sys, n=20)
 
-    def failing(ops, v):
+    def failing(ops, d, gaps):
         raise ChartError("beta left the chart")
 
-    with mock.patch.object(qs.OrbitOperators, "apply_beta", failing), _solo_spy() as spy:
+    with mock.patch.object(qs.OrbitOperators, "beta_at_zero", failing), _solo_spy() as spy:
         out = qs.shadow_batch(product_sys, [orbit])
     assert spy.call_count == 0
     assert len(out) == 1 and isinstance(out[0], ChartError)
     assert str(out[0]) == "beta left the chart"
+
+
+def _phi_loop_cycle(sys, x0, n, noise, seed, leaf):
+    """A period-n cycle on an exact periodic base orbit with ``noise`` on every point.
+
+    In leaf mode the fiber gap at the seam stays; else it is spread over the steps.
+    """
+    pts = sys.orbit([*periodic_base_point(x0[:2], n), x0[2]], n)
+    gap = 0.0 if leaf else qs.minimal_rep(pts[n, 2] - pts[0, 2])
+    pts = pts[:n].copy()
+    pts[:, 2] -= gap * np.arange(n) / n
+    pts = qs.wrap(pts + noise * np.random.default_rng(seed).standard_normal(pts.shape))
+    return qs.PseudoOrbit(pts, cyclic=True, leaf_mode=leaf)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kappa=st.sampled_from([0.0, 0.02]),
+    case=st.sampled_from(
+        [("window", v) for v in qs.solver.VARIANTS] + [("cycle", v) for v in qs.solver.VARIANTS] + [("leaf", "tau2")]
+    ),
+    noises=st.lists(st.sampled_from([0.0, 1e-9, 1e-6, 1e-4, 2e-3, 1e-2]), min_size=1, max_size=4),
+    max_iterations=st.integers(1, 4),
+    lift=st.sampled_from([(0.0, 0.0, 0.0), (1.0, -2.0, 3.0), (-7.0, 4.0, -1.0)]),
+    seed=st.integers(0, 2**16),
+)
+def test_shadow_batch_matches_a_phi_loop_from_zero(kappa, case, noises, max_iterations, lift, seed):
+    # the batch solve reuses the defect measurement in its first step and the
+    # transversal parts of every iterate; a loop of ops.phi(ops.eta(w)) and
+    # ops.norm_one on each orbit alone, from w = 0, must give the same bits.
+    # The first orbit is lifted by whole integers, off the unit cube.
+    kind, variant = case
+    sys = qs.cat_circle_system(0.3, kappa)
+    cfg = qs.SolverConfig(variant=variant, max_iterations=max_iterations)
+    orbits = []
+    for i, noise in enumerate(noises):
+        x0 = np.random.default_rng([seed, i]).random(3)
+        if kind == "window":
+            orbit = qs.generate_noisy(sys, x0, 12, noise, seed=seed + i)
+        else:
+            orbit = _phi_loop_cycle(sys, x0, 10, noise, seed + i, kind == "leaf")
+        orbits.append(orbit)
+    orbits[0] = dataclasses.replace(orbits[0], points=orbits[0].points + lift)
+    out = qs.shadow_batch(sys, orbits, cfg)
+    for orbit, res in zip(orbits, out):
+        start = np.zeros((len(orbit), 3))
+        if isinstance(res, qs.ShadowResult):
+            y, corrections, deltas = fixed_point_from(sys, orbit, start, cfg, max_iterations)
+            assert _same_bits(res.y, y)
+            assert _same_bits(res.corrections, corrections)
+            assert _same_bits(res.delta_history, deltas)
+            assert res.diagnostics.iterations == len(deltas)
+        elif isinstance(res, ConvergenceError):
+            assert "no fixed point" in str(res)
+            with pytest.raises(AssertionError, match="no fixed point"):
+                fixed_point_from(sys, orbit, start, cfg, max_iterations)
+        else:  # the gate refuses before any Phi step
+            assert isinstance(res, AdmissibilityError)
 
 
 def _same_bits(a, b) -> bool:
