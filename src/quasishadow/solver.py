@@ -41,6 +41,10 @@ from .errors import (
 )
 from .orbits import PseudoOrbit, write_table
 from .systems import (
+    E_STABLE,
+    E_UNSTABLE,
+    LAM,
+    MU,
     C,
     S,
     U,
@@ -64,47 +68,57 @@ def _affine_scan(mult: np.ndarray, rhs: np.ndarray, init=0.0) -> np.ndarray:
     ``mult`` has shape (L,) or (L, B) with per-orbit multipliers; ``rhs``
     has shape (L, ..., B), its middle axes batching several right-hand
     sides per orbit.  Blocks of _SCAN_BLOCK steps are solved all at once
-    with cumulative products q (padding the last block with multiplier 1
-    and right-hand side 0): a block's values are q * (carry + cumsum(rhs / q)),
-    and the only python-level loop carries each block's last value into the
-    next, so it runs L / _SCAN_BLOCK times.  A block whose multipliers
-    (over all B orbits at once) drop below _SCAN_TINY keeps out of the
-    division and runs the plain loop, so a tiny multiplier on one orbit
-    switches its neighbours in the batch to the loop as well; their results
-    then differ from a solve on their own by rounding only.  Cat-map
-    multipliers (about 0.38 and 1/2.62) never trigger it.
+    with cumulative products q: a block's values are
+    q * (carry + cumsum(rhs / q)), and the only python-level loop carries
+    each block's last value into the next, so it runs L / _SCAN_BLOCK times.
+    The full blocks are one reshaped pass and the last, shorter block is the
+    same pass on its own rows (:func:`_scan_blocks`).  A block whose
+    multipliers (over all B orbits at once) drop below _SCAN_TINY keeps out
+    of the division and runs the plain loop, so a tiny multiplier on one
+    orbit switches its neighbours in the batch to the loop as well; their
+    results then differ from a solve on their own by rounding only.
+    Cat-map multipliers (about 0.38 and 1/2.62) never trigger it.
     """
     mult = np.asarray(mult, float)
     rhs = np.asarray(rhs, float)
     L = mult.shape[0]
-    blocks = -(-L // _SCAN_BLOCK)
-    pad = blocks * _SCAN_BLOCK - L
-    m = np.concatenate([mult, np.ones((pad,) + mult.shape[1:])])
-    m = m.reshape((blocks, _SCAN_BLOCK) + mult.shape[1:])
-    r = np.concatenate([rhs, np.zeros((pad,) + rhs.shape[1:])])
-    r = r.reshape((blocks, _SCAN_BLOCK) + rhs.shape[1:])
-    tiny = np.abs(m).min(axis=tuple(range(1, m.ndim))) < _SCAN_TINY
-    m[tiny] = 1.0
-    r[tiny] = 0.0
+    full = L - L % _SCAN_BLOCK
+    out = np.empty(rhs.shape)
+    carry = np.zeros(rhs.shape[1:]) + init
+    if full:
+        blocks = (full // _SCAN_BLOCK, _SCAN_BLOCK)
+        m, r = mult[:full].reshape(blocks + mult.shape[1:]), rhs[:full].reshape(blocks + rhs.shape[1:])
+        values, carry = _scan_blocks(m, r, carry)
+        out[:full] = values.reshape((full,) + rhs.shape[1:])
+    if full < L:
+        out[full:] = _scan_blocks(mult[None, full:], rhs[None, full:], carry)[0][0]
+    return out
+
+
+def _scan_blocks(mult: np.ndarray, rhs: np.ndarray, carry: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_affine_scan` of blocks stacked on axis 0, entered with ``carry``; (values, last value)."""
+    tiny = np.abs(mult).min(axis=tuple(range(1, mult.ndim))) < _SCAN_TINY
+    m, r = mult, rhs
+    if tiny.any():  # copies: the looped blocks' values are written into r
+        m = np.where(tiny.reshape((-1,) + (1,) * (mult.ndim - 1)), 1.0, mult)
+        r = np.where(tiny.reshape((-1,) + (1,) * (rhs.ndim - 1)), 0.0, rhs)
     q = np.cumprod(m, axis=1)
     q = q.reshape(q.shape[:2] + (1,) * (r.ndim - q.ndim) + q.shape[2:])
     cs = np.cumsum(r / q, axis=1)
-    carry = np.zeros(rhs.shape[1:]) + init
-    carries = np.zeros((blocks,) + rhs.shape[1:])
+    carries = np.zeros((len(m),) + rhs.shape[2:])
     looped = []  # blocks run by the plain loop; their values wait in r
-    for b in range(blocks):
+    for b in range(len(m)):
         if tiny[b]:
-            lo, hi = b * _SCAN_BLOCK, min((b + 1) * _SCAN_BLOCK, L)
-            for j in range(lo, hi):
-                carry = mult[j] * carry + rhs[j]
-                r[b, j - lo] = carry
+            for j in range(mult.shape[1]):
+                carry = mult[b, j] * carry + rhs[b, j]
+                r[b, j] = carry
             looped.append(b)
             continue
         carries[b] = carry
         carry = q[b, -1] * (carry + cs[b, -1])
     out = q * (carries[:, None] + cs)
     out[looped] = r[looped]
-    return out.reshape((blocks * _SCAN_BLOCK,) + rhs.shape[1:])[:L]
+    return out, carry
 
 
 @dataclass(frozen=True)
@@ -210,6 +224,38 @@ def _fiber_slide(split: Splitting, d_base: np.ndarray) -> tuple[np.ndarray, np.n
     return w, split.assemble(w)
 
 
+def _slope_transfer(sys: CatCircleSystem, X: np.ndarray, slopes: np.ndarray, src, dst):
+    """Block multipliers and off-block bounds of per-point frames, in closed form from their slopes.
+
+    The frame columns are e = (e[0], e[1], r) / n with n = sqrt(1 + r^2) for
+    the unit base eigendirections e_s, e_u, and the rows of frames_inv are
+    n_s (e_s, 0), (-(r_s e_s + r_u e_u), 1) and n_u (e_u, 0)
+    (:meth:`~quasishadow.systems.Splitting.from_slopes`).  Df(x) = [[CAT, 0],
+    [c, 0, 1]] with c = 2 pi kappa cos(2 pi x[0]), and CAT e_s = lam e_s,
+    CAT e_u = mu e_u with e_s . e_u = 0, so M = frames_inv[dst] Df(x_src)
+    frames[src] has the entries
+    M_ss = lam n_s[dst] / n_s[src], M_uu = mu n_u[dst] / n_u[src],
+    M_us = M_su = 0 and
+    M_cs = (c e_s[0] + r_s[src] - lam r_s[dst]) / n_s[src] (and M_cu alike);
+    the center column is (0, 1, 0).  Returns alpha and beta_u, shape
+    ([B,] L), and the off-block bounds (0, l_c, 0) with
+    l_c = max_k |M_cs| max n_s + max_k |M_cu| max n_u, where n_s and n_u are
+    |row_s| and |row_u| (see :meth:`OrbitOperators.bound_table`).
+    """
+    r = np.moveaxis(slopes, -1, 0)  # (2, [B,] W): stable, unstable
+    column = (2,) + (1,) * (r.ndim - 1)
+    rates, e0 = np.reshape([LAM, MU], column), np.reshape([E_STABLE[0], E_UNSTABLE[0]], column)
+    n = np.sqrt(1.0 + r * r)
+    n_src, r_src = n[..., src], r[..., src]
+    mult = rates * n[..., dst] / n_src
+    c = 2.0 * np.pi * sys.kappa * np.cos(2.0 * np.pi * X[..., src, 0])
+    m_c = (c * e0 + r_src - rates * r[..., dst]) / n_src
+    bound = np.abs(m_c).max(axis=-1) * n.max(axis=-1)
+    off = np.zeros(X.shape[:-2] + (3,))
+    off[..., C] = bound[0] + bound[1]
+    return mult[0], mult[1], off
+
+
 class OrbitOperators:
     """Charts, frames and transfer blocks along pseudo orbits of one length.
 
@@ -231,8 +277,11 @@ class OrbitOperators:
     the extraction, and its epsilon enters the gate of :meth:`bound_table`.
     ``split`` is the :class:`Splitting` at ``points``, computed by
     :func:`splitting_at` when not given; every frame product goes through
-    it.  With a constant splitting (kappa = 0) the transfer matrix behind
-    the multipliers is a single 3x3 product.
+    it.  The multipliers are block entries of the transfer matrices
+    M_k = frames_inv[dst] @ Df(x_src) @ frames[src].  With a constant
+    splitting (kappa = 0) one 3x3 product gives them; per-point frames give
+    them in closed form from the slopes they were written from
+    (:func:`_slope_transfer`), with no 3x3 product.
     """
 
     def __init__(
@@ -259,34 +308,34 @@ class OrbitOperators:
             self.step_src = slice(0, W - 1)
             self.step_dst = slice(1, W)
         self.split = split if split is not None else splitting_at(sys, X)
-        # a constant splitting means kappa = 0, where the differential is the same everywhere
-        at = np.zeros(3) if self.split.constant else X[..., self.step_src, :]
-        M = (
-            self.split[..., self.step_dst].frames_inv
-            @ sys.differential(at)
-            @ self.split[..., self.step_src].frames
-        )
-        steps = X.shape[:-2] + (W if cyclic else W - 1,)
-        # copies: M is zeroed below, and a one-step orbit would otherwise alias it
-        self.alpha = np.broadcast_to(M[..., S, S], steps).copy()
-        self.beta_u = np.broadcast_to(M[..., U, U], steps).copy()
+        if self.split.constant:
+            # kappa = 0: the differential is the same everywhere, so one 3x3
+            # transfer matrix M serves every step
+            M = self.split.frames_inv @ sys.differential(np.zeros(3)) @ self.split.frames
+            steps = X.shape[:-2] + (W if cyclic else W - 1,)
+            self.alpha = np.full(steps, M[S, S])
+            self.beta_u = np.full(steps, M[U, U])
+            # what the block transfer leaves of M: a transversal vector a has
+            # coefficients row_s . a and row_u . a (rows of frames_inv), so row i of
+            # the rest maps it to at most (|M_is| |row_s| + |M_iu| |row_u|) |a|
+            M[S, S] = M[U, U] = 0.0
+            dual = norm(self.split.frames_inv[[S, U], :])
+            off = np.abs(M[:, S]) * dual[0] + np.abs(M[:, U]) * dual[1]
+        else:
+            self.alpha, self.beta_u, off = _slope_transfer(
+                sys, X, self.split.slopes, self.step_src, self.step_dst
+            )
         with np.errstate(divide="ignore"):
             inv_beta = np.where(self.beta_u != 0.0, 1.0 / np.abs(self.beta_u), np.inf)
         lam = np.maximum(np.abs(self.alpha).max(axis=-1), inv_beta.max(axis=-1))
         self.lambda_tilde = float(lam) if lam.ndim == 0 else lam
-        # what the block transfer leaves of M: a transversal vector a has
-        # coefficients row_s . a and row_u . a (rows of frames_inv), so row i of
-        # the rest maps it to at most (|M_is| |row_s| + |M_iu| |row_u|) |a|
-        M[..., S, S] = M[..., U, U] = 0.0
-        dual = norm(self.split.frames_inv[..., [S, U], :])
+        self.off_block = np.broadcast_to(off, X.shape[:-2] + (3,))
         # the center row of frames_inv is normal to E^s + E^u, so the angle phi of
         # the vertical center line to that plane has cos phi = |row[:2]| / |row|
         row = self.split.frames_inv[..., C, :]
         cos = norm(row[..., :2]) / norm(row)
         if not self.split.constant:
-            M, dual, cos = np.abs(M).max(axis=-3), dual.max(axis=-2), cos.max(axis=-1)
-        off = np.abs(M[..., S]) * dual[..., :1] + np.abs(M[..., U]) * dual[..., 1:]
-        self.off_block = np.broadcast_to(off, X.shape[:-2] + (3,))
+            cos = cos.max(axis=-1)
         self.norm_equivalence = np.broadcast_to(np.sqrt(2.0 / (1.0 - cos)), X.shape[:-2])
 
     def take(self, idx) -> OrbitOperators:
@@ -311,7 +360,8 @@ class OrbitOperators:
         v_{k-1} alone; on the epsilon ball its derivative is M_k - blockdiag(M_k),
         M_k = frames_inv[dst] @ Df @ frames[src], which the truncated splitting
         leaves (``off_block``: bounds l_s, l_c, l_u on its rows as maps of
-        ambient transversal vectors), plus frames_inv[dst] (Df(x + delta) - Df(x)).
+        ambient transversal vectors; per-point frames have M_su = M_us = 0, so
+        l_s = l_u = 0), plus frames_inv[dst] (Df(x + delta) - Df(x)).
         Df varies only in its theta row entry 2 pi kappa cos(2 pi b_1), by at
         most (2 pi)^2 |kappa| epsilon, and the theta column of frames_inv is
         (0, 1, 0): this adds to l_c alone (tau2 slides along the fiber, so its

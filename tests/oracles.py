@@ -12,7 +12,9 @@ closed-form bounds that gate every solve and with the solver's results.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -337,7 +339,9 @@ def eta_lipschitz_fd(ops, seed, samples=4, h=1e-3):
 # --- torus primitives and array maps in their numpy spellings -----------------
 # ``torus.wrap`` and ``torus.norm`` compute x - floor(x) and an index-order sum
 # of squares; the library's array maps write their columns out instead of
-# multiplying by the base matrix.  All must give the bits of these forms.
+# multiplying by the base matrix.  All must give the bits of these forms.  The
+# slope series is the exception: ``systems._slopes`` rotates e^{2 pi i b}, and
+# the two oracles below bound it, the exact one and the earlier float walk.
 
 ACAT_INV = np.array([[1.0, -1.0], [-1.0, 2.0]])
 
@@ -367,8 +371,18 @@ def matmul_inverse(sys, x):
     return mod_wrap(np.concatenate([b, th[..., None]], axis=-1))
 
 
+def _eigen_first_components():
+    """First components of the unit eigendirections, normalized as the library does."""
+    e_s, e_u = np.array([LAM - 1.0, 1.0, 0.0]), np.array([MU - 1.0, 1.0, 0.0])
+    return np.array([-e_s[0] / np.linalg.norm(e_s), e_u[0] / np.linalg.norm(e_u)])
+
+
 def matmul_slopes(sys, x, n):
-    """``systems._slopes`` with the base orbit stepped by matrix products."""
+    """The slope series with the base orbit stepped by matrix products and wrapped each step.
+
+    The float walk that ``systems._slopes`` summed before it rotated
+    e^{2 pi i b}; it takes ``np.cos`` of every point and does not wrap x itself.
+    """
     shift = sys.shift[:2]
     fwd = bwd = np.asarray(x, float)[..., :2]
     total = np.zeros(fwd.shape)
@@ -377,10 +391,51 @@ def matmul_slopes(sys, x, n):
         cos = np.cos(2.0 * np.pi * np.stack([fwd[..., 0], bwd[..., 0]], axis=-1))
         total = total + cos * [LAM**j, MU ** -(j + 1)]
         fwd = mod_wrap(fwd @ ACAT.T + shift)
-    # first components of the unit eigendirections, normalized as the library does
-    e_s, e_u = np.array([LAM - 1.0, 1.0, 0.0]), np.array([MU - 1.0, 1.0, 0.0])
-    weights = np.array([-e_s[0] / np.linalg.norm(e_s), e_u[0] / np.linalg.norm(e_u)])
-    return 2.0 * np.pi * sys.kappa * weights * total
+    return 2.0 * np.pi * sys.kappa * _eigen_first_components() * total
+
+
+def exact_slopes(sys, x, n):
+    """The slope series on the exact base orbit: ``math.cos`` of each point rounded once.
+
+    Floats are dyadic rationals, so ``Fraction`` steps b -> CAT b + w mod 1
+    and its inverse without rounding, from x mod 1.
+    """
+    x = np.asarray(x, float)
+    w0, w1 = (Fraction(v) for v in sys.shift[:2].tolist())
+    weights = [[LAM**j for j in range(n)], [MU ** -(j + 1) for j in range(n)]]
+    out = np.empty(x.shape[:-1] + (2,))
+    for idx in np.ndindex(x.shape[:-1]):
+        b0, b1 = (Fraction(v) % 1 for v in x[idx][:2].tolist())
+        f, g, terms = (b0, b1), (b0, b1), ([], [])
+        for j in range(n):
+            z0, z1 = g[0] - w0, g[1] - w1
+            g = ((z0 - z1) % 1, (2 * z1 - z0) % 1)
+            terms[0].append(weights[0][j] * math.cos(2.0 * math.pi * float(f[0])))
+            terms[1].append(weights[1][j] * math.cos(2.0 * math.pi * float(g[0])))
+            f = ((2 * f[0] + f[1] + w0) % 1, (f[0] + f[1] + w1) % 1)
+        out[idx] = [math.fsum(t) for t in terms]
+    return 2.0 * np.pi * sys.kappa * _eigen_first_components() * out
+
+
+def matmul_transfer(ops):
+    """alpha, beta_u, off_block and norm_equivalence of ``ops`` from stacked 3x3 products.
+
+    The spelling ``OrbitOperators`` used before it read the multipliers
+    from the slopes: M_k = frames_inv[dst] @ Df(x_src) @ frames[src], the
+    block entries M_ss and M_uu, and for each row i of M without them
+    max_k |M_is| max|row_s| + max_k |M_iu| max|row_u| over the rows of frames_inv.
+    """
+    split, X = ops.split, ops.points
+    M = split[..., ops.step_dst].frames_inv @ ops.sys.differential(X[..., ops.step_src, :])
+    M = M @ split[..., ops.step_src].frames
+    alpha, beta_u = M[..., S, S].copy(), M[..., U, U].copy()
+    M[..., S, S] = M[..., U, U] = 0.0
+    dual = np.linalg.norm(split.frames_inv[..., [S, U], :], axis=-1).max(axis=-2)
+    M = np.abs(M).max(axis=-3)
+    off_block = M[..., S] * dual[..., :1] + M[..., U] * dual[..., 1:]
+    row = split.frames_inv[..., C, :]
+    cos = (np.linalg.norm(row[..., :2], axis=-1) / np.linalg.norm(row, axis=-1)).max(axis=-1)
+    return alpha, beta_u, off_block, np.sqrt(2.0 / (1.0 - cos))
 
 
 # --- frame products and the covering radius in their earlier spellings ---------

@@ -1,10 +1,12 @@
 """Torus primitives and array maps against their numpy spellings, bit for bit.
 
 ``wrap`` computes x - floor(x), ``norm`` an index-order sum of squares, and
-``forward`` / ``inverse`` / the slope series write their base columns out
-instead of multiplying by the cat matrix.  Each must give the bits of the
-form in oracles.py, so results are compared by bit pattern: -0.0 against
-0.0 would show.
+``forward`` / ``inverse`` write their base columns out instead of
+multiplying by the cat matrix.  Each must give the bits of the form in
+oracles.py, so results are compared by bit pattern: -0.0 against 0.0 would
+show.  The slope series rotates e^{2 pi i b} instead of stepping the
+coordinates, so it is held to a bound against the exact series and the
+float walk, and to its own bits where the wrapped input is the same.
 """
 
 import math
@@ -20,7 +22,14 @@ from quasishadow.errors import ChartError
 from quasishadow.systems import CatCircleSystem, splitting_at
 from quasishadow.torus import norm, wrap
 
-from oracles import linalg_norm, matmul_forward, matmul_inverse, matmul_slopes, mod_wrap
+from oracles import (
+    exact_slopes,
+    linalg_norm,
+    matmul_forward,
+    matmul_inverse,
+    matmul_slopes,
+    mod_wrap,
+)
 
 # -1e-20 rounds up to 1.0 (then resets to 0); 2**52 + 0.5 rounds to 2**52 and
 # 2**51 + 0.5 is the largest half-integer; 5e-324 is the smallest subnormal
@@ -145,6 +154,12 @@ def test_array_maps_match_matmul_oracles(data, alpha, kappa, shift, shape, view)
     assert _same_bits(sys.inverse(x), matmul_inverse(sys, x))
 
 
+# bound on the distance of _slopes to the exact series and to the float walk;
+# the rotation and the walk both stay within 2.3e-15 of the exact series at
+# |kappa| = 0.45 on random points, the exact oracle within 9e-16
+SLOPE_TOL = 1e-14
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),
@@ -156,7 +171,8 @@ def test_array_maps_match_matmul_oracles(data, alpha, kappa, shift, shape, view)
 )
 def test_slopes_match_matmul_oracle(data, alpha, kappa, shift, view, n):
     # base coordinates in [0, 1), in [-1, 2] with the edge values, one point,
-    # and views of stacked windows; the slope series steps them in place
+    # and views of stacked windows; the float walk wraps only after its first
+    # step and takes cos(2 pi x) of x itself, so it is given x mod 1
     sys = CatCircleSystem(alpha, kappa, shift=shift)
     shape = data.draw(st.sampled_from([(3,), (1, 3), (7, 3), (2, 5, 3)]))
     unit = st.floats(0.0, 1.0, exclude_max=True)
@@ -164,33 +180,64 @@ def test_slopes_match_matmul_oracle(data, alpha, kappa, shift, view, n):
     x = VIEWS[view](data.draw(hnp.arrays(np.float64, shape, elements=elements)))
     before = x.copy()
     got = systems._slopes(sys, x, n)
-    assert _same_bits(got, matmul_slopes(sys, x, n))
     assert got.shape == x.shape[:-1] + (2,)
+    # a view may hold no point
+    assert np.max(np.abs(got - exact_slopes(sys, x, n)), initial=0.0) <= SLOPE_TOL
+    assert np.max(np.abs(got - matmul_slopes(sys, mod_wrap(x), n)), initial=0.0) <= SLOPE_TOL
     assert _same_bits(x, before)  # the input is not stepped
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    kappa=st.floats(-0.45, 0.45),
+    shift=st.one_of(st.none(), st.tuples(*[st.floats(-0.5, 0.5)] * 3)),
+    n_points=st.integers(1, 6),
+)
+def test_slopes_match_exact_oracle(data, kappa, shift, n_points):
+    # points in [0, 1) lifted by integers: the series wraps once, so the
+    # lifted points and x mod 1 have the same slopes, bit for bit, and so does
+    # each point on its own
+    sys = CatCircleSystem(0.3, kappa, shift=shift)
+    unit = data.draw(hnp.arrays(np.float64, (n_points, 3), elements=st.floats(0.0, 1.0, exclude_max=True)))
+    lifts = data.draw(hnp.arrays(np.float64, (n_points, 3), elements=st.integers(-3, 3).map(float)))
+    x = unit + lifts
+    got = systems._slopes(sys, x, sys.n_split)
+    assert np.max(np.abs(got - exact_slopes(sys, x, sys.n_split))) <= SLOPE_TOL
+    assert _same_bits(got, systems._slopes(sys, x - lifts, sys.n_split))
+    for k in range(n_points):
+        assert _same_bits(got[k], systems._slopes(sys, x[k], sys.n_split))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308, -1e308])
 @pytest.mark.parametrize("slot", range(3))
 @pytest.mark.parametrize("shift", [None, (1e-3, -2e-4, 0.0)])
 def test_slopes_reject_a_non_finite_base_orbit(bad, slot, shift):
-    # a base coordinate that is, or steps to, a non-finite value raises the
-    # ChartError of wrap; the theta coordinate does not enter the series
+    # a non-finite base coordinate raises the ChartError of wrap; +-1e308 are
+    # integers, 0 mod 1, and the theta coordinate does not enter the series
     sys = CatCircleSystem(0.3, 0.02, shift=shift)
     for shape in ((3,), (2, 5, 3)):
         x = np.full(shape, 0.25)
-        x[(1, 2, slot) if len(shape) == 3 else slot] = bad
-        if slot == 2:
-            assert np.isfinite(systems._slopes(sys, x, 27)).all()
+        idx = (1, 2, slot) if len(shape) == 3 else slot
+        x[idx] = bad
+        if slot == 2 or math.isfinite(bad):
+            same = np.full(shape, 0.25)
+            same[idx] = 0.25 if slot == 2 else 0.0
+            assert _same_bits(systems._slopes(sys, x, 27), systems._slopes(sys, same, 27))
             continue
         with pytest.raises(ChartError, match="non-finite coordinate"):
             systems._slopes(sys, x, 27)
 
 
 def test_splitting_frames_unchanged(monkeypatch):
+    # the frames are written from the slopes they keep; against the frames of
+    # the exact series and of the float walk they differ by the slopes' error
     sys = CatCircleSystem(0.3, 0.02, shift=(1e-3, -2e-4, 0.0))
     x = np.random.default_rng(7).random((4, 60, 3))
     split = splitting_at(sys, x)
-    monkeypatch.setattr(systems, "_slopes", matmul_slopes)
-    reference = splitting_at(sys, x)
-    assert _same_bits(split.frames, reference.frames)
-    assert _same_bits(split.frames_inv, reference.frames_inv)
+    assert _same_bits(split.slopes, systems._slopes(sys, x, sys.n_split))
+    for oracle in (exact_slopes, matmul_slopes):
+        monkeypatch.setattr(systems, "_slopes", oracle)
+        reference = splitting_at(sys, x)
+        assert np.max(np.abs(split.frames - reference.frames)) <= SLOPE_TOL
+        assert np.max(np.abs(split.frames_inv - reference.frames_inv)) <= SLOPE_TOL

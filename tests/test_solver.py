@@ -10,7 +10,7 @@ import quasishadow as qs
 from quasishadow.cli import to_json
 from quasishadow.errors import AdmissibilityError, ChartError, ConvergenceError
 from quasishadow.solver import _SCAN_BLOCK, _SCAN_TINY, _affine_scan
-from quasishadow.systems import ANALYTIC, C, LAM, MU, S, U
+from quasishadow.systems import C, LAM, MU, S, U
 
 from oracles import (
     blocked_affine_scan,
@@ -20,6 +20,7 @@ from oracles import (
     dense_unstable_window,
     eta_lipschitz_fd,
     fixed_point_from,
+    matmul_transfer,
     periodic_base_point,
     pointwise_norm_equivalence,
     true_window,
@@ -245,6 +246,29 @@ def test_one_step_orbits_keep_their_block_multipliers(kappa):
             assert np.array_equal(ops.beta_u.reshape(-1), ref.beta_u[0])
 
 
+@pytest.mark.parametrize("kappa", [0.02, 0.3])
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_slope_transfer_matches_stacked_products(kappa, cyclic):
+    # per-point multipliers and bounds read from the slopes equal those of the
+    # stacked products frames_inv @ Df @ frames to rounding, alone and batched
+    sys = qs.cat_circle_system(alpha=0.3, kappa=kappa)
+    x0 = (0.11, 0.23, 0.5)
+    orbits = [
+        _cyclic_noisy(sys, x0, n) if cyclic else qs.generate_noisy(sys, x0, n, 1e-4, seed=n)
+        for n in (1, 9, 30)
+    ]
+    batch = np.stack([qs.generate_noisy(sys, x0, 30, 1e-4, seed=s).points for s in range(3)])
+    for points in [o.points for o in orbits] + [batch]:
+        if not cyclic and len(points) < 2:
+            continue
+        ops = qs.OrbitOperators(sys, points, cyclic)
+        alpha, beta_u, off_block, norm_equivalence = matmul_transfer(ops)
+        assert np.allclose(ops.alpha, alpha, rtol=1e-15, atol=0.0)
+        assert np.allclose(ops.beta_u, beta_u, rtol=1e-15, atol=0.0)
+        assert np.allclose(ops.off_block, off_block, rtol=1e-14, atol=1e-15)
+        assert np.array_equal(ops.norm_equivalence, norm_equivalence)
+
+
 def test_one_step_window_solves_alone_as_batched(product_sys):
     pts = qs.generate_noisy(product_sys, (0.11, 0.23, 0.5), 1, 1e-4, seed=5).points[1:]
     orbit = qs.PseudoOrbit(pts)
@@ -450,13 +474,9 @@ def test_leaf_mode_big_rotation_needs_tau2(product_sys):
     assert res.step_residual <= 1e-10
 
 
-def _per_point_analytic(sys, x):
-    """Per-point copies of the kappa = 0 frame: the splitting of the kappa != 0 code path."""
-    shape = np.shape(x)[:-1] + (3, 3)
-    return qs.Splitting(
-        np.broadcast_to(ANALYTIC.frames, shape).copy(),
-        np.broadcast_to(ANALYTIC.frames_inv, shape).copy(),
-    )
+def _per_point_zero_slopes(sys, x):
+    """Per-point frames of zero slope, the kappa = 0 splitting on the kappa != 0 code path."""
+    return qs.Splitting.from_slopes(np.zeros(np.shape(x)[:-1] + (2,)))
 
 
 def test_numerical_splitting_at_zero_kappa_shadows_like_analytic(product_sys):
@@ -468,7 +488,7 @@ def test_numerical_splitting_at_zero_kappa_shadows_like_analytic(product_sys):
         assert np.max(np.abs(a.corrections - b.corrections)) <= 1e-15
 
     def per_point(orbit, cfg):
-        split = _per_point_analytic(product_sys, orbit.points[None])
+        split = _per_point_zero_slopes(product_sys, orbit.points[None])
         assert not split.constant
         return qs.shadow_batch(product_sys, [orbit], cfg, split=split)[0]
 
@@ -484,7 +504,7 @@ def test_numerical_splitting_at_zero_kappa_shadows_like_analytic(product_sys):
     shifted = qs.cat_circle_system(0.3, 0.0, shift=(1e-4, -2e-4, 0.0))
     cfg = qs.SolverConfig(variant="tau1")
     grid = qs.grid_points(3)
-    with mock.patch.object(qs.applications, "splitting_at", _per_point_analytic):
+    with mock.patch.object(qs.applications, "splitting_at", _per_point_zero_slopes):
         num = qs.build_semiconjugacy(product_sys, shifted, grid, cfg, window=30)
     ref = qs.build_semiconjugacy(product_sys, shifted, grid, cfg, window=30)
     assert not num.failures and not ref.failures
