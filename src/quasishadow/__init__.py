@@ -44,7 +44,6 @@ from .systems import (
     HyperbolicityRates,
     Splitting,
     cat_circle_system,
-    center_flow,
     leaf_dist,
     splitting_at,
 )

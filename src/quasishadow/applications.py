@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import QuasiShadowError, SearchError
-from .orbits import PseudoOrbit, write_table
+from .orbits import PseudoOrbit, as_points, write_table
 from .solver import ShadowResult, SolverConfig, shadow, shadow_batch
-from .systems import C, CatCircleSystem, leaf_dist, splitting_at
+from .systems import CatCircleSystem, leaf_dist, splitting_at
 from .torus import dist, expmap, logmap, minimal_rep, wrap
 
 # grid points solved as one batch: large enough that per-call overhead
@@ -52,7 +52,11 @@ SEMICONJUGACY_VARIANT = "tau1"
 
 
 def closing_variant(variant: str) -> str:
-    """The variant a closing solve runs for a requested one: tau1 cannot slide along fibers."""
+    """The variant a closing runs: tau2 for tau1, else the one requested.
+
+    tau1 is the default, so a closing slides along fibers unless tau3 is
+    asked for; tau3 is tau1's solve and closes pointwise returns only.
+    """
     return "tau2" if variant == "tau1" else variant
 
 
@@ -68,8 +72,9 @@ def find_periodic_center_leaf(
     one fiber.  The tracing sequence of the period-n cyclic orbit is itself
     periodic, so the fiber of y_0 returns to itself after n steps; the leaf
     residual iterates y_0 n times on :meth:`CatCircleSystem.orbit`.
-    Fiber-sliding variants only (tau2 default, tau3 for pointwise returns).
-    A window (a non-cyclic orbit) raises ValueError: it has no period.
+    The solve runs :func:`closing_variant` of the requested variant: tau2
+    slides along fibers; tau3 moves along the center, so it admits pointwise
+    returns only.  A window (a non-cyclic orbit) raises ValueError.
     """
     if not cycle.cyclic:
         raise ValueError("a periodic center leaf needs a cyclic orbit, got a window")
@@ -132,10 +137,10 @@ def find_periodic_center_leaf_from_leaf_return(
 class ConjugacyMap:
     """Gridwise semiconjugacy data: h values, displacements, step residuals.
 
-    ``values_at_g`` and ``center_at_g`` come from an independent solve at
-    g(x); the residual compares h(g(x)) with the center-corrected image of
-    f(h(x)).  ``perturbation_size`` is the sup of dist(f(x), g(x)) over the
-    grid.
+    ``values_at_g`` and ``center_at_g`` (one center time per point) come from
+    an independent solve at g(x); the residual compares h(g(x)) with f(h(x))
+    moved by that time along its fiber.  ``perturbation_size`` is the sup of
+    dist(f(x), g(x)) over the grid.
     """
 
     grid: np.ndarray
@@ -195,11 +200,11 @@ def build_semiconjugacy(
     if window < 1:
         raise ValueError("window must be >= 1")
     cfg = replace(cfg if cfg is not None else SolverConfig(), variant=SEMICONJUGACY_VARIANT)
-    grid = wrap(np.asarray(grid, float).reshape(-1, 3))
+    grid = wrap(as_points(grid))
     n_pts = len(grid)
     values = np.full((n_pts, 3), np.nan)
     values_g = np.full((n_pts, 3), np.nan)
-    center_g = np.full((n_pts, 3), np.nan)
+    center_g = np.full(n_pts, np.nan)
     displacement = np.full(n_pts, np.nan)
     residuals = np.full(n_pts, np.nan)
     errors: list = [None] * n_pts  # the first error of every grid point
@@ -218,7 +223,7 @@ def build_semiconjugacy(
             if isinstance(res, QuasiShadowError):
                 errors[lo + b] = res
             else:
-                solved[b] = res.y[window].copy(), res.corrections[window].copy()
+                solved[b] = res.y[window].copy(), res.corrections[window]
         return solved
 
     rows = np.empty((2 * window + 2, n_pts, 3))
@@ -243,12 +248,14 @@ def build_semiconjugacy(
     ok = ~np.isnan(values[:, 0])
     if ok.any():
         gx = rows[window + 1, ok]
-        target = expmap(gx, center_g[ok] + logmap(gx, sys_f.forward(values[ok]), rho0), rho0)
+        move = logmap(gx, sys_f.forward(values[ok]), rho0)
+        move[:, 2] += center_g[ok]
+        target = expmap(gx, move, rho0)
         displacement[ok] = dist(grid[ok], values[ok])
         residuals[ok] = dist(values_g[ok], target)
         split = splitting_at(sys_f, grid[ok])
         log_h = logmap(grid[ok], values[ok], rho0)
-        center_res = float(np.max(np.abs(split.coeffs(log_h)[:, C])))
+        center_res = float(np.max(np.abs(split.center_coeff(log_h))))
         max_disp = float(np.max(displacement[ok]))
         res_max = float(np.max(residuals[ok]))
         res_mean = float(np.mean(residuals[ok]))
@@ -280,7 +287,7 @@ def verify_semiconjugacy(cmap: ConjugacyMap, probe_points=None) -> dict:
     ``probe_points`` (the grid itself by default).
     """
     ok = ~np.isnan(cmap.displacement)
-    probes = cmap.grid if probe_points is None else wrap(np.asarray(probe_points, float).reshape(-1, 3))
+    probes = cmap.grid if probe_points is None else wrap(as_points(probe_points))
     grid_covering = _covering_radius(probes, cmap.grid)
     return {
         "residual_max": cmap.residual_max,

@@ -260,7 +260,7 @@ def run_shadow(config: dict, out_dir: Path | None = None, stem: str = "shadow") 
         "max_trace_dist": res.max_trace_dist,
         "step_residual": res.step_residual,
         "center_residual": res.center_residual,
-        "correction_max": float(np.max(res.correction_norms())),
+        "correction_max": float(np.max(np.abs(res.corrections))),
         "iterations": res.diagnostics.iterations,
         "diagnostics": to_json(res.diagnostics),
     }

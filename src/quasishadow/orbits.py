@@ -190,6 +190,14 @@ def write_table(path, header: list[str], table: np.ndarray, index: bool = True) 
             fh.write(_csv_rows(table[lo : lo + _ROW_CHUNK], index))
 
 
+def as_points(points) -> np.ndarray:
+    """``points`` as an (n, 3) float array; one 3-vector is one point, any other shape raises ValueError."""
+    arr = np.atleast_2d(np.asarray(points, float))
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError(f"points on T^3 must have shape (n, 3), got {np.shape(points)}")
+    return arr
+
+
 @dataclass
 class PseudoOrbit:
     """A finite window x_k, k = k_start .. k_start + len - 1, or a cyclic list.
@@ -207,7 +215,7 @@ class PseudoOrbit:
     leaf_mode: bool = False
 
     def __post_init__(self) -> None:
-        self.points = np.atleast_2d(np.asarray(self.points, float))
+        self.points = as_points(self.points)
         if self.cyclic:
             if len(self.points) < 1:
                 raise ValueError("cyclic orbits need at least one point")

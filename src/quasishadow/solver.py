@@ -19,11 +19,11 @@ Sequence iterates are stored as coefficient arrays c of shape (W, 3), or
 max_k |center_k| + max_k |transversal_k|, the transversal parts taken as
 assembled ambient vectors.
 
-Variants: ``tau1`` translates by a center vector u_k, ``tau2`` slides
-along the invariant fiber onto the transversal disk through x_k, ``tau3``
-flows along the unit center field for a time tau_k.  One engine solves
-all three; they differ in how beta is evaluated and in the center
-bookkeeping of the result.
+Variants: ``tau1`` moves along the center direction and ``tau3`` along the
+center foliation, the paper's two statements.  The foliation is the vertical
+circle fibers in a flat chart, so both moves are theta -> theta + t_k: one
+solve under two names.  ``tau2`` slides along the fiber onto the transversal
+disk through x_k; it differs in beta and in the center time it reports.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .systems import (
     U,
     CatCircleSystem,
     Splitting,
-    center_flow,
     splitting_at,
 )
 from .torus import RHO0_DEFAULT, RHO_DEFAULT, dist, expmap, logmap, minimal_rep, norm, wrap
@@ -168,11 +167,12 @@ class ContractionBounds:
 
 @dataclass
 class ShadowResult:
-    """Tracing sequence with per-variant center bookkeeping and diagnostics.
+    """Tracing sequence with its center times and diagnostics.
 
     y_k equals exp_{x_k} v_k for the ambient transversal part v_k, which
-    ``logmap(x, y)`` reads back; ``corrections`` holds center vectors u_k
-    for tau1 and scalar fiber moves / flow times for tau2 / tau3.
+    ``logmap(x, y)`` reads back.  ``corrections`` holds, for every variant,
+    the center time t_k that moves f(y_{k-1}) along its fiber to y_k (0 in a
+    window's row 0); the CSV's ``correction_norm`` is |t_k|.
     ``defect_index`` is the k of the pair (x_k, x_{k+1}) whose one-step
     error is ``diagnostics.defect``.
     """
@@ -190,11 +190,6 @@ class ShadowResult:
     delta_history: np.ndarray
     cyclic: bool
 
-    def correction_norms(self) -> np.ndarray:
-        if self.corrections.ndim == 2:
-            return norm(self.corrections)
-        return np.abs(self.corrections)
-
     def write_csv(self, path) -> None:
         d = self.x.shape[1]
         header = (
@@ -203,7 +198,7 @@ class ShadowResult:
             + [f"y{i + 1}" for i in range(d)]
             + ["dist", "correction_norm"]
         )
-        cols = [self.ks, self.x, self.y, dist(self.x, self.y), self.correction_norms()]
+        cols = [self.ks, self.x, self.y, dist(self.x, self.y), np.abs(self.corrections)]
         write_table(path, header, np.column_stack(cols))
 
 
@@ -221,7 +216,7 @@ def _fiber_slide(split: Splitting, d_base: np.ndarray) -> tuple[np.ndarray, np.n
     w = np.zeros(a.shape + (3,))
     w[..., S] = a
     w[..., U] = c
-    return w, split.assemble(w)
+    return w, split.transversal(w)
 
 
 def _slope_transfer(sys: CatCircleSystem, X: np.ndarray, slopes: np.ndarray, src, dst):
@@ -754,11 +749,11 @@ def _narrow(ops: OrbitOperators, live: np.ndarray, out: list, *arrays):
 
 
 def _extract(ops: OrbitOperators, w: np.ndarray, v_amb: np.ndarray):
-    """Tracing points, center bookkeeping and per-orbit residuals of solved iterates.
+    """Tracing points, center times and per-orbit residuals of solved iterates.
 
     ``v_amb`` holds the transversal parts of ``w`` (:meth:`OrbitOperators.transversal`).
-    Returns y, the corrections, and per orbit the largest trace distance,
-    center residual and step residual.
+    Returns y, the center times (shape ([B,] W)), and per orbit the largest
+    trace distance, center residual and step residual.
     """
     X = ops.points
     variant, rho0 = ops.cfg.variant, ops.cfg.rho0
@@ -769,15 +764,15 @@ def _extract(ops: OrbitOperators, w: np.ndarray, v_amb: np.ndarray):
     src, dst = ops.step_src, ops.step_dst
     fy = ops.sys.forward(y[..., src, :])
     x_dst = X[..., dst, :]
-    if variant == "tau1":
-        corrections = ops.split.frames[..., C] * w[..., C, None]
-        targets = expmap(x_dst, corrections[..., dst, :] + logmap(x_dst, fy, rho0), rho0)
-    elif variant == "tau3":
-        corrections = w[..., C].copy()
-        targets = center_flow(fy, corrections[..., dst])
-    else:
+    if variant == "tau2":
         targets = wrap(x_dst + ops._slide(minimal_rep(fy[..., :2] - x_dst[..., :2]), dst)[1])
         corrections = np.zeros(X.shape[:-1])
         corrections[..., dst] = minimal_rep(targets[..., 2] - fy[..., 2])
+    else:
+        # tau1 and tau3: f(y_{k-1}) moved by its center time along the vertical fiber
+        corrections = w[..., C].copy()
+        move = logmap(x_dst, fy, rho0)
+        move[..., 2] += corrections[..., dst]
+        targets = expmap(x_dst, move, rho0)
     step_residual = dist(y[..., dst, :], targets).max(axis=-1)
     return y, corrections, max_trace, center_res, step_residual

@@ -322,9 +322,6 @@ class Splitting:
         """``coeffs(vectors)[..., C]``, with only the center row summed."""
         return _product(self.frames_inv, vectors, _INVERSE_ENTRIES, rows=(C,))[..., 0]
 
-    def assemble(self, coeffs) -> np.ndarray:
-        return _product(self.frames, coeffs, _FRAME_ENTRIES)
-
     def transversal(self, coeffs) -> np.ndarray:
         """The ambient stable + unstable part of ``coeffs``; the center coefficient is ignored."""
         return _product(self.frames, coeffs, _FRAME_ENTRIES, skip=C)
@@ -453,11 +450,3 @@ def leaf_dist(x, y):
     y = np.asarray(y, float)
     d = norm(minimal_rep(y[..., :2] - x[..., :2]))
     return float(d) if np.ndim(d) == 0 else d
-
-
-def center_flow(x, t) -> np.ndarray:
-    """Unit-speed flow along the center field: theta -> theta + t."""
-    x = np.asarray(x, float)
-    out = x.copy()
-    out[..., 2] = out[..., 2] + np.asarray(t, float)
-    return wrap(out)

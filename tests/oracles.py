@@ -577,7 +577,7 @@ def csv_writer_bytes(path, header, rows):
 
 def norm_sup(ops, coeffs):
     """Sup norm max_k |w_k| of coefficient sequences, on the assembled ambient vectors."""
-    return norm(ops.split.assemble(coeffs)).max(axis=-1)
+    return norm(einsum_assemble(ops.split, coeffs)).max(axis=-1)
 
 
 def projector(split, bundle):
@@ -631,7 +631,7 @@ def estimate_contraction(sys, orbit, cfg=None, probes=8, seed=20240):
     w_full = draw(center=True, solver_norm=True)
     big_l = float(np.max(ops.norm_one(w_full) / norm_sup(ops, w_full)))
     split_norm = np.abs(w_full[..., C]) + norm(ops.split.transversal(w_full))
-    full_norm = norm(ops.split.assemble(w_full))
+    full_norm = norm(einsum_assemble(ops.split, w_full))
     big_l_pt = float(np.max(split_norm / full_norm))
 
     v_a = draw(center=False, solver_norm=False)
@@ -663,9 +663,9 @@ def fixed_point_from(sys, orbit, start, cfg=None, max_steps=200):
     Iterates ``ops.phi(ops.eta(w))`` on the orbit alone, with the variant
     and tolerance of ``cfg``, until the update ``ops.norm_one(w_new - w)``
     drops below ``cfg.fixed_point_tol``; no gate, no epsilon ball.  The
-    corrections are read off as a solve reports them: center vectors
-    (tau1), flow times (tau3), or the theta moves of the fiber slides onto
-    the transversal disks (tau2, zero in a window's row 0).
+    corrections are read off as a solve reports them: the center
+    coefficients (tau1 and tau3), or the theta moves of the fiber slides
+    onto the transversal disks (tau2, zero in a window's row 0).
     """
     cfg = cfg if cfg is not None else SolverConfig()
     ops = OrbitOperators(sys, orbit.points, orbit.cyclic, cfg)
@@ -677,9 +677,7 @@ def fixed_point_from(sys, orbit, start, cfg=None, max_steps=200):
         w = w_new
         if deltas[-1] < cfg.fixed_point_tol:
             y = wrap(ops.points + ops.split.transversal(w))
-            if cfg.variant == "tau1":
-                corrections = ops.split.frames[..., C] * w[..., C, None]
-            elif cfg.variant == "tau3":
+            if cfg.variant in ("tau1", "tau3"):
                 corrections = w[..., C].copy()
             else:
                 fy, x = sys.forward(y[ops.step_src]), ops.points[ops.step_dst]
@@ -688,6 +686,19 @@ def fixed_point_from(sys, orbit, start, cfg=None, max_steps=200):
                 corrections[ops.step_dst] = minimal_rep(wrap(x + move)[..., 2] - fy[..., 2])
             return y, corrections, np.array(deltas)
     raise AssertionError(f"no fixed point within {max_steps} steps")
+
+
+def center_flow_step_residual(sys, res):
+    """Largest dist(y_k, wrap(f(y_{k-1}) + (0, 0, t_k))) over the steps of a result with center times t_k.
+
+    The target flows f(y_{k-1}) along its vertical fiber for the time t_k,
+    with no chart at x_k: the step relation of the center-foliation
+    statement (tau3), read without the solver's own target.
+    """
+    dst = np.arange(len(res.y)) if res.cyclic else np.arange(1, len(res.y))
+    flowed = sys.forward(res.y[dst - 1])
+    flowed[:, 2] += res.corrections[dst]
+    return float(np.max(dist(res.y[dst], wrap(flowed))))
 
 
 def transversal_slide(sys, x, z):

@@ -228,8 +228,8 @@ def test_semiconjugacy_translation_closed_form(product_sys, window):
     d = np.array([s[1], s[0] - s[1], 0.0])
     tol = 2.0 * LAM**window * np.linalg.norm(d) + 1e-15
     assert np.max(qs.dist(cmap.values, qs.wrap(grid + d))) <= tol
-    assert np.array_equal(cmap.center_at_g[:, :2], np.zeros((len(grid), 2)))
-    assert np.max(np.abs(cmap.center_at_g[:, 2] - s[2])) <= 1e-15
+    assert cmap.center_at_g.shape == (len(grid),)
+    assert np.max(np.abs(cmap.center_at_g - s[2])) <= 1e-15
 
 
 def test_semiconjugacy_edge_decay_strictly_monotone(product_sys):
@@ -250,7 +250,9 @@ def test_semiconjugacy_verify_recomputes(product_sys):
     cmap = qs.build_semiconjugacy(product_sys, moved, grid, _cfg(), window=30)
     # the residuals recomputed here from the stored solves at g(x) are the map's own
     gx = moved.forward(grid)
-    target = qs.expmap(gx, cmap.center_at_g + qs.logmap(gx, product_sys.forward(cmap.values)))
+    center = np.zeros((len(grid), 3))
+    center[:, 2] = cmap.center_at_g  # the center time as an ambient vertical vector
+    target = qs.expmap(gx, center + qs.logmap(gx, product_sys.forward(cmap.values)))
     residuals = qs.dist(cmap.values_at_g, target)
     assert np.array_equal(cmap.residuals, residuals)
     ver = qs.verify_semiconjugacy(cmap)
@@ -268,6 +270,25 @@ def test_semiconjugacy_verify_recomputes(product_sys):
         assert check["density_radius"] == np.max(np.min(to_image, axis=1))
         assert check["grid_covering_radius"] == np.max(np.min(to_grid, axis=1))
         assert check["density_bound"] == 2.0 * (check["grid_covering_radius"] + cmap.max_displacement)
+
+
+def test_points_of_the_wrong_shape_are_refused(product_sys):
+    # orbit points, grids and probes are (n, 3) arrays, and one 3-vector is one point;
+    # other shapes once ran on uninitialised columns or failed with unrelated errors
+    cmap = qs.build_semiconjugacy(product_sys, product_sys, [0.1, 0.2, 0.3], _cfg(), window=5)
+    assert cmap.grid.shape == (1, 3) and not cmap.failures
+    assert qs.verify_semiconjugacy(cmap, probe_points=[0.4, 0.5, 0.6])["pairs_checked"] == 1
+    assert qs.PseudoOrbit([0.1, 0.2, 0.3], cyclic=True).points.shape == (1, 3)
+    for shape in ((5, 4), (5, 2), (1, 3, 3), (2, 5, 3), (4,)):
+        pts = np.full(shape, 0.25)
+        for make in (
+            lambda: qs.PseudoOrbit(pts),
+            lambda: qs.PseudoOrbit(pts, cyclic=True),
+            lambda: qs.build_semiconjugacy(product_sys, product_sys, pts, _cfg(), window=5),
+            lambda: qs.verify_semiconjugacy(cmap, probe_points=pts),
+        ):
+            with pytest.raises(ValueError, match=r"must have shape \(n, 3\), got \(" + str(shape[0])):
+                make()
 
 
 def test_semiconjugacy_collects_failures(product_sys):
@@ -295,7 +316,8 @@ def _per_window_semiconjugacy(sys_f, sys_g, grid, cfg, window):
     def solve(points):
         return qs.shadow(sys_f, qs.PseudoOrbit(points, k_start=-window), cfg)
 
-    out = {key: np.full((len(grid), 3), np.nan) for key in ("values", "values_at_g", "center_at_g")}
+    out = {key: np.full((len(grid), 3), np.nan) for key in ("values", "values_at_g")}
+    out["center_at_g"] = np.full(len(grid), np.nan)
     out["residuals"] = np.full(len(grid), np.nan)
     failures = []
     for p in range(len(grid)):
@@ -307,7 +329,7 @@ def _per_window_semiconjugacy(sys_f, sys_g, grid, cfg, window):
             continue
         gx = rows[window + 1, p]
         u0 = res_g.corrections[window]
-        target = qs.expmap(gx, u0 + qs.logmap(gx, sys_f.forward(res_x.y[window])))
+        target = qs.expmap(gx, np.array([0.0, 0.0, u0]) + qs.logmap(gx, sys_f.forward(res_x.y[window])))
         out["values"][p] = res_x.y[window]
         out["values_at_g"][p] = res_g.y[window]
         out["center_at_g"][p] = u0

@@ -128,6 +128,26 @@ def test_shadow_tau3_flow_times(tmp_path):
     assert report["results"]["correction_max"] <= 1.1 * report["results"]["defect"]
 
 
+@pytest.mark.parametrize("name, other", [("shadow_tau1", "tau3"), ("shadow_tau3_skew", "tau1")])
+def test_shipped_shadow_config_runs_alike_under_the_other_center_variant(tmp_path, name, other):
+    # tau1 and tau3 are one solve here: renaming the variant changes only the echo
+    original = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    renamed = copy.deepcopy(original)
+    renamed["solver"]["variant"] = other
+    reports, trajectories = [], []
+    for run, payload in (("original", original), ("renamed", renamed)):
+        out = tmp_path / run
+        out.mkdir()
+        cfg = _write(out, f"{name}.json", payload)
+        assert main(["shadow", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        reports.append(json.loads((out / f"{name}_report.json").read_text()))
+        trajectories.append((out / f"{name}_trajectory.csv").read_bytes())
+    assert trajectories[0] == trajectories[1]
+    assert reports[0]["results"] == reports[1]["results"]
+    assert reports[0]["passed"] and reports[1]["passed"]
+    assert reports[1]["config"]["solver"]["variant"] == other
+
+
 def test_report_byte_determinism(tmp_path):
     cfg = _write(tmp_path, "det.json", _shadow_config())
     out_a, out_b = tmp_path / "a", tmp_path / "b"

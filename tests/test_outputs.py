@@ -52,8 +52,9 @@ def test_pseudo_orbit_csv_bytes(tmp_path):
     assert expected.count(b"\r\n") == len(AWKWARD) + 1
 
 
-@pytest.mark.parametrize("corrections", [AWKWARD[::-1], AWKWARD[:, 2]], ids=["tau1", "scalar"])
+@pytest.mark.parametrize("corrections", [AWKWARD[:, 0], AWKWARD[:, 2]], ids=["signed_zero", "scalar"])
 def test_shadow_result_csv_bytes(tmp_path, corrections):
+    # every variant reports one center time per point; correction_norm is its size
     x, y = AWKWARD, np.roll(AWKWARD, 1, axis=1)
     res = ShadowResult(
         variant="tau1", ks=np.arange(-3, 1), x=x, y=y, corrections=corrections,
@@ -62,7 +63,7 @@ def test_shadow_result_csv_bytes(tmp_path, corrections):
     )
     with np.errstate(invalid="ignore", over="ignore"):
         res.write_csv(tmp_path / "trajectory.csv")
-        dd, cn = dist(x, y), res.correction_norms()
+        dd, cn = dist(x, y), [abs(t) for t in corrections.tolist()]
     rows = [[int(k)] + list(x[i]) + list(y[i]) + [dd[i], cn[i]] for i, k in enumerate(res.ks)]
     header = ["k", "x1", "x2", "x3", "y1", "y2", "y3", "dist", "correction_norm"]
     expected = csv_writer_bytes(tmp_path / "oracle.csv", header, rows)

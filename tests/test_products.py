@@ -1,6 +1,6 @@
 """Frame products and the covering radius against their earlier spellings, bit for bit.
 
-``Splitting.coeffs``, ``assemble`` and ``transversal`` sum each row in the
+``Splitting.coeffs`` and ``transversal`` sum each row in the
 order of ``np.einsum("...ij,...j->...i")`` on C-ordered operands and drop
 the frames' exact zeros; ``_covering_radius`` works per axis and takes one
 sqrt after the min.  The oracles in oracles.py keep the earlier forms.
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from quasishadow.applications import _covering_radius
 from quasishadow.systems import ANALYTIC, C, CatCircleSystem, Splitting, splitting_at
 
-from oracles import chunked_covering_radius, einsum_assemble, einsum_coeffs, einsum_transversal
+from oracles import chunked_covering_radius, einsum_coeffs, einsum_transversal
 
 kappas = st.sampled_from([0.0, 0.02, 0.3])
 # shares of the slots set to +0.0 and to -0.0
@@ -48,7 +48,6 @@ def _layouts(split, v):
 def _check_products(split, v):
     for s, w in _layouts(split, v):
         assert _same_bits(s.coeffs(w), einsum_coeffs(s, w))
-        assert _same_bits(s.assemble(w), einsum_assemble(s, w))
         before = w.copy()
         assert _same_bits(s.transversal(w), einsum_transversal(s, w))
         assert _same_bits(w, before)
@@ -84,7 +83,6 @@ def test_products_match_einsum_on_one_vector():
     for s in (ANALYTIC, split):
         for v in ([0.3, -0.0, 2.0], [-0.0, -0.0, -0.0], [1e-9, 0.5, -0.0]):
             assert _same_bits(s.coeffs(v), einsum_coeffs(s, v))
-            assert _same_bits(s.assemble(v), einsum_assemble(s, v))
             assert _same_bits(s.transversal(v), einsum_transversal(s, v))
 
 
@@ -107,7 +105,7 @@ def test_products_ignore_memory_layout():
     for kappa in (0.0, 0.02):
         split = splitting_at(CatCircleSystem(0.3, kappa), pts)
         fsplit = Splitting(np.asfortranarray(split.frames), np.asfortranarray(split.frames_inv))
-        for name in ("coeffs", "assemble", "transversal"):
+        for name in ("coeffs", "transversal"):
             c_form = getattr(split, name)(v)
             assert _same_bits(getattr(fsplit, name)(vf), c_form)
             assert _same_bits(getattr(split, name)(vf), c_form)

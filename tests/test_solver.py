@@ -14,10 +14,12 @@ from quasishadow.systems import C, LAM, MU, S, U
 
 from oracles import (
     blocked_affine_scan,
+    center_flow_step_residual,
     dense_block_cyclic,
     dense_stable_window,
     dense_tau1_window,
     dense_unstable_window,
+    einsum_assemble,
     eta_lipschitz_fd,
     fixed_point_from,
     matmul_transfer,
@@ -52,7 +54,7 @@ def test_beta_zero_matches_defects(product_sys):
     orbit = _noisy(product_sys, n=50)
     ops = qs.OrbitOperators(product_sys, orbit.points)
     beta0 = ops.apply_beta(*ops.transversal(np.zeros((len(orbit), 3))))
-    amb = ops.split.assemble(beta0)
+    amb = einsum_assemble(ops.split, beta0)
     norms = np.linalg.norm(amb[1:], axis=-1)
     gaps = qs.dist(product_sys.forward(orbit.points[:-1]), orbit.points[1:])
     assert np.allclose(norms, gaps, atol=1e-15)
@@ -317,7 +319,7 @@ def test_true_orbit_fixed_point_is_zero(product_sys):
     res = qs.shadow(product_sys, orbit)
     assert res.diagnostics.iterations == 1
     assert res.max_trace_dist == 0.0
-    assert np.array_equal(res.corrections, np.zeros((len(orbit), 3)))
+    assert np.array_equal(res.corrections, np.zeros(len(orbit)))
     assert np.array_equal(res.y, orbit.points)
 
 
@@ -325,9 +327,10 @@ def test_fixed_point_matches_dense_oracle(product_sys):
     orbit = _noisy(product_sys, n=50)
     res = qs.shadow(product_sys, orbit)
     y_o, v_o, u_o = dense_tau1_window(orbit.points, product_sys.alpha)
+    assert not u_o[:, :2].any()  # the center is vertical: the oracle moves theta alone
     assert np.max(qs.dist(res.y, y_o)) < 1e-10
     assert np.max(np.abs(qs.logmap(res.x, res.y) - v_o)) < 1e-10
-    assert np.max(np.abs(res.corrections - u_o)) < 1e-10
+    assert np.max(np.abs(res.corrections - u_o[:, 2])) < 1e-10
 
 
 def test_tracing_bound_product(product_sys):
@@ -826,6 +829,66 @@ def _same_bits(a, b) -> bool:
     return a is b or a == b
 
 
+def _closed_fiber_cycle(kappa, x0, n, noise, seed):
+    """A system whose fiber closes up over the period-n base orbit of x0, and that cycle with ``noise``.
+
+    The fiber rotation cancels the drift kappa sum sin(2 pi b_j) of the
+    base orbit, so the cycle's defect is its noise at every kappa.
+    """
+    base = periodic_base_point(x0[:2], n)
+    drift = qs.cat_circle_system(0.0, kappa).orbit([*base, x0[2]], n)[:, 2]
+    sys = qs.cat_circle_system(-qs.minimal_rep(drift[n] - drift[0]) / n, kappa)
+    return sys, _phi_loop_cycle(sys, x0, n, noise, seed, False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kappa=st.sampled_from([0.0, 0.02, 0.3]),
+    kind=st.sampled_from(["window", "cycle"]),
+    noise=st.sampled_from([1e-6, 1e-4, 2e-3]),
+    seed=st.integers(0, 2**16),
+)
+def test_tau1_and_tau3_are_one_solve(kappa, kind, noise, seed):
+    # the center direction (tau1) and the vertical center foliation (tau3) give
+    # one move, so the two names must give the same bits, and the step relation
+    # of that move must hold: y_k is f(y_{k-1}) moved by its center time
+    x0 = np.random.default_rng(seed).random(3)
+    if kind == "window":
+        sys = qs.cat_circle_system(0.3, kappa)
+        orbit = qs.generate_noisy(sys, x0, 12, noise, seed=seed)
+    else:
+        sys, orbit = _closed_fiber_cycle(kappa, x0, 10, noise, seed)
+    r1, r3 = (qs.shadow_batch(sys, [orbit], qs.SolverConfig(variant=v))[0] for v in ("tau1", "tau3"))
+    if not isinstance(r1, qs.ShadowResult):
+        assert type(r3) is type(r1) and str(r3) == str(r1)
+        return
+    assert r1.corrections.shape == (len(orbit),)
+    for name in ("y", "corrections", "delta_history"):
+        assert _same_bits(getattr(r1, name), getattr(r3, name))
+    assert to_json(r1.diagnostics) == to_json(r3.diagnostics)
+    for name in ("max_trace_dist", "step_residual", "center_residual", "defect_index"):
+        assert float(getattr(r1, name)).hex() == float(getattr(r3, name)).hex()
+    assert r3.step_residual <= 1e-11
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.02, 0.3])
+@pytest.mark.parametrize("kind", ["window", "cycle"])
+def test_tau3_step_residual_matches_the_center_flow(kappa, kind):
+    # the flow target wrap(f(y_{k-1}) + (0, 0, t_k)) takes no chart at x_k, so it
+    # reads the center-foliation statement without the solver's target
+    x0 = np.array([0.11, 0.23, 0.5])
+    if kind == "window":
+        sys = qs.cat_circle_system(0.3, kappa)
+        orbit = qs.generate_noisy(sys, x0, 50, 1e-4, seed=5)
+    else:
+        sys, orbit = _closed_fiber_cycle(kappa, x0, 10, 1e-5, 5)
+    res = qs.shadow(sys, orbit, qs.SolverConfig(variant="tau3"))
+    assert np.max(np.abs(res.corrections)) > 1e-7  # the center times are not all zero
+    flow = center_flow_step_residual(sys, res)
+    assert flow <= 1e-14
+    assert abs(res.step_residual - flow) <= 1e-15
+
+
 @pytest.mark.parametrize("kappa", [0.0, 0.02])
 @pytest.mark.parametrize("cyclic", [False, True], ids=["window", "cycle"])
 def test_take_matches_operators_built_on_the_subset(kappa, cyclic):
@@ -896,11 +959,11 @@ def test_result_serialization(tmp_path, product_sys):
     import json
 
     orbit = _noisy(product_sys, n=10)
-    for variant, shape in (("tau1", (len(orbit), 3)), ("tau2", (len(orbit),)), ("tau3", (len(orbit),))):
+    for variant in qs.solver.VARIANTS:
         res = qs.shadow(product_sys, orbit, qs.SolverConfig(variant=variant))
         payload = to_json(res)
         assert payload["variant"] == variant
-        assert np.asarray(payload["corrections"]).shape == shape
+        assert np.asarray(payload["corrections"]).shape == (len(orbit),)
         assert len(payload["y"]) == len(orbit)
         assert payload["diagnostics"] == dataclasses.asdict(res.diagnostics)
         json.dumps(payload)  # arrays and diagnostics are json-ready

@@ -21,7 +21,7 @@ from quasishadow.systems import (
     slope_bounds,
 )
 
-from oracles import eigen_frames, fd_jacobian, power_splitting, projector, sin_angle, verify_rates
+from oracles import eigen_frames, einsum_assemble, fd_jacobian, power_splitting, projector, sin_angle, verify_rates
 
 
 def test_forward_fixed_base_fiber_rotation(product_sys):
@@ -87,6 +87,7 @@ def test_analytic_splitting_frames(product_sys):
     e_u /= np.linalg.norm(e_u)
     assert np.allclose(split.frames[:, U], e_u, atol=1e-12)
     assert np.array_equal(split.frames[:, C], [0.0, 0.0, 1.0])
+    assert product_sys.center_dimension == 1
     # frame agrees with a dense eigendecomposition
     assert np.allclose(split.frames, eigen_frames(), atol=1e-12)
     # one constant frame serves every point
@@ -141,7 +142,7 @@ def test_splitting_transversal_drops_the_center(skew_sys, rng):
     assert np.array_equal(coeffs, given)
     no_center = coeffs.copy()
     no_center[:, C] = 0.0
-    assert np.array_equal(trans, split.assemble(no_center))
+    assert np.array_equal(trans, einsum_assemble(split, no_center))
     assert np.max(np.abs(split.coeffs(trans)[:, C])) < 1e-15
 
 
@@ -272,16 +273,6 @@ def test_leaf_dist_is_base_distance():
     a = np.array([0.9, 0.1, 0.3])
     b = np.array([0.1, 0.1, 0.8])
     assert abs(qs.leaf_dist(a, b) - 0.2) < 1e-15
-
-
-def test_center_flow():
-    out = qs.center_flow(np.array([0.2, 0.3, 0.9]), 0.2)
-    assert np.allclose(out, [0.2, 0.3, 0.1], atol=1e-15)
-    sys = qs.cat_circle_system(0.3, 0.0)
-    x = np.array([0.2, 0.3, 0.9])
-    flowed = qs.center_flow(x, 0.05)
-    assert abs(qs.dist(x, flowed) - 0.05) < 1e-15
-    assert sys.center_dimension == 1
 
 
 def test_unstable_seed_direction_constant():
