@@ -202,6 +202,8 @@ def build_semiconjugacy(
     cfg = replace(cfg if cfg is not None else SolverConfig(), variant=SEMICONJUGACY_VARIANT)
     grid = wrap(as_points(grid))
     n_pts = len(grid)
+    if not n_pts:
+        raise ValueError("grid must hold at least one point")
     values = np.full((n_pts, 3), np.nan)
     values_g = np.full((n_pts, 3), np.nan)
     center_g = np.full(n_pts, np.nan)

@@ -23,7 +23,8 @@ Variants: ``tau1`` moves along the center direction and ``tau3`` along the
 center foliation, the paper's two statements.  The foliation is the vertical
 circle fibers in a flat chart, so both moves are theta -> theta + t_k: one
 solve under two names.  ``tau2`` slides along the fiber onto the transversal
-disk through x_k; it differs in beta and in the center time it reports.
+disk through x_k: its beta drops the center coefficient, and its t_k lands
+f(y_{k-1}) on that disk.
 """
 
 from __future__ import annotations
@@ -172,7 +173,8 @@ class ShadowResult:
     y_k equals exp_{x_k} v_k for the ambient transversal part v_k, which
     ``logmap(x, y)`` reads back.  ``corrections`` holds, for every variant,
     the center time t_k that moves f(y_{k-1}) along its fiber to y_k (0 in a
-    window's row 0); the CSV's ``correction_norm`` is |t_k|.
+    window's row 0); for tau2 it is the theta gap from f(y_{k-1}) to y_k.
+    The CSV's ``correction_norm`` is |t_k|.
     ``defect_index`` is the k of the pair (x_k, x_{k+1}) whose one-step
     error is ``diagnostics.defect``.
     """
@@ -200,23 +202,6 @@ class ShadowResult:
         )
         cols = [self.ks, self.x, self.y, dist(self.x, self.y), np.abs(self.corrections)]
         write_table(path, header, np.column_stack(cols))
-
-
-def _fiber_slide(split: Splitting, d_base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Move along the vertical fiber that turns a base offset into a transversal vector.
-
-    Solves d_base = a e_s + c e_u for the base parts of the stable and
-    unstable directions of ``split`` (a 2x2 linear solve per point) and
-    returns the coefficients (a, 0, c) and the ambient move a e_s + c e_u.
-    """
-    E = split.frames[..., :2, :][..., [S, U]]
-    det = E[..., 0, 0] * E[..., 1, 1] - E[..., 0, 1] * E[..., 1, 0]
-    a = (E[..., 1, 1] * d_base[..., 0] - E[..., 0, 1] * d_base[..., 1]) / det
-    c = (-E[..., 1, 0] * d_base[..., 0] + E[..., 0, 0] * d_base[..., 1]) / det
-    w = np.zeros(a.shape + (3,))
-    w[..., S] = a
-    w[..., U] = c
-    return w, split.transversal(w)
 
 
 def _slope_transfer(sys: CatCircleSystem, X: np.ndarray, slopes: np.ndarray, src, dst):
@@ -439,31 +424,23 @@ class OrbitOperators:
     def _beta(self, d: np.ndarray, gaps) -> np.ndarray:
         """beta at the step targets from the step-aligned chart differences d = minimal_rep(z - x_dst).
 
-        tau2 slides d along the fibers; tau1 and tau3 take its frame
-        coefficients, after checking its norms ``gaps`` against the chart radius.
+        Every variant takes the frame coefficients of d, and tau1 and tau3
+        check its norms ``gaps`` against the chart radius.  tau2 zeroes the
+        center coefficient, which leaves the fiber slide of d's base part onto
+        the transversal disk (the stable and unstable rows of frames_inv are
+        0 in the theta column), and checks the size of that slide instead.
         """
-        dst, rho0 = self.step_dst, self.cfg.rho0
-        out = np.zeros(d.shape[:-2] + (self.n_points, 3))
+        split, rho0 = self.split[..., self.step_dst], self.cfg.rho0
+        coeffs = split.coeffs(d)
+        what = "points at distance {:.6g} exceed chart radius"
         if self.cfg.variant == "tau2":
-            out[..., dst, :] = self._slide(d[..., :2], dst)[0]
-            return out
+            coeffs[..., C] = 0.0
+            gaps, what = norm(split.transversal(coeffs)), "fiber slide of size {:.6g} left the chart of radius"
         if gaps.size and float(gaps.max()) > rho0:
-            raise ChartError(
-                f"points at distance {float(gaps.max()):.6g} exceed chart radius {rho0}"
-            )
-        out[..., dst, :] = self.split[..., dst].coeffs(d)
+            raise ChartError(f"{what.format(float(gaps.max()))} {rho0}")
+        out = np.zeros(d.shape[:-2] + (self.n_points, 3))
+        out[..., self.step_dst, :] = coeffs
         return out
-
-    def _slide(self, d_base: np.ndarray, dst_rows) -> tuple[np.ndarray, np.ndarray]:
-        """Fiber slide of the base offsets d_base onto the transversal disks at the dst rows: (coefficients, move)."""
-        w, move = _fiber_slide(self.split[..., dst_rows], d_base)
-        n = norm(move)
-        if n.size and float(n.max()) > self.cfg.rho0:
-            raise ChartError(
-                f"fiber slide of size {float(n.max()):.6g} left the chart "
-                f"of radius {self.cfg.rho0}"
-            )
-        return w, move
 
     def apply_transfer(self, v_coeffs: np.ndarray) -> np.ndarray:
         """The block operator A: stable and unstable one-step transfer."""
@@ -515,16 +492,13 @@ class OrbitOperators:
         return out
 
     def phi(self, eta_v: np.ndarray) -> np.ndarray:
-        """One fixed-point update Phi(w) = P^{-1} eta(v), given eta(v); tau2 drops the center part.
+        """One fixed-point update Phi(w) = P^{-1} eta(v), given eta(v).
 
         :meth:`eta` evaluates eta(v) from coefficients; a solve builds it
         from what it holds: :meth:`beta_at_zero` in the first step, then
         :meth:`apply_beta` of the transversal parts minus :meth:`apply_transfer`.
         """
-        out = self.solve_p(eta_v)
-        if self.cfg.variant == "tau2":
-            out[..., C] = 0.0
-        return out
+        return self.solve_p(eta_v)
 
 
 def shadow(
@@ -753,10 +727,13 @@ def _extract(ops: OrbitOperators, w: np.ndarray, v_amb: np.ndarray):
 
     ``v_amb`` holds the transversal parts of ``w`` (:meth:`OrbitOperators.transversal`).
     Returns y, the center times (shape ([B,] W)), and per orbit the largest
-    trace distance, center residual and step residual.
+    trace distance, center residual and step residual.  The step target is
+    f(y_{k-1}) moved by t_k along its fiber in the chart at x_k.  tau2's t_k
+    is the theta gap to y_k, which lies on the transversal disk (the center
+    residual checks it); a leaf-mode wrap pair can carry a theta gap of up
+    to 1/2, so tau2 reads the chart by ``minimal_rep``, not ``logmap``.
     """
-    X = ops.points
-    variant, rho0 = ops.cfg.variant, ops.cfg.rho0
+    X, rho0 = ops.points, ops.cfg.rho0
     y = expmap(X, v_amb, rho0)
     max_trace = dist(X, y).max(axis=-1)
     center_res = np.abs(ops.split.center_coeff(v_amb)).max(axis=-1)
@@ -764,15 +741,14 @@ def _extract(ops: OrbitOperators, w: np.ndarray, v_amb: np.ndarray):
     src, dst = ops.step_src, ops.step_dst
     fy = ops.sys.forward(y[..., src, :])
     x_dst = X[..., dst, :]
-    if variant == "tau2":
-        targets = wrap(x_dst + ops._slide(minimal_rep(fy[..., :2] - x_dst[..., :2]), dst)[1])
+    if ops.cfg.variant == "tau2":
         corrections = np.zeros(X.shape[:-1])
-        corrections[..., dst] = minimal_rep(targets[..., 2] - fy[..., 2])
+        corrections[..., dst] = minimal_rep(y[..., dst, 2] - fy[..., 2])
+        move = minimal_rep(fy - x_dst)
     else:
-        # tau1 and tau3: f(y_{k-1}) moved by its center time along the vertical fiber
         corrections = w[..., C].copy()
         move = logmap(x_dst, fy, rho0)
-        move[..., 2] += corrections[..., dst]
-        targets = expmap(x_dst, move, rho0)
+    move[..., 2] = minimal_rep(move[..., 2] + corrections[..., dst])
+    targets = expmap(x_dst, move, rho0)
     step_residual = dist(y[..., dst, :], targets).max(axis=-1)
     return y, corrections, max_trace, center_res, step_residual

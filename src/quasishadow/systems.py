@@ -92,8 +92,6 @@ class CatCircleSystem:
     The array maps also skip adding an all-zero ``shift``, for the same reason.
     """
 
-    center_dimension = 1
-
     def __init__(self, alpha: float = 0.0, kappa: float = 0.0, shift=None) -> None:
         self.alpha = float(alpha) % 1.0
         self.kappa = float(kappa)
@@ -332,6 +330,7 @@ _FRAME = np.stack([E_STABLE, E_CENTER, E_UNSTABLE], axis=-1)
 ANALYTIC = Splitting(_FRAME, np.linalg.inv(_FRAME))
 
 
+_RENORMALISE = 32  # products between two renormalisations of the rotations in _slopes
 # cos and sin of q quarter turns, exact
 _QUARTER_COS = np.array([1.0, 0.0, -1.0, 0.0])
 _QUARTER_SIN = np.array([0.0, 1.0, 0.0, -1.0])
@@ -359,12 +358,15 @@ def _slopes(sys: CatCircleSystem, x: np.ndarray, n: int) -> np.ndarray:
     mu^-j Re(z0) of the inverse one, so the loop takes no cos, floor or mask.
     A phase error grows like mu^j along either orbit, and the weights lam^j
     and mu^-j cancel that growth, as they did for the float walk that
-    stepped the wrapped coordinates: on random points at |kappa| = 0.45 the
-    series was within 2.3e-15 of the exact one, and the tests hold it to
-    1e-14 (tests/test_primitives.py).  numpy rounds
-    the complex product alike at every element of a contiguous array of two
-    or more, and each point is its own column, so a point's slopes do not
-    depend on the array it comes in.
+    stepped the wrapped coordinates.  Modulus errors grow like mu^j too, and
+    no weight cancels them, so both arrays are divided by their moduli every
+    _RENORMALISE products (term 32 is the first to read them; a validated
+    system sums at most 31 terms).  On random points at |kappa| = 0.45 and
+    n <= 80 the series is within 3.7e-15 of the exact one, and the tests
+    hold it to 1e-14 (tests/test_primitives.py).  numpy rounds the complex
+    product and ``np.abs`` alike at every element of a contiguous array of
+    two or more, and each point is its own column, so a point's slopes do
+    not depend on the array it comes in.
     """
     b = wrap(np.asarray(x, float)[..., :2]).reshape(-1, 2).T
     # e^{2 pi i b} = i^q e^{2 pi i (b - q/4)}: the subtraction is exact, and
@@ -401,6 +403,9 @@ def _slopes(sys: CatCircleSystem, x: np.ndarray, n: int) -> np.ndarray:
         if k < n:
             np.multiply(first, second, out=first)
             np.multiply(second, first, out=second)
+            if (k + 1) % _RENORMALISE == 0:
+                np.divide(first, np.abs(first), out=first)
+                np.divide(second, np.abs(second), out=second)
     c = 2.0 * np.pi * sys.kappa * np.array([[-E_STABLE[0]], [E_UNSTABLE[0]]])
     # each component contiguous; the component axis is last
     return np.moveaxis((c * total).reshape((2,) + np.shape(x)[:-1]), 0, -1)

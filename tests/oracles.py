@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from quasishadow.orbits import PseudoOrbit
-from quasishadow.solver import _SCAN_BLOCK, _SCAN_TINY, OrbitOperators, SolverConfig, _fiber_slide
+from quasishadow.solver import _SCAN_BLOCK, _SCAN_TINY, OrbitOperators, SolverConfig
 from quasishadow.systems import C, S, U, HyperbolicityRates, splitting_at
 from quasishadow.torus import dist, minimal_rep, norm, wrap
 
@@ -664,8 +664,8 @@ def fixed_point_from(sys, orbit, start, cfg=None, max_steps=200):
     and tolerance of ``cfg``, until the update ``ops.norm_one(w_new - w)``
     drops below ``cfg.fixed_point_tol``; no gate, no epsilon ball.  The
     corrections are read off as a solve reports them: the center
-    coefficients (tau1 and tau3), or the theta moves of the fiber slides
-    onto the transversal disks (tau2, zero in a window's row 0).
+    coefficients (tau1 and tau3), or the theta gaps from f(y_{k-1}) to y_k
+    (tau2, zero in a window's row 0).
     """
     cfg = cfg if cfg is not None else SolverConfig()
     ops = OrbitOperators(sys, orbit.points, orbit.cyclic, cfg)
@@ -680,10 +680,8 @@ def fixed_point_from(sys, orbit, start, cfg=None, max_steps=200):
             if cfg.variant in ("tau1", "tau3"):
                 corrections = w[..., C].copy()
             else:
-                fy, x = sys.forward(y[ops.step_src]), ops.points[ops.step_dst]
-                move = _fiber_slide(ops.split[ops.step_dst], minimal_rep(fy[..., :2] - x[..., :2]))[1]
                 corrections = np.zeros(len(y))
-                corrections[ops.step_dst] = minimal_rep(wrap(x + move)[..., 2] - fy[..., 2])
+                corrections[ops.step_dst] = minimal_rep(y[ops.step_dst, 2] - sys.forward(y[ops.step_src])[..., 2])
             return y, corrections, np.array(deltas)
     raise AssertionError(f"no fixed point within {max_steps} steps")
 
@@ -701,6 +699,24 @@ def center_flow_step_residual(sys, res):
     return float(np.max(dist(res.y[dst], wrap(flowed))))
 
 
+def fiber_slide(split, d_base):
+    """Move along the vertical fiber that turns a base offset into a transversal vector.
+
+    Solves d_base = a e_s + c e_u for the base parts of the stable and
+    unstable directions of ``split`` (a 2x2 linear solve per point by
+    Cramer's rule) and returns the coefficients (a, 0, c) and the ambient
+    move a e_s + c e_u, assembled by einsum.
+    """
+    E = split.frames[..., :2, :][..., [S, U]]
+    det = E[..., 0, 0] * E[..., 1, 1] - E[..., 0, 1] * E[..., 1, 0]
+    a = (E[..., 1, 1] * d_base[..., 0] - E[..., 0, 1] * d_base[..., 1]) / det
+    c = (-E[..., 1, 0] * d_base[..., 0] + E[..., 0, 0] * d_base[..., 1]) / det
+    w = np.zeros(a.shape + (3,))
+    w[..., S] = a
+    w[..., U] = c
+    return w, einsum_assemble(split, w)
+
+
 def transversal_slide(sys, x, z):
     """Move z along its fiber onto the transversal disk through x.
 
@@ -709,7 +725,7 @@ def transversal_slide(sys, x, z):
     """
     x = wrap(x)
     z = np.asarray(z, float)
-    return wrap(x + _fiber_slide(splitting_at(sys, x), minimal_rep(z[..., :2] - x[:2]))[1])
+    return wrap(x + fiber_slide(splitting_at(sys, x), minimal_rep(z[..., :2] - x[:2]))[1])
 
 
 def tau2_lipschitz(sys, x, n_samples=200, radius=0.04, seed=0):

@@ -411,6 +411,11 @@ def test_semiconjugacy_refuses_empty_windows(product_sys, window):
         qs.build_semiconjugacy(product_sys, product_sys, grid_points(2), _cfg(), window=window)
 
 
+def test_semiconjugacy_refuses_an_empty_grid(product_sys):
+    with pytest.raises(ValueError, match="grid must hold at least one point"):
+        qs.build_semiconjugacy(product_sys, product_sys, np.zeros((0, 3)), _cfg(), window=5)
+
+
 def test_conjugacy_map_serialization(tmp_path, product_sys):
     import json
 

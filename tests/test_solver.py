@@ -10,7 +10,7 @@ import quasishadow as qs
 from quasishadow.cli import to_json
 from quasishadow.errors import AdmissibilityError, ChartError, ConvergenceError
 from quasishadow.solver import _SCAN_BLOCK, _SCAN_TINY, _affine_scan
-from quasishadow.systems import C, LAM, MU, S, U
+from quasishadow.systems import C, E_STABLE, LAM, MU, S, U
 
 from oracles import (
     blocked_affine_scan,
@@ -21,6 +21,7 @@ from oracles import (
     dense_unstable_window,
     einsum_assemble,
     eta_lipschitz_fd,
+    fiber_slide,
     fixed_point_from,
     matmul_transfer,
     periodic_base_point,
@@ -411,6 +412,55 @@ def test_tau2_lipschitz_measured(product_sys, skew_sys):
     assert k1_flat <= 1.0 + 1e-12
     k1_skew = tau2_lipschitz(skew_sys, (0.3, 0.4, 0.5))
     assert k1_skew <= 1.2
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kappa=st.sampled_from([0.0, 0.02, 0.3]),
+    cyclic=st.booleans(),
+    batch=st.booleans(),
+    n=st.integers(2, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_tau2_beta_is_the_fiber_slide(kappa, cyclic, batch, n, seed):
+    # tau2's beta is the frame coefficients of d with the center one zeroed:
+    # to rounding, the 2x2 solve d_base = a e_s + c e_u of the oracle, and a
+    # move along the fiber, so its base part is d's; theta gaps of any size
+    # do not enter
+    sys = qs.CatCircleSystem(0.3, kappa)
+    rng = np.random.default_rng(seed)
+    shape = ((3,) if batch else ()) + (n, 3)
+    ops = qs.OrbitOperators(sys, rng.random(shape), cyclic, qs.SolverConfig(variant="tau2"))
+    d = rng.uniform(-0.5, 0.5, shape[:-2] + (n if cyclic else n - 1, 3))
+    d[..., :2] *= 0.02
+    beta = ops._beta(d, None)
+    want, want_move = fiber_slide(ops.split[..., ops.step_dst], d[..., :2])
+    got, move = beta[..., ops.step_dst, :], ops.transversal(beta)[0][..., ops.step_dst, :]
+    tol = 4e-15 * np.linalg.norm(d[..., :2], axis=-1, keepdims=True)
+    assert np.all(got[..., C] == 0.0)
+    assert np.all(np.abs(got - want) <= tol)
+    assert np.all(np.abs(move - want_move) <= tol)
+    assert np.all(np.abs(move[..., :2] - d[..., :2]) <= tol)
+    if not cyclic:
+        assert np.all(beta[..., 0, :] == 0.0)
+
+
+def test_tau2_leaf_cycle_with_a_half_turn_wrap_gap():
+    # a 6-cycle started 1e-4 along the stable direction from a periodic base
+    # point; alpha puts f(y_5) at a theta gap of 1/2 - 1e-9 from x_0, so its
+    # chart distance passes rho0 = 1/2 (logmap refuses it) and the gap plus
+    # the center time, about 1, needs its minimal_rep
+    sys = qs.cat_circle_system(0.08333405396291282, 0.02)
+    x0 = np.array([0.1, 0.2, 0.3]) + 1e-4 * E_STABLE
+    cyc = qs.PseudoOrbit(sys.orbit(x0, 5), cyclic=True, leaf_mode=True)
+    wrap_gap = qs.minimal_rep(sys.forward(cyc.points[-1]) - cyc.points[0])[2]
+    assert abs(abs(wrap_gap) - 0.5) < 1e-3
+    res = qs.shadow(sys, cyc, qs.SolverConfig(variant="tau2"))
+    assert res.step_residual <= 1e-12
+    assert res.center_residual <= 1e-12
+    fy = sys.forward(res.y[-1])
+    assert qs.dist(fy, res.x[0]) > 0.5
+    assert abs(qs.minimal_rep(fy - res.x[0])[2] + res.corrections[0]) > 0.5
 
 
 def test_tau2_solution_structure(product_sys):

@@ -87,7 +87,6 @@ def test_analytic_splitting_frames(product_sys):
     e_u /= np.linalg.norm(e_u)
     assert np.allclose(split.frames[:, U], e_u, atol=1e-12)
     assert np.array_equal(split.frames[:, C], [0.0, 0.0, 1.0])
-    assert product_sys.center_dimension == 1
     # frame agrees with a dense eigendecomposition
     assert np.allclose(split.frames, eigen_frames(), atol=1e-12)
     # one constant frame serves every point
