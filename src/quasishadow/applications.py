@@ -19,7 +19,7 @@ import numpy as np
 from .errors import QuasiShadowError, SearchError
 from .orbits import PseudoOrbit, as_points, write_table
 from .solver import ShadowResult, SolverConfig, shadow, shadow_batch
-from .systems import CatCircleSystem, leaf_dist, splitting_at
+from .systems import CatCircleSystem, _forward_walk, leaf_dist, splitting_at
 from .torus import dist, expmap, logmap, minimal_rep, wrap
 
 # grid points solved as one batch: large enough that per-call overhead
@@ -34,7 +34,8 @@ class PeriodicCenterLeaf:
     """A representative point on a fiber that the period-th iterate maps to itself.
 
     ``leaf_residual`` is the measured base gap between the fiber of the
-    representative and its period-th image; verifying by iteration
+    representative and its period-th image, whose base is walked alone
+    (the base never reads theta); verifying by iteration
     amplifies float error of the representative by the unstable product,
     so the residual scales like mu^period times the solve accuracy.
     """
@@ -71,7 +72,9 @@ def find_periodic_center_leaf(
     (:func:`~quasishadow.orbits.find_near_return`) or an anchor chain along
     one fiber.  The tracing sequence of the period-n cyclic orbit is itself
     periodic, so the fiber of y_0 returns to itself after n steps; the leaf
-    residual iterates y_0 n times on :meth:`CatCircleSystem.orbit`.
+    residual walks the base of y_0 n times and keeps only the last point
+    (:func:`~quasishadow.systems._forward_walk` with ``base_only``), which
+    has the base bits of :meth:`CatCircleSystem.orbit`'s last row.
     The solve runs :func:`closing_variant` of the requested variant: tau2
     slides along fibers; tau3 moves along the center, so it admits pointwise
     returns only.  A window (a non-cyclic orbit) raises ValueError.
@@ -84,7 +87,7 @@ def find_periodic_center_leaf(
     return PeriodicCenterLeaf(
         point=p,
         period=len(cycle),
-        leaf_residual=leaf_dist(p, sys.orbit(p, len(cycle))[-1]),
+        leaf_residual=leaf_dist(p, _forward_walk(sys, wrap(p).tolist(), len(cycle), base_only=True)),
         trace_max=res.max_trace_dist,
         result=res,
     )

@@ -272,8 +272,8 @@ def run_shadow(config: dict, out_dir: Path | None = None, stem: str = "shadow") 
     ]
     report = _report("shadow", config, results, checks, started)
     if out_dir is not None:
-        res.write_csv(out_dir / f"{stem}_trajectory.csv")
-        orbit.write_csv(out_dir / f"{stem}_orbit.csv")
+        # the orbit's k, x1..x3 lead every trajectory line: both files come from one pass
+        res.write_csv(out_dir / f"{stem}_trajectory.csv", out_dir / f"{stem}_orbit.csv")
         write_report(report, out_dir / f"{stem}_report.json")
     return report
 

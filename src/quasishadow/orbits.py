@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from array import array
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SearchError
-from .systems import CatCircleSystem, leaf_dist
-from .torus import RHO_DEFAULT, dist, norm, wrap, wrap_float
+from .systems import CatCircleSystem, _backward_walk, _forward_walk, leaf_dist
+from .torus import RHO_DEFAULT, dist, norm, wrap
 
 # generator recorded in reports so runs are reproducible from the config
 RNG_KIND = "numpy.random.default_rng (PCG64)"
@@ -110,29 +110,35 @@ def _float_slots(v: np.ndarray) -> np.ndarray:
     exact &= d < _POW10[17]  # a carry into an 18th digit leaves the exact path
     d[zero | ~exact] = 0
     exact |= zero
-    e = 16 - k
+    e = (16 - k).astype(np.int32)
     # %g: fixed notation for -4 <= E < 17, else one digit and an exponent;
     # q digits stand before the point, which goes when no digit follows it
     q = np.where(e >= -4, np.maximum(e + 1, 0), 1)
-    point = (q > 0) & (d % _POW10[17 - q] != 0)
-    # digits 1-16 in four groups; a group with no nonzero digit after it keeps
-    # its first _HELD[q] digits and strips the trailing zeros behind them
-    high, low = d // 10**8, d % 10**8
-    groups = np.empty((n, 4), np.int64)
+    wide = np.flatnonzero(q > 1)
+    # the leading digit, then digits 1-16 in four groups, all in int32
+    high = d // 10**8
+    low = (d - high * 10**8).astype(np.int32)
+    high = high.astype(np.int32)
+    groups = np.empty((n, 4), np.int32)
     groups[:, 0], groups[:, 1] = high // 10**4 % 10**4, high % 10**4
     groups[:, 2], groups[:, 3] = low // 10**4, low % 10**4
-    later = np.zeros((n, 4), bool)
-    later[:, 2] = groups[:, 3] != 0
-    later[:, 1] = low != 0
-    later[:, 0] = later[:, 1] | (groups[:, 1] != 0)
-    groups += np.maximum(40_000 * later, _HELD[q])
+    # a group with a nonzero digit after it keeps all four digits; the others
+    # strip their trailing zeros, behind the first _HELD[q] digits for q > 1
+    keep = np.zeros((n, 4), np.int32)
+    np.multiply(groups[:, 3] != 0, 40_000, out=keep[:, 2])
+    np.multiply(low != 0, 40_000, out=keep[:, 1])
+    np.multiply((groups[:, 1] != 0) | (low != 0), 40_000, out=keep[:, 0])
+    point = (q == 1) & ((keep[:, 0] != 0) | (groups[:, 0] != 0))
+    if wide.size:
+        keep[wide] = np.maximum(keep[wide], _HELD[q[wide]])
+        point[wide] = d[wide] % _POW10[17 - q[wide]] != 0
+    groups += keep
     head = ((np.signbit(v) * 22 + e + 6) * 10 + high // 10**8) * 2 + point
     out = np.empty((n, 8), np.uint32)
     out.view(np.uint64)[:, 0] = _HEAD.take(head)
     out[:, 2:6] = _TRAILING.take(groups)
     out.view(np.uint64)[:, 3] = _TAIL.take(e + 6)
     out = out.view(np.uint8)
-    wide = np.flatnonzero(q > 1)
     if wide.size:
         out[wide, 6:24] = np.take_along_axis(out[wide, 6:24], _SHIFT[q[wide]], axis=1)
     rest = np.flatnonzero(~exact)
@@ -157,25 +163,38 @@ def _index_slots(k: np.ndarray) -> np.ndarray:
     return out
 
 
-def _csv_rows(rows: np.ndarray, index: bool) -> bytes:
-    """The CSV lines of a 2-d float array, each ending in "\r\n"."""
+_CRLF = np.frombuffer(b"\r\n", np.uint8)
+_SEPARATOR = np.frombuffer(b",\0", np.uint8)
+
+
+def _csv_rows(rows: np.ndarray, index: bool, widths: list[int]) -> list[bytes]:
+    """For each count in ``widths``, the CSV lines of that many leading columns of a 2-d float array.
+
+    Every value is formatted once; each text ends its lines in "\r\n".
+    """
     fields = []
     if index:
         fields.append(_index_slots(rows[:, 0]))
     if rows.shape[1] > index:
         fields.append(_float_slots(rows[:, int(index) :].ravel()).reshape(len(rows), -1))
     line = np.concatenate(fields, axis=1)
-    line[:, -4] = ord("\r")  # the last separator
-    line[:, -3] = ord("\n")
-    return line[line != 0].tobytes()
+    texts = []
+    for width in widths:
+        end = 32 * width - 4 * index  # the last slot ends with its separator and three NULs
+        line[:, end - 4 : end - 2] = _CRLF
+        texts.append(line[:, :end].tobytes().translate(None, b"\0"))
+        line[:, end - 4 : end - 2] = _SEPARATOR
+    return texts
 
 
-def write_table(path, header: list[str], table: np.ndarray, index: bool = True) -> None:
+def write_table(path, header: list[str], table: np.ndarray, index: bool = True, prefixes=()) -> None:
     """CSV of a float table, every value as format(v, ".17g"); the bytes csv.writer writes.
 
     With ``index`` the first column holds integers (an orbit's k) and is
     written as "%d" writes them.  Lines end with "\r\n", as csv.writer ends
-    them; no value needs quoting.
+    them; no value needs quoting.  Each (path, header) of ``prefixes`` gets
+    a CSV of the table's first len(header) columns, cut from the same lines,
+    so a value those files share is formatted once.
 
     The text is built in numpy a chunk of rows at a time.  A value with
     1e-6 <= |v| < 1e16 gets its 17 digits from an exact product |v| * 10^k
@@ -184,10 +203,15 @@ def write_table(path, header: list[str], table: np.ndarray, index: bool = True) 
     directly.  Every other value (non-finite, tiny, huge, or one whose
     digits carry into an 18th) is formatted by "%.17g" itself.
     """
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\r\n").encode())
+    files = [(path, header), *prefixes]
+    widths = [table.shape[1]] + [len(names) for _, names in prefixes]
+    with ExitStack() as stack:
+        handles = [stack.enter_context(open(name, "wb")) for name, _ in files]
+        for fh, (_, names) in zip(handles, files):
+            fh.write((",".join(names) + "\r\n").encode())
         for lo in range(0, len(table), _ROW_CHUNK):
-            fh.write(_csv_rows(table[lo : lo + _ROW_CHUNK], index))
+            for fh, text in zip(handles, _csv_rows(table[lo : lo + _ROW_CHUNK], index, widths)):
+                fh.write(text)
 
 
 def as_points(points) -> np.ndarray:
@@ -262,12 +286,6 @@ def _ball_draws(rng: np.random.Generator, count: int, radius: float, dim: int) -
     return direction * r[:, None]
 
 
-def _float_rows(table: np.ndarray):
-    """The rows of a 2-d array as lists of Python floats, converted a chunk at a time."""
-    for lo in range(0, len(table), _ROW_CHUNK):
-        yield from table[lo : lo + _ROW_CHUNK].tolist()
-
-
 def generate_noisy(
     sys: CatCircleSystem,
     x0,
@@ -283,28 +301,21 @@ def generate_noisy(
     error dist(f(x_k), x_{k+1}) under ``sys`` is its drawn offset up to
     rounding, and the offsets are drawn a hair inside the ball, so every
     error stays at most ``noise``.
-    Deterministic for a fixed seed.  Steps on the float kernel
-    (:meth:`CatCircleSystem.step`), wrapping twice like ``wrap(forward(x) + xi)``.
+    Deterministic for a fixed seed.  Walks on Python floats
+    (:func:`~quasishadow.systems._forward_walk` and ``_backward_walk``),
+    wrapping twice like ``wrap(forward(x) + xi)``.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if not 0.0 <= noise < rho:
         raise ValueError(f"noise must lie in [0, rho={rho}), got {noise}")
-    x0 = wrap(x0)
+    p = wrap(x0).tolist()
     rng = np.random.default_rng(seed)
     xi = _ball_draws(rng, 2 * n_steps, noise, 3)
-    forward, backward = array("d"), array("d")  # x_1 .. x_n and x_-1 .. x_-n
-    x = x0.tolist()
-    for e0, e1, e2 in _float_rows(xi[:n_steps]):
-        f0, f1, f2 = sys.step(*x)
-        x = wrap_float(f0 + e0), wrap_float(f1 + e1), wrap_float(f2 + e2)
-        forward.extend(x)
-    x = x0.tolist()
-    for e0, e1, e2 in _float_rows(xi[n_steps:]):
-        x = sys.step_inverse(wrap_float(x[0] + e0), wrap_float(x[1] + e1), wrap_float(x[2] + e2))
-        backward.extend(x)
-    backward = np.frombuffer(backward).reshape(-1, 3)[::-1]
-    pts = np.concatenate([backward, x0[None], np.frombuffer(forward).reshape(-1, 3)])
+    forward = np.frombuffer(_forward_walk(sys, p, n_steps, xi[:n_steps])).reshape(-1, 3)
+    backward = np.frombuffer(_backward_walk(sys, p, n_steps, xi[n_steps:])).reshape(-1, 3)
+    # x_-n .. x_0, then x_1 .. x_n
+    pts = np.concatenate([backward[::-1], forward[1:]])
     return PseudoOrbit(pts, k_start=-n_steps)
 
 
@@ -319,9 +330,10 @@ def find_near_return(
 
     "point" mode measures :func:`dist`; "leaf" mode measures :func:`leaf_dist`,
     the Hausdorff distance between center fibers, which for circle fibers is
-    the base distance.  The walk is :meth:`CatCircleSystem.orbit`, taken
-    ``_WALK_CHUNK`` steps at a time and measured a chunk at once, so the
-    cycle holds the rows of ``sys.orbit(x0, n - 1)``.
+    the base distance.  The walk is :meth:`CatCircleSystem.orbit`, a loop on
+    Python floats with no call per step, taken ``_WALK_CHUNK`` steps at a
+    time and measured a chunk at once, so the cycle holds the rows of
+    ``sys.orbit(x0, n - 1)``.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")

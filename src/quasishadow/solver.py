@@ -192,7 +192,12 @@ class ShadowResult:
     delta_history: np.ndarray
     cyclic: bool
 
-    def write_csv(self, path) -> None:
+    def write_csv(self, path, orbit_path=None) -> None:
+        """The trajectory CSV; with ``orbit_path`` also the CSV of the pseudo orbit, cut from its lines.
+
+        The pseudo orbit's file, as :meth:`~quasishadow.orbits.PseudoOrbit.write_csv` writes it,
+        is the k, x1..x3 that lead every trajectory line.
+        """
         d = self.x.shape[1]
         header = (
             ["k"]
@@ -201,7 +206,8 @@ class ShadowResult:
             + ["dist", "correction_norm"]
         )
         cols = [self.ks, self.x, self.y, dist(self.x, self.y), np.abs(self.corrections)]
-        write_table(path, header, np.column_stack(cols))
+        prefixes = [] if orbit_path is None else [(orbit_path, header[: d + 1])]
+        write_table(path, header, np.column_stack(cols), prefixes=prefixes)
 
 
 def _slope_transfer(sys: CatCircleSystem, X: np.ndarray, slopes: np.ndarray, src, dst):

@@ -29,10 +29,11 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .errors import RateOrderError
+from .errors import ChartError, RateOrderError
 from .torus import minimal_rep, norm, wrap, wrap_float
 
 CAT = np.array([[2.0, 1.0], [1.0, 1.0]])
@@ -81,15 +82,17 @@ class CatCircleSystem:
     analytic frame serves every point.  The rates are bounded in closed
     form by :func:`rate_bounds`.
 
-    :meth:`forward` and :meth:`inverse` map arrays of points.  The loops
+    :meth:`forward` and :meth:`inverse` map arrays of points.  The walks
     that step one point at a time (:meth:`orbit`, which near-return searches
-    and leaf residuals walk, and the two of noisy orbits) run on :meth:`step`
-    and :meth:`step_inverse`, which take three Python floats and repeat the
-    operation order of the array maps.  Their results are bit-identical as long as ``math.sin``
-    and ``np.sin`` agree, which rests on the platform's libm; the test
-    suite checks it.  At kappa = 0 all four skip the kappa sin term, whose +-0.0 :func:`wrap`
-    makes +0.0; only an overflowing 2 pi x_0 (0 sin(inf) = nan) is now mapped, not refused.
-    The array maps also skip adding an all-zero ``shift``, for the same reason.
+    walk, the leaf residual's base walk and the two halves of a noisy orbit)
+    run :func:`_forward_walk` and :func:`_backward_walk`, loops on Python
+    floats that repeat the operation order of the array maps.  Their results
+    are bit-identical as long as ``math.sin`` and ``np.sin`` agree, which
+    rests on the platform's libm; the test suite checks it.  At kappa = 0
+    the maps and the walks skip the kappa sin term, whose +-0.0 :func:`wrap`
+    makes +0.0; only an overflowing 2 pi x_0 (0 sin(inf) = nan) is now
+    mapped, not refused.  The array maps also skip adding an all-zero
+    ``shift``, for the same reason.
     """
 
     def __init__(self, alpha: float = 0.0, kappa: float = 0.0, shift=None) -> None:
@@ -103,7 +106,6 @@ class CatCircleSystem:
         self.shift = np.zeros(3) if shift is None else np.asarray(shift, float)
         if self.shift.shape != (3,):
             raise ValueError("shift must be a 3-vector")
-        self._shift_floats = tuple(self.shift.tolist())
         # adding +-0.0 changes at most the sign of a zero, which wrap resets
         self._shifted = bool(self.shift.any())
 
@@ -133,24 +135,6 @@ class CatCircleSystem:
             out[..., 2] -= self.kappa * np.sin(2.0 * np.pi * out[..., 0])
         return wrap(out)
 
-    def step(self, x0: float, x1: float, x2: float) -> tuple[float, float, float]:
-        """:meth:`forward` of one point given as three Python floats."""
-        s0, s1, s2 = self._shift_floats
-        theta = x2 + self.alpha
-        if self.kappa != 0.0:
-            theta += self.kappa * _sin_2pi(x0)
-        return wrap_float((2.0 * x0 + x1) + s0), wrap_float((x0 + x1) + s1), wrap_float(theta + s2)
-
-    def step_inverse(self, x0: float, x1: float, x2: float) -> tuple[float, float, float]:
-        """:meth:`inverse` of one point given as three Python floats."""
-        s0, s1, s2 = self._shift_floats
-        z0, z1 = x0 - s0, x1 - s1
-        b0 = z0 - z1
-        theta = (x2 - s2) - self.alpha
-        if self.kappa != 0.0:
-            theta -= self.kappa * _sin_2pi(b0)
-        return wrap_float(b0), wrap_float(-z0 + 2.0 * z1), wrap_float(theta)
-
     def differential(self, x) -> np.ndarray:
         """Exact Jacobian of the chart map at x, shape (..., 3, 3); only x[..., 0] enters."""
         b1 = np.asarray(x, float)[..., 0]
@@ -163,19 +147,106 @@ class CatCircleSystem:
     def orbit(self, x0, n_steps: int) -> np.ndarray:
         """Points x, f(x), ..., f^(n_steps)(x) of one point x; shape (n_steps + 1, 3).
 
-        Steps on :meth:`step`, so the rows equal those of iterating :meth:`forward`.
+        Walks on :func:`_forward_walk`, so the rows equal those of iterating :meth:`forward`.
         """
         x = wrap(x0)
         if x.shape != (3,):
             raise ValueError("orbit starts from one point, a 3-vector")
         if n_steps < 0:
             raise ValueError("n_steps must be >= 0")
-        p = x.tolist()
-        out = array("d", p)
-        for _ in range(n_steps):
-            p = self.step(*p)
-            out.extend(p)
-        return np.frombuffer(out).reshape(-1, 3)
+        return np.frombuffer(_forward_walk(self, x.tolist(), n_steps)).reshape(-1, 3)
+
+
+def _noise_rows(noise: np.ndarray | None, n_steps: int):
+    """The rows of an (n_steps, 3) float array as tuples of Python floats, or n_steps Nones."""
+    if noise is None:
+        return repeat(None, n_steps)
+    flat = iter(memoryview(np.ascontiguousarray(noise, float).reshape(-1)))
+    return zip(flat, flat, flat)
+
+
+def _forward_walk(sys: CatCircleSystem, p, n_steps: int, noise=None, base_only: bool = False) -> array:
+    """p and its n_steps images under :meth:`CatCircleSystem.forward`, stepped on Python floats.
+
+    ``p`` is three floats in [0, 1); the result is a flat ``array("d")`` of
+    the n_steps + 1 points.  Each coordinate is summed in the array map's
+    order and reduced by ``% 1.0``; a step with a coordinate that is not
+    below 1.0 (the 1.0 of a tiny negative sum, the nan of a non-finite one)
+    is redone by :func:`wrap_float`, so 1.0 becomes 0.0 and nan raises
+    :class:`ChartError`, as :func:`wrap` does.  With ``noise``, an
+    (n_steps, 3) array, each image is moved by its row and wrapped again:
+    the forward half of a noisy orbit.  With ``base_only`` theta is not
+    stepped and only the last point is kept, with p's theta; the base never
+    reads theta, so the base has the bits of the full walk.
+    """
+    alpha, kappa, turn = sys.alpha, sys.kappa, 2.0 * math.pi
+    s0, s1, s2 = sys.shift.tolist()
+    x0, x1, x2 = p
+    out = array("d", p) * (1 if base_only else n_steps + 1)
+    i = 0
+    for e in _noise_rows(noise, n_steps):
+        u0, u1 = (2.0 * x0 + x1) + s0, (x0 + x1) + s1
+        y0, y1 = u0 % 1.0, u1 % 1.0
+        if base_only:
+            if not (y0 < 1.0 and y1 < 1.0):
+                y0, y1 = wrap_float(u0), wrap_float(u1)
+            x0, x1 = y0, y1
+            continue
+        u2 = x2 + alpha
+        if kappa != 0.0:
+            u2 += kappa * math.sin(turn * x0)
+        u2 += s2
+        y2 = u2 % 1.0
+        if not (y0 < 1.0 and y1 < 1.0 and y2 < 1.0):
+            y0, y1, y2 = wrap_float(u0), wrap_float(u1), wrap_float(u2)
+        if e is not None:
+            u0, u1, u2 = y0 + e[0], y1 + e[1], y2 + e[2]
+            y0, y1, y2 = u0 % 1.0, u1 % 1.0, u2 % 1.0
+            if not (y0 < 1.0 and y1 < 1.0 and y2 < 1.0):
+                y0, y1, y2 = wrap_float(u0), wrap_float(u1), wrap_float(u2)
+        i += 3
+        x0 = out[i] = y0
+        x1 = out[i + 1] = y1
+        x2 = out[i + 2] = y2
+    if base_only:
+        out[0], out[1] = x0, x1
+    return out
+
+
+def _backward_walk(sys: CatCircleSystem, p, n_steps: int, noise=None) -> array:
+    """p and n_steps points back, each the :meth:`CatCircleSystem.inverse` of the one before.
+
+    As :func:`_forward_walk`, on Python floats in the array map's order.
+    With ``noise``, an (n_steps, 3) array, each point is moved by its row and
+    wrapped before it is mapped: the backward half of a noisy orbit.  A
+    sine argument that overflows (only a shift near the float limit makes
+    one) raises the :class:`ChartError` of the nan theta it stands for.
+    """
+    alpha, kappa, turn = sys.alpha, sys.kappa, 2.0 * math.pi
+    s0, s1, s2 = sys.shift.tolist()
+    x0, x1, x2 = p
+    out = array("d", p) * (n_steps + 1)
+    i = 0
+    try:
+        for e in _noise_rows(noise, n_steps):
+            if e is not None:
+                u0, u1, u2 = x0 + e[0], x1 + e[1], x2 + e[2]
+                x0, x1, x2 = u0 % 1.0, u1 % 1.0, u2 % 1.0
+                if not (x0 < 1.0 and x1 < 1.0 and x2 < 1.0):
+                    x0, x1, x2 = wrap_float(u0), wrap_float(u1), wrap_float(u2)
+            z0, z1 = x0 - s0, x1 - s1
+            u0, u1 = z0 - z1, -z0 + 2.0 * z1
+            u2 = (x2 - s2) - alpha
+            if kappa != 0.0:
+                u2 -= kappa * math.sin(turn * u0)
+            x0, x1, x2 = u0 % 1.0, u1 % 1.0, u2 % 1.0
+            if not (x0 < 1.0 and x1 < 1.0 and x2 < 1.0):
+                x0, x1, x2 = wrap_float(u0), wrap_float(u1), wrap_float(u2)
+            i += 3
+            out[i], out[i + 1], out[i + 2] = x0, x1, x2
+    except ValueError:  # math.sin(+-inf)
+        raise ChartError("non-finite coordinate in point") from None
+    return out
 
 
 def _cat(b0, b1):
@@ -190,14 +261,6 @@ def _cat(b0, b1):
 def _cat_inv(z0, z1):
     """CAT^-1 @ (z0, z1) with CAT^-1 = [[1, -1], [-1, 2]], one coordinate at a time."""
     return z0 - z1, -z0 + 2.0 * z1
-
-
-def _sin_2pi(t: float) -> float:
-    """sin(2 pi t) as the array maps compute it; nan where ``np.sin`` gives nan (t = +-inf)."""
-    try:
-        return math.sin(2.0 * math.pi * t)
-    except ValueError:
-        return math.nan
 
 
 def cat_circle_system(
@@ -387,11 +450,10 @@ def _slopes(sys: CatCircleSystem, x: np.ndarray, n: int) -> np.ndarray:
     s0, s1 = sys.shift[:2].tolist()
     shifted = s0 != 0.0 or s1 != 0.0
     if shifted:
-        # first coordinates of f^k(0) and f^-k(0), stepped as the maps step
-        origins, phases = [(0.0, 0.0, 0.0)] * 2, np.empty((n + 1, 2))
-        for k in range(n + 1):
-            phases[k] = origins[0][0], origins[1][0]
-            origins = [sys.step(*origins[0]), sys.step_inverse(*origins[1])]
+        # first coordinates of f^k(0) and f^-k(0), walked as the maps step
+        origin = (0.0, 0.0, 0.0)
+        walks = (_forward_walk(sys, origin, n), _backward_walk(sys, origin, n))
+        phases = np.column_stack([np.frombuffer(walk)[::3] for walk in walks])
         weights, weights_sin = weights * np.cos(2.0 * np.pi * phases), weights * np.sin(2.0 * np.pi * phases)
     total, t = np.zeros(b.shape), np.empty(b.shape)
     for k in range(n + 1):

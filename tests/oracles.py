@@ -18,10 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from quasishadow.orbits import PseudoOrbit
+from quasishadow.orbits import PseudoOrbit, _ball_draws
 from quasishadow.solver import _SCAN_BLOCK, _SCAN_TINY, OrbitOperators, SolverConfig
 from quasishadow.systems import C, S, U, HyperbolicityRates, splitting_at
-from quasishadow.torus import dist, minimal_rep, norm, wrap
+from quasishadow.torus import dist, minimal_rep, norm, wrap, wrap_float
 
 ACAT = np.array([[2.0, 1.0], [1.0, 1.0]])
 MU = float((3.0 + np.sqrt(5.0)) / 2.0)
@@ -558,6 +558,67 @@ def array_leaf_residual(sys, p, period):
     for _ in range(period):
         z = matmul_forward(sys, z)
     return _norm(z[:2] - np.asarray(p, float)[:2])
+
+
+# The one-point float kernel the library's walks inline: three Python
+# floats mapped in the operation order of ``forward`` / ``inverse``, and
+# the loops that stepped it one call at a time; the walks must equal them
+# bit for bit.
+
+
+def _sin_2pi(t: float) -> float:
+    """sin(2 pi t) as the array maps compute it; nan where ``np.sin`` gives nan (t = +-inf)."""
+    try:
+        return math.sin(2.0 * math.pi * t)
+    except ValueError:
+        return math.nan
+
+
+def step(sys, x0: float, x1: float, x2: float) -> tuple[float, float, float]:
+    """``sys.forward`` of one point given as three Python floats."""
+    s0, s1, s2 = sys.shift.tolist()
+    theta = x2 + sys.alpha
+    if sys.kappa != 0.0:
+        theta += sys.kappa * _sin_2pi(x0)
+    return wrap_float((2.0 * x0 + x1) + s0), wrap_float((x0 + x1) + s1), wrap_float(theta + s2)
+
+
+def step_inverse(sys, x0: float, x1: float, x2: float) -> tuple[float, float, float]:
+    """``sys.inverse`` of one point given as three Python floats."""
+    s0, s1, s2 = sys.shift.tolist()
+    z0, z1 = x0 - s0, x1 - s1
+    b0 = z0 - z1
+    theta = (x2 - s2) - sys.alpha
+    if sys.kappa != 0.0:
+        theta -= sys.kappa * _sin_2pi(b0)
+    return wrap_float(b0), wrap_float(-z0 + 2.0 * z1), wrap_float(theta)
+
+
+def stepped_orbit(sys, x0, n_steps, one_point=step):
+    """Points x, g(x), ..., g^n(x) from n calls of ``one_point`` (g = f, or f^-1 for :func:`step_inverse`)."""
+    x = tuple(wrap(x0).tolist())
+    out = [x]
+    for _ in range(n_steps):
+        x = one_point(sys, *x)
+        out.append(x)
+    return np.array(out)
+
+
+def stepped_noisy(sys, x0, n_steps, noise, seed):
+    """The points of ``generate_noisy`` as its step-per-call loops made them, from the same draws."""
+    x0 = wrap(x0)
+    xi = _ball_draws(np.random.default_rng(seed), 2 * n_steps, noise, 3)
+    forward, backward = [], []  # x_1 .. x_n and x_-1 .. x_-n
+    x = x0.tolist()
+    for e0, e1, e2 in xi[:n_steps].tolist():
+        f0, f1, f2 = step(sys, *x)
+        x = wrap_float(f0 + e0), wrap_float(f1 + e1), wrap_float(f2 + e2)
+        forward.append(x)
+    x = x0.tolist()
+    for e0, e1, e2 in xi[n_steps:].tolist():
+        x = step_inverse(sys, wrap_float(x[0] + e0), wrap_float(x[1] + e1), wrap_float(x[2] + e2))
+        backward.append(x)
+    return np.concatenate([np.reshape(backward[::-1], (-1, 3)), x0[None], np.reshape(forward, (-1, 3))])
 
 
 def csv_writer_bytes(path, header, rows):

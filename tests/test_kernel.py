@@ -1,8 +1,10 @@
-"""The float step kernel against the array maps and the single-point loops it replaced.
+"""The float walks against the array maps and the one-point loops they inline.
 
-Every comparison is exact: the kernel repeats the operation order of
-``forward`` / ``inverse``, so orbits, noisy orbits, near returns and leaf
-residuals must come out bit-identical to the array-map loops in oracles.py.
+Every comparison is exact: the one-point kernel of oracles.py (``step``,
+``step_inverse``) repeats the operation order of ``forward`` / ``inverse``,
+and the walks step the same formulas inline, so orbits, noisy orbits, near
+returns, base walks and leaf residuals must come out bit-identical to the
+array-map loops and to the loops of ``step`` calls in oracles.py.
 """
 
 import math
@@ -15,10 +17,19 @@ from hypothesis import strategies as st
 import quasishadow as qs
 from quasishadow import orbits
 from quasishadow.errors import ChartError, SearchError
-from quasishadow.systems import CatCircleSystem
-from quasishadow.torus import wrap_float
+from quasishadow.systems import CatCircleSystem, _backward_walk, _forward_walk
+from quasishadow.torus import wrap, wrap_float
 
-from oracles import array_leaf_residual, array_near_return, array_noisy_points, array_orbit
+from oracles import (
+    array_leaf_residual,
+    array_near_return,
+    array_noisy_points,
+    array_orbit,
+    step,
+    step_inverse,
+    stepped_noisy,
+    stepped_orbit,
+)
 
 unit = st.floats(0.0, 1.0, exclude_max=True)
 # 0 with a tiny negative shift is where np.mod rounds up to 1.0 and wrap resets to 0
@@ -32,6 +43,13 @@ raw_points = st.tuples(
     *[st.one_of(st.sampled_from([0.0, -0.0, -1e-20, 1.0 - 2.0**-53]), st.floats(-2.0, 3.0))] * 3
 )
 kappas = st.sampled_from([0.0, 0.02, 0.3])
+# no shift, or one with signed zeros, tiny negatives and small offsets
+signed_shifts = st.one_of(
+    st.none(),
+    st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0, -1e-20, -5e-324]), st.floats(-1e-3, 1e-3))] * 3),
+)
+# the empty walk, one step, and walks around a near-return chunk
+lengths = st.sampled_from([0, 1, orbits._WALK_CHUNK - 1, orbits._WALK_CHUNK, orbits._WALK_CHUNK + 1])
 
 
 def _same_bits(a, b):
@@ -52,8 +70,8 @@ def _inverse(sys, p):
 @given(alpha=alphas, kappa=kappas, shift=shifts, p=raw_points)
 def test_step_matches_array_maps(alpha, kappa, shift, p):
     sys = CatCircleSystem(alpha, kappa, shift=shift)
-    assert _same_bits(sys.step(*p), _forward(sys, p))
-    assert _same_bits(sys.step_inverse(*p), _inverse(sys, p))
+    assert _same_bits(step(sys, *p), _forward(sys, p))
+    assert _same_bits(step_inverse(sys, *p), _inverse(sys, p))
 
 
 def test_step_matches_array_maps_on_a_batch():
@@ -62,20 +80,20 @@ def test_step_matches_array_maps_on_a_batch():
     pts = np.random.default_rng(5).uniform(-1.0, 2.0, (5000, 3))
     fwd, inv = sys.forward(pts).tolist(), sys.inverse(pts).tolist()
     for p, f, b in zip(pts.tolist(), fwd, inv):
-        assert _same_bits(sys.step(*p), f)
-        assert _same_bits(sys.step_inverse(*p), b)
+        assert _same_bits(step(sys, *p), f)
+        assert _same_bits(step_inverse(sys, *p), b)
 
 
 def test_step_wrap_edges():
     # -1e-20 % 1.0 rounds to 1.0, which wrap maps to 0.0 on both paths
     assert np.mod(-1e-20, 1.0) == 1.0 and -1e-20 % 1.0 == 1.0
     down = CatCircleSystem(0.0, 0.3, shift=(-1e-20, -1e-20, -1e-20))
-    assert _same_bits(down.step(0.0, 0.0, 0.0), _forward(down, (0.0, 0.0, 0.0)))
+    assert _same_bits(step(down, 0.0, 0.0, 0.0), _forward(down, (0.0, 0.0, 0.0)))
     assert _same_bits(down.orbit((0.0, 0.0, 0.0), 5), np.zeros((6, 3)))
     up = CatCircleSystem(0.0, 0.3, shift=(1e-20, 1e-20, 1e-20))
     # inverse: z = -1e-20 gives b = (0, -1e-20) and theta -1e-20
-    assert _same_bits(up.step_inverse(0.0, 0.0, 0.0), _inverse(up, (0.0, 0.0, 0.0)))
-    assert _same_bits(up.step_inverse(0.0, 0.0, 0.0), np.zeros(3))
+    assert _same_bits(step_inverse(up, 0.0, 0.0, 0.0), _inverse(up, (0.0, 0.0, 0.0)))
+    assert _same_bits(step_inverse(up, 0.0, 0.0, 0.0), np.zeros(3))
 
 
 @settings(max_examples=30, deadline=None)
@@ -99,6 +117,84 @@ def test_generate_noisy_matches_array_loop(alpha, kappa, shift, x0, n, noise, se
     sys = CatCircleSystem(alpha, kappa, shift=shift)
     orbit = qs.generate_noisy(sys, x0, n, noise, seed)
     assert _same_bits(orbit.points, array_noisy_points(sys, x0, n, noise, seed))
+
+
+def _rows(walk):
+    """The points of a flat walk as an (n, 3) array."""
+    return np.frombuffer(walk).reshape(-1, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=alphas, kappa=kappas, shift=signed_shifts, x0=points, n=lengths)
+def test_walks_match_stepped_oracle(alpha, kappa, shift, x0, n):
+    sys = CatCircleSystem(alpha, kappa, shift=shift)
+    start = wrap(x0).tolist()
+    ahead, back = stepped_orbit(sys, x0, n), stepped_orbit(sys, x0, n, step_inverse)
+    assert _same_bits(sys.orbit(x0, n), ahead)
+    assert _same_bits(_rows(_backward_walk(sys, start, n)), back)
+    # zero noise adds +0.0 to coordinates in [0, 1): the noisy walks step the same points
+    still = np.zeros((n, 3))
+    assert _same_bits(_rows(_forward_walk(sys, start, n, still)), ahead)
+    assert _same_bits(_rows(_backward_walk(sys, start, n, still)), back)
+    # the base walk keeps the last base point and the start's theta
+    assert _same_bits(_forward_walk(sys, start, n, base_only=True), [*ahead[-1, :2], start[2]])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    alpha=alphas,
+    kappa=kappas,
+    shift=signed_shifts,
+    x0=points,
+    n=lengths.filter(bool),
+    noise=st.sampled_from([0.0, 1e-20, 1e-4, 1e-2]),
+    seed=st.integers(0, 2**16),
+)
+def test_generate_noisy_matches_stepped_oracle(alpha, kappa, shift, x0, n, noise, seed):
+    sys = CatCircleSystem(alpha, kappa, shift=shift)
+    orbit = qs.generate_noisy(sys, x0, n, noise, seed)
+    assert _same_bits(orbit.points, stepped_noisy(sys, x0, n, noise, seed))
+
+
+def test_walks_wrap_tiny_negative_sums_to_zero():
+    # -1e-20 % 1.0 rounds to 1.0: the walks redo such a step with wrap_float, which gives 0.0
+    n, origin, zeros = orbits._WALK_CHUNK + 1, (0.0, 0.0, 0.0), np.zeros((orbits._WALK_CHUNK + 2, 3))
+    down = CatCircleSystem(0.0, 0.3, shift=(-1e-20, -1e-20, -1e-20))
+    assert _same_bits(down.orbit(origin, n), zeros)
+    assert _same_bits(_forward_walk(down, origin, n, base_only=True), zeros[0])
+    # inverse: z = -1e-20 gives b = (0, -1e-20) and theta -1e-20
+    up = CatCircleSystem(0.0, 0.3, shift=(1e-20, 1e-20, 1e-20))
+    assert _same_bits(_rows(_backward_walk(up, origin, n)), zeros)
+    assert _same_bits(qs.generate_noisy(up, origin, n, 0.0, seed=0).points[: n + 1], zeros)
+    # noise of -1e-20 on points at the origin, which the unshifted map fixes
+    fixed, tiny = CatCircleSystem(0.0, 0.3), np.full((n, 3), -1e-20)
+    assert _same_bits(_rows(_forward_walk(fixed, origin, n, tiny)), zeros)
+    assert _same_bits(_rows(_backward_walk(fixed, origin, n, tiny)), zeros)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_walks_refuse_non_finite(bad, slot):
+    sys = CatCircleSystem(0.3, 0.02, shift=(1e-3, 0.0, -2e-4))
+    start, row = [0.1, 0.2, 0.3], np.zeros((1, 3))
+    row[0, slot] = bad
+    for walk in (_forward_walk, _backward_walk):
+        with pytest.raises(ChartError):
+            walk(sys, start, 1, row)
+    if slot < 2:
+        start[slot] = bad
+        with pytest.raises(ChartError):
+            _forward_walk(sys, start, 1, base_only=True)
+
+
+def test_backward_walk_refuses_overflowing_sine_argument():
+    # a shift near the float limit makes 2 pi b0 overflow: math.sin(inf) raises
+    # ValueError where np.sin gives the nan that wrap refuses
+    sys = CatCircleSystem(0.3, 0.02, shift=(-1e308, 0.0, 0.0))
+    with pytest.raises(ChartError):
+        step_inverse(sys, 0.1, 0.2, 0.3)
+    with pytest.raises(ChartError):
+        _backward_walk(sys, [0.1, 0.2, 0.3], 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -192,9 +288,9 @@ def test_step_refuses_non_finite(bad, slot):
     p = [0.1, 0.2, 0.3]
     p[slot] = bad
     with np.errstate(invalid="ignore"):
-        for step, array_map in ((sys.step, sys.forward), (sys.step_inverse, sys.inverse)):
+        for one_point, array_map in ((step, sys.forward), (step_inverse, sys.inverse)):
             with pytest.raises(ChartError):
-                step(*p)
+                one_point(sys, *p)
             with pytest.raises(ChartError):
                 array_map(np.array(p))
 
@@ -207,9 +303,9 @@ def test_step_refuses_overflowing_sine_argument():
         with pytest.raises(ChartError):
             sys.forward(np.array([5e307, 0.0, 0.0]))
     with pytest.raises(ChartError):
-        sys.step(5e307, 0.0, 0.0)
+        step(sys, 5e307, 0.0, 0.0)
     with pytest.raises(ChartError):
-        sys.step_inverse(5e307, 0.0, 0.0)
+        step_inverse(sys, 5e307, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("p", [(5e307, 0.0, 0.0), (-5e307, 0.25, 0.5), (8e307, -2e307, -0.0)])
@@ -217,7 +313,7 @@ def test_kappa_zero_maps_skip_the_overflowing_sine(p):
     # at kappa = 0 the maps skip the kappa sin term, so an overflowing 2 pi x0
     # no longer turns theta into nan (0 sin(inf)): the point is mapped
     sys = CatCircleSystem(0.3, 0.0, shift=(1e-3, 0.0, -2e-4))
-    fwd, inv = sys.step(*p), sys.step_inverse(*p)
+    fwd, inv = step(sys, *p), step_inverse(sys, *p)
     assert all(math.isfinite(c) for c in fwd + inv)
     assert _same_bits(fwd, _forward(sys, p))
     assert _same_bits(inv, _inverse(sys, p))
@@ -228,7 +324,12 @@ def test_kappa_zero_maps_skip_the_overflowing_sine(p):
 )
 def test_kappa_zero_maps_refuse_non_finite(p):
     sys = CatCircleSystem(0.3, 0.0)
-    for fn in (sys.step, sys.step_inverse, lambda *q: _forward(sys, q), lambda *q: _inverse(sys, q)):
+    for fn in (
+        lambda *q: step(sys, *q),
+        lambda *q: step_inverse(sys, *q),
+        lambda *q: _forward(sys, q),
+        lambda *q: _inverse(sys, q),
+    ):
         with pytest.raises(ChartError):
             fn(*p)
 
@@ -240,14 +341,15 @@ def test_wrap_float_refuses_non_finite(bad):
 
 
 def test_nan_start_refused(skew_sys):
-    x0 = (math.nan, 0.2, 0.3)
-    with pytest.raises(ChartError):
-        skew_sys.orbit(x0, 3)
-    with pytest.raises(ChartError):
-        qs.generate_noisy(skew_sys, x0, 3, 1e-4, seed=0)
-    for mode in ("point", "leaf"):
+    for bad in (math.nan, math.inf, -math.inf):
+        x0 = (bad, 0.2, 0.3)
         with pytest.raises(ChartError):
-            qs.find_near_return(skew_sys, x0, 10, 0.1, mode)
+            skew_sys.orbit(x0, 3)
+        with pytest.raises(ChartError):
+            qs.generate_noisy(skew_sys, x0, 3, 1e-4, seed=0)
+        for mode in ("point", "leaf"):
+            with pytest.raises(ChartError):
+                qs.find_near_return(skew_sys, x0, 10, 0.1, mode)
 
 
 def test_orbit_takes_one_point(skew_sys):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quasishadow.applications import ConjugacyMap
@@ -224,3 +224,54 @@ def test_shipped_config_reports_match_reference(shipped_outputs, config):
     with gzip.open(SHIPPED / f"{name}.gz", "rb") as fh:
         recorded = _canonical_report(fh.read(), diagnostics)
     assert _canonical_report((shipped_outputs(config) / name).read_bytes(), diagnostics) == recorded
+
+
+@pytest.mark.parametrize("rows", [0, 1, _ROW_CHUNK - 1, _ROW_CHUNK, _ROW_CHUNK + 1])
+def test_write_table_prefix_files_match_separate_tables(tmp_path, rows):
+    # a trajectory and its orbit from one pass: the orbit file holds the
+    # first four columns, the bytes of a table of those columns alone; a
+    # narrower file cut first must not change the wider one cut after it
+    values = np.resize(AWKWARD, (rows, 3))
+    table = np.column_stack([np.arange(rows) - rows // 2, values, values[:, ::-1], values[:, :2]])
+    header = ["k", "x1", "x2", "x3", "y1", "y2", "y3", "dist", "correction_norm"]
+    widths = (2, 4)
+    prefixes = [(tmp_path / f"cut{w}.csv", header[:w]) for w in widths]
+    write_table(tmp_path / "all.csv", header, table, prefixes=prefixes)
+    for w in (*widths, len(header)):
+        write_table(tmp_path / "alone.csv", header[:w], table[:, :w])
+        cut = tmp_path / ("all.csv" if w == len(header) else f"cut{w}.csv")
+        assert cut.read_bytes() == (tmp_path / "alone.csv").read_bytes(), w
+        assert cut.read_bytes().count(b"\r\n") == rows + 1
+
+
+@st.composite
+def short_decimals(draw):
+    """+-N / 2^m with N odd: its 17 digits are those of N * 5^m, then zeros.
+
+    The last nonzero digit falls on any place 1-16, so into each of the
+    four digit groups write_table strips trailing zeros from.
+    """
+    place = draw(st.integers(1, 16))
+    m = draw(st.integers(0, 22))
+    lo, hi = -(-(10**place) // 5**m), min((10 ** (place + 1) - 1) // 5**m, 2**53)
+    assume(lo <= hi)
+    n = draw(st.integers(lo, hi))
+    assume(n % 2 and n % 5)
+    assert len(str(n * 5**m)) == place + 1
+    return draw(st.sampled_from([1.0, -1.0])) * n / 2**m
+
+
+# |v| >= 10: q > 1 digits stand before the point, the held-digit path
+wide_floats = st.one_of(
+    st.floats(10.0, 1e17),
+    st.integers(10, 2**53).map(float),
+    st.floats(10.0, 1e17).map(lambda v: -v),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(short_decimals(), wide_floats), min_size=1, max_size=8))
+def test_write_table_matches_format_on_held_and_stripped_digits(table_bytes, values):
+    written, expected = table_bytes(np.array(values).reshape(-1, 1), index=False)
+    assert written == expected
+    assert written.split(b"\r\n")[1:-1] == [format(v, ".17g").encode() for v in values]
