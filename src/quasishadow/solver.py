@@ -10,8 +10,10 @@ the block (stable + unstable) linearization of beta at 0, eta = beta - A,
 and P w = -u + (id - A) v.  In frame coordinates the stable block of
 (id - A)^{-1} is a forward recursion pinned to zero at the left window
 edge; the unstable bundle of f is the stable bundle of f^{-1}, so the
-unstable block is the same recursion on the reversed sequence.  Cyclic
-orbits close it exactly with a rank-one correction.
+unstable block is the same recursion on the reversed sequence.  Divided
+by the slope factors n = sqrt(1 + r^2) of the frames, each recursion has
+one scalar rate, lam or 1 / mu, and runs as a blocked scan of that rate.
+Cyclic orbits close it exactly with a rank-one correction.
 
 Sequence iterates are stored as coefficient arrays c of shape (W, 3), or
 (B, W, 3) for a batch of B orbits solved together, in the per-point
@@ -57,68 +59,51 @@ from .torus import RHO0_DEFAULT, RHO_DEFAULT, dist, expmap, logmap, minimal_rep,
 
 VARIANTS = ("tau1", "tau2", "tau3")
 
-# blocked-scan chunk; multipliers below _SCAN_TINY fall back to the plain loop
+# blocked-scan chunk: one cumulative product of _SCAN_BLOCK equal rates serves every block
 _SCAN_BLOCK = 64
-_SCAN_TINY = 1e-3
 
 
-def _affine_scan(mult: np.ndarray, rhs: np.ndarray, init=0.0) -> np.ndarray:
-    """First-order recursion s_j = mult[j] * s_{j-1} + rhs[j], s_{-1} = init.
+def _affine_scan(rate: float, rhs: np.ndarray, init=0.0) -> np.ndarray:
+    """First-order recursion s_j = rate * s_{j-1} + rhs[..., j], s_{-1} = init, for one scalar rate.
 
-    ``mult`` has shape (L,) or (L, B) with per-orbit multipliers; ``rhs``
-    has shape (L, ..., B), its middle axes batching several right-hand
-    sides per orbit.  Blocks of _SCAN_BLOCK steps are solved all at once
-    with cumulative products q: a block's values are
-    q * (carry + cumsum(rhs / q)), and the only python-level loop carries
-    each block's last value into the next, so it runs L / _SCAN_BLOCK times.
-    The full blocks are one reshaped pass and the last, shorter block is the
-    same pass on its own rows (:func:`_scan_blocks`).  A block whose
-    multipliers (over all B orbits at once) drop below _SCAN_TINY keeps out
-    of the division and runs the plain loop, so a tiny multiplier on one
-    orbit switches its neighbours in the batch to the loop as well; their
-    results then differ from a solve on their own by rounding only.
-    Cat-map multipliers (about 0.38 and 1/2.62) never trigger it.
+    ``rhs`` has shape (..., L), and ``init`` broadcasts against its leading
+    axes.  The steps are cut into blocks of _SCAN_BLOCK, the last one padded
+    with zeros, and every block is solved at once from the powers
+    q_i = rate^(i+1), one cumulative product of equal rates that serves
+    every block: a block's values are q * (carry + cumsum(rhs / q)), and the
+    only python-level loop carries each block's last value into the next,
+    so it runs L / _SCAN_BLOCK times.  Each row is scanned on its own, so
+    its bits do not depend on the others.  The rate must be nonzero with
+    |rate|^_SCAN_BLOCK normal (the cat map's rates are about 0.38).
     """
-    mult = np.asarray(mult, float)
     rhs = np.asarray(rhs, float)
-    L = mult.shape[0]
-    full = L - L % _SCAN_BLOCK
-    out = np.empty(rhs.shape)
-    carry = np.zeros(rhs.shape[1:]) + init
-    if full:
-        blocks = (full // _SCAN_BLOCK, _SCAN_BLOCK)
-        m, r = mult[:full].reshape(blocks + mult.shape[1:]), rhs[:full].reshape(blocks + rhs.shape[1:])
-        values, carry = _scan_blocks(m, r, carry)
-        out[:full] = values.reshape((full,) + rhs.shape[1:])
-    if full < L:
-        out[full:] = _scan_blocks(mult[None, full:], rhs[None, full:], carry)[0][0]
+    lead, L = rhs.shape[:-1], rhs.shape[-1]
+    q = np.cumprod(np.full(min(L, _SCAN_BLOCK), rate))
+    blocks = np.zeros(lead + (-(-L // _SCAN_BLOCK), len(q)))
+    values = blocks.reshape(lead + (-1,))[..., :L]
+    values[...] = rhs
+    blocks /= q
+    np.cumsum(blocks, axis=-1, out=blocks)
+    carries = np.empty(blocks.shape[:-1] + (1,))
+    carry = carries[..., 0, 0] = np.zeros(lead) + init
+    for b in range(1, carries.shape[-2]):
+        carry = q[-1] * (carry + blocks[..., b - 1, -1])
+        carries[..., b, 0] = carry
+    blocks += carries
+    blocks *= q
+    return values
+
+
+def _rate_powers(rate: float, L: int) -> np.ndarray:
+    """rate^(j+1), j < L, with the bits of the :func:`_affine_scan` of zeros from 1.
+
+    A block's powers q times its carry 1, q_last, q_last^2, ... (multiplied in sequence).
+    """
+    q = np.cumprod(np.full(min(L, _SCAN_BLOCK), rate))
+    carries = np.cumprod(np.full((L - 1) // _SCAN_BLOCK, q[-1]))
+    out = np.tile(q, len(carries) + 1)[:L]
+    out[_SCAN_BLOCK:] *= np.repeat(carries, _SCAN_BLOCK)[: L - _SCAN_BLOCK]
     return out
-
-
-def _scan_blocks(mult: np.ndarray, rhs: np.ndarray, carry: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_affine_scan` of blocks stacked on axis 0, entered with ``carry``; (values, last value)."""
-    tiny = np.abs(mult).min(axis=tuple(range(1, mult.ndim))) < _SCAN_TINY
-    m, r = mult, rhs
-    if tiny.any():  # copies: the looped blocks' values are written into r
-        m = np.where(tiny.reshape((-1,) + (1,) * (mult.ndim - 1)), 1.0, mult)
-        r = np.where(tiny.reshape((-1,) + (1,) * (rhs.ndim - 1)), 0.0, rhs)
-    q = np.cumprod(m, axis=1)
-    q = q.reshape(q.shape[:2] + (1,) * (r.ndim - q.ndim) + q.shape[2:])
-    cs = np.cumsum(r / q, axis=1)
-    carries = np.zeros((len(m),) + rhs.shape[2:])
-    looped = []  # blocks run by the plain loop; their values wait in r
-    for b in range(len(m)):
-        if tiny[b]:
-            for j in range(mult.shape[1]):
-                carry = mult[b, j] * carry + rhs[b, j]
-                r[b, j] = carry
-            looped.append(b)
-            continue
-        carries[b] = carry
-        carry = q[b, -1] * (carry + cs[b, -1])
-    out = q * (carries[:, None] + cs)
-    out[looped] = r[looped]
-    return out, carry
 
 
 @dataclass(frozen=True)
@@ -224,9 +209,9 @@ def _slope_transfer(sys: CatCircleSystem, X: np.ndarray, slopes: np.ndarray, src
     M_us = M_su = 0 and
     M_cs = (c e_s[0] + r_s[src] - lam r_s[dst]) / n_s[src] (and M_cu alike);
     the center column is (0, 1, 0).  Returns alpha and beta_u, shape
-    ([B,] L), and the off-block bounds (0, l_c, 0) with
+    ([B,] L), the off-block bounds (0, l_c, 0) with
     l_c = max_k |M_cs| max n_s + max_k |M_cu| max n_u, where n_s and n_u are
-    |row_s| and |row_u| (see :meth:`OrbitOperators.bound_table`).
+    |row_s| and |row_u| (see :meth:`OrbitOperators.bound_table`), and (n_s, n_u).
     """
     r = np.moveaxis(slopes, -1, 0)  # (2, [B,] W): stable, unstable
     column = (2,) + (1,) * (r.ndim - 1)
@@ -239,7 +224,7 @@ def _slope_transfer(sys: CatCircleSystem, X: np.ndarray, slopes: np.ndarray, src
     bound = np.abs(m_c).max(axis=-1) * n.max(axis=-1)
     off = np.zeros(X.shape[:-2] + (3,))
     off[..., C] = bound[0] + bound[1]
-    return mult[0], mult[1], off
+    return mult[0], mult[1], off, np.moveaxis(n, 0, -1)
 
 
 class OrbitOperators:
@@ -256,7 +241,9 @@ class OrbitOperators:
     wrap-around targeting point 0.  Both are slices except the cyclic
     sources, so the step-aligned point rows are views.
     ``alpha`` and ``beta_u``, shape ([B,] L), are the scalar stable/unstable
-    block multipliers in frame coordinates.
+    block multipliers in frame coordinates: ``rates`` (lam, mu) times
+    n[dst] / n[src] for the ``scales`` n = sqrt(1 + r^2) of the slopes,
+    shape ([B,] W, 2), None for a constant splitting.
 
     ``cfg`` is the :class:`SolverConfig` solved for (the default one when
     not given): its variant selects beta, its chart radii bound beta and
@@ -299,8 +286,8 @@ class OrbitOperators:
             # transfer matrix M serves every step
             M = self.split.frames_inv @ sys.differential(np.zeros(3)) @ self.split.frames
             steps = X.shape[:-2] + (W if cyclic else W - 1,)
-            self.alpha = np.full(steps, M[S, S])
-            self.beta_u = np.full(steps, M[U, U])
+            self.rates, self.scales = (float(M[S, S]), float(M[U, U])), None
+            self.alpha, self.beta_u = np.full(steps, M[S, S]), np.full(steps, M[U, U])
             # what the block transfer leaves of M: a transversal vector a has
             # coefficients row_s . a and row_u . a (rows of frames_inv), so row i of
             # the rest maps it to at most (|M_is| |row_s| + |M_iu| |row_u|) |a|
@@ -308,9 +295,10 @@ class OrbitOperators:
             dual = norm(self.split.frames_inv[[S, U], :])
             off = np.abs(M[:, S]) * dual[0] + np.abs(M[:, U]) * dual[1]
         else:
-            self.alpha, self.beta_u, off = _slope_transfer(
+            self.alpha, self.beta_u, off, self.scales = _slope_transfer(
                 sys, X, self.split.slopes, self.step_src, self.step_dst
             )
+            self.rates = (LAM, MU)
         with np.errstate(divide="ignore"):
             inv_beta = np.where(self.beta_u != 0.0, 1.0 / np.abs(self.beta_u), np.inf)
         lam = np.maximum(np.abs(self.alpha).max(axis=-1), inv_beta.max(axis=-1))
@@ -328,8 +316,9 @@ class OrbitOperators:
         """The operators of a subset of the orbits; ``idx`` indexes the orbit axis."""
         sub = object.__new__(OrbitOperators)
         sub.__dict__.update(self.__dict__)
-        for name in ("points", "alpha", "beta_u", "lambda_tilde", "off_block", "norm_equivalence"):
-            setattr(sub, name, getattr(self, name)[idx])
+        for name in ("points", "alpha", "beta_u", "scales", "lambda_tilde", "off_block", "norm_equivalence"):
+            value = getattr(self, name)
+            setattr(sub, name, value if value is None else value[idx])
         sub.split = self.split[idx]
         return sub
 
@@ -448,62 +437,65 @@ class OrbitOperators:
         out[..., self.step_dst, :] = coeffs
         return out
 
-    def apply_transfer(self, v_coeffs: np.ndarray) -> np.ndarray:
-        """The block operator A: stable and unstable one-step transfer."""
-        out = np.zeros(v_coeffs.shape)
-        out[..., self.step_dst, S] = self.alpha * v_coeffs[..., self.step_src, S]
-        out[..., self.step_dst, U] = self.beta_u * v_coeffs[..., self.step_src, U]
+    def eta(self, v_coeffs: np.ndarray, transversal=None) -> np.ndarray:
+        """eta(v) = beta(v) - A v, the block operator A (one-step transfer by alpha and beta_u) subtracted in place.
+
+        ``transversal`` is :meth:`transversal` of v, when the caller holds it.
+        """
+        out = self.apply_beta(*(self.transversal(v_coeffs) if transversal is None else transversal))
+        out[..., self.step_dst, S] -= self.alpha * v_coeffs[..., self.step_src, S]
+        out[..., self.step_dst, U] -= self.beta_u * v_coeffs[..., self.step_src, U]
         return out
 
-    def eta(self, v_coeffs: np.ndarray) -> np.ndarray:
-        return self.apply_beta(*self.transversal(v_coeffs)) - self.apply_transfer(v_coeffs)
+    def _solve_block(self, rate: float, rhs_pts: np.ndarray) -> np.ndarray:
+        """Solve u_k - rate u_{k-1} = r_k forward for one contracting 1-d block of every orbit.
 
-    def _solve_block(self, mult: np.ndarray, rhs_pts: np.ndarray) -> np.ndarray:
-        """Solve v_k - mult_k v_{k-1} = r_k forward for one contracting 1-d block of every orbit.
-
-        Windows pin the left edge (zero inflow, so v_0 = r_0); cycles close
-        the recursion exactly with a rank-one correction.
+        Windows pin the left edge (zero inflow, so u_0 = r_0); cycles close
+        the recursion exactly with a rank-one correction along the
+        homogeneous solution rate^(k+1) (:func:`_rate_powers`).
         """
-        r = np.moveaxis(rhs_pts, -1, 0)  # (W, batch..., [B])
-        mult = np.moveaxis(mult, -1, 0)  # (L, [B])
         if not self.cyclic:
-            out = np.empty(r.shape)
-            out[0] = r[0]
-            out[1:] = _affine_scan(mult, r[1:], init=r[0])
-            return np.moveaxis(out, 0, -1)
-        part = _affine_scan(mult, r, init=0.0)
-        hom = _affine_scan(mult, np.zeros(r.shape), init=1.0)
-        return np.moveaxis(part + part[-1] / (1.0 - hom[-1]) * hom, 0, -1)
+            out = np.empty(rhs_pts.shape)
+            out[..., 0] = rhs_pts[..., 0]
+            out[..., 1:] = _affine_scan(rate, rhs_pts[..., 1:], init=rhs_pts[..., 0])
+            return out
+        part = _affine_scan(rate, rhs_pts)
+        hom = _rate_powers(rate, part.shape[-1])
+        return part + part[..., -1:] / (1.0 - hom[-1]) * hom
 
     def solve_p(self, rhs: np.ndarray) -> np.ndarray:
         """w = P^{-1} rhs: center sign flip plus the two block recursions.
 
         Requires lambda_tilde < 1, that is |alpha_k| < 1 < |beta_u_k| at every
         step; :func:`shadow_batch` refuses every other orbit before its first
-        Phi step.  The unstable block v_{k-1} = (v_k - r_k) / beta_k runs as
-        the stable recursion of the reversed sequence: multipliers 1 / beta_u,
-        right-hand side -r / beta_u, a window's right edge pinned to zero.
+        Phi step.  Each block scans one scalar rate (:func:`_affine_scan`):
+        as alpha_k = lam n_s[dst] / n_s[src], u = s / n_s obeys
+        u_dst = lam u_src + r_dst / n_s[dst], so the stable block scans r / n_s
+        and multiplies by n_s (no scales at kappa = 0).  The unstable block
+        v_{k-1} = (v_k - r_k) / beta_k runs as the stable recursion of the
+        reversed sequence: rate 1 / mu, right-hand side -(r / n_u) / mu, a
+        window's right edge pinned to zero.
         """
+        lam, mu = self.rates
         out = np.empty(rhs.shape)
         out[..., C] = -rhs[..., C]
-        out[..., S] = self._solve_block(self.alpha, rhs[..., S])
+        s, t = rhs[..., S], rhs[..., U]
+        if self.scales is not None:
+            s, t = s / self.scales[..., 0], t / self.scales[..., 1]
+        out[..., S] = self._solve_block(lam, s)
         # reversed step j maps reversed point j - 1 to j: the original step into point W - j (mod W)
-        m = 1.0 / self.beta_u[..., ::-1]
-        r = rhs[..., self.step_dst, U][..., ::-1]
+        r = t[..., self.step_dst][..., ::-1]
         if self.cyclic:
-            m, r = np.roll(m, 1, axis=-1), np.roll(r, 1, axis=-1)
+            r = np.roll(r, 1, axis=-1)
         rev = np.zeros(rhs.shape[:-1])
-        rev[..., self.step_dst] = -r * m
-        out[..., U] = self._solve_block(m, rev)[..., ::-1]
+        rev[..., self.step_dst] = -r * (1.0 / mu)
+        out[..., U] = self._solve_block(1.0 / mu, rev)[..., ::-1]
+        if self.scales is not None:
+            out[..., [S, U]] *= self.scales
         return out
 
     def phi(self, eta_v: np.ndarray) -> np.ndarray:
-        """One fixed-point update Phi(w) = P^{-1} eta(v), given eta(v).
-
-        :meth:`eta` evaluates eta(v) from coefficients; a solve builds it
-        from what it holds: :meth:`beta_at_zero` in the first step, then
-        :meth:`apply_beta` of the transversal parts minus :meth:`apply_transfer`.
-        """
+        """One fixed-point update Phi(w) = P^{-1} eta(v), given eta(v) (:meth:`eta`; :meth:`beta_at_zero` at v = 0)."""
         return self.solve_p(eta_v)
 
 
@@ -569,10 +561,9 @@ def shadow_batch(
     orbit is written in the step it converges.  A chart check that raises
     inside a batched Phi step or extraction stops the batch: every orbit
     whose entry is still empty is then solved alone, a batch of one orbit,
-    which writes its error to its entry.  Orbits of a batch do not interact
-    (up to the rounding note in :func:`_affine_scan`), so every entry is
-    what its orbit gets alone.  Every result owns its arrays, so keeping
-    one keeps no batch array alive.
+    which writes its error to its entry.  Orbits of a batch do not interact,
+    so every entry has the bits its orbit gets alone.  Every result owns its
+    arrays, so keeping one keeps no batch array alive.
 
     ``split`` is the :class:`Splitting` at the stacked points
     (:func:`splitting_at`), computed when not given.  Orbits of mixed
@@ -651,7 +642,7 @@ def shadow_batch(
                 eta = ops.beta_at_zero(d, gaps)
                 d = gaps = None
             else:
-                eta = ops.apply_beta(trans, norms) - ops.apply_transfer(w)
+                eta = ops.eta(w, (trans, norms))
             # each array is dropped once read, so no two iterates' parts are held at once
             trans = norms = None
             w_new = ops.phi(eta)
@@ -674,9 +665,9 @@ def shadow_batch(
             done = ~escaped & (delta < cfg.fixed_point_tol)
             if done.any():
                 if done.all():
-                    rows, fields = live, _extract(ops, w, trans)
+                    rows, fields = live, _extract(ops, w, trans, norms)
                 else:
-                    rows, fields = live[done], _extract(ops.take(done), w[done], trans[done])
+                    rows, fields = live[done], _extract(ops.take(done), w[done], trans[done], norms[done])
                 for r, b in enumerate(rows):
                     y, corrections, trace, center, step = (f[r] for f in fields)
                     deltas = np.array([h[b] for h in history])
@@ -728,10 +719,11 @@ def _narrow(ops: OrbitOperators, live: np.ndarray, out: list, *arrays):
     return ops.take(keep), live[keep], tuple(a[keep] for a in arrays)
 
 
-def _extract(ops: OrbitOperators, w: np.ndarray, v_amb: np.ndarray):
+def _extract(ops: OrbitOperators, w: np.ndarray, v_amb: np.ndarray, norms: np.ndarray):
     """Tracing points, center times and per-orbit residuals of solved iterates.
 
-    ``v_amb`` holds the transversal parts of ``w`` (:meth:`OrbitOperators.transversal`).
+    ``v_amb`` and ``norms`` are :meth:`OrbitOperators.transversal` of ``w``;
+    y = exp_x(v_amb) checks those norms against the chart radius.
     Returns y, the center times (shape ([B,] W)), and per orbit the largest
     trace distance, center residual and step residual.  The step target is
     f(y_{k-1}) moved by t_k along its fiber in the chart at x_k.  tau2's t_k
@@ -740,7 +732,9 @@ def _extract(ops: OrbitOperators, w: np.ndarray, v_amb: np.ndarray):
     to 1/2, so tau2 reads the chart by ``minimal_rep``, not ``logmap``.
     """
     X, rho0 = ops.points, ops.cfg.rho0
-    y = expmap(X, v_amb, rho0)
+    if np.any(norms > rho0):  # as expmap checks them
+        raise ChartError(f"tangent vector norm {float(np.max(norms)):.6g} exceeds chart radius {rho0}")
+    y = wrap(X + v_amb)
     max_trace = dist(X, y).max(axis=-1)
     center_res = np.abs(ops.split.center_coeff(v_amb)).max(axis=-1)
 

@@ -42,12 +42,13 @@ def wrap(coords) -> np.ndarray:
     """
     arr = np.asarray(coords, dtype=float)
     out = np.floor(arr, out=np.empty(arr.shape))
-    # floor keeps nan and +-inf, so its result shows every non-finite input
-    if not np.isfinite(out).all():
-        raise ChartError("non-finite coordinate in point")
-    np.subtract(arr, out, out=out)
-    # x - floor(x) rounds up to exactly 1.0 for tiny negative x
-    out[out >= 1.0] = 0.0
+    with np.errstate(invalid="ignore"):
+        inside = np.subtract(arr, out, out=out) < 1.0
+    if not inside.all():
+        # x - floor(x) is nan for nan and +-inf, and rounds up to exactly 1.0 for tiny negative x
+        if np.isnan(out).any():
+            raise ChartError("non-finite coordinate in point")
+        out[~inside] = 0.0
     return out
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from quasishadow.orbits import PseudoOrbit, _ball_draws
-from quasishadow.solver import _SCAN_BLOCK, _SCAN_TINY, OrbitOperators, SolverConfig
+from quasishadow.solver import _SCAN_BLOCK, OrbitOperators, SolverConfig
 from quasishadow.systems import C, S, U, HyperbolicityRates, splitting_at
 from quasishadow.torus import dist, minimal_rep, norm, wrap, wrap_float
 
@@ -99,13 +99,13 @@ def _align(mult: np.ndarray, ndim: int) -> np.ndarray:
 
 
 def blocked_affine_scan(mult: np.ndarray, rhs: np.ndarray, init=0.0) -> np.ndarray:
-    """The solver's affine scan as a python loop over blocks of _SCAN_BLOCK steps.
+    """The blocked affine scan with per-step multipliers, as a python loop over blocks of _SCAN_BLOCK steps.
 
-    First-order recursion s_j = mult[j] * s_{j-1} + rhs[j], s_{-1} = init,
-    shapes as in :func:`quasishadow.solver._affine_scan`.  Each block runs
-    its own cumulative product and sum; a block with a multiplier below
-    _SCAN_TINY runs the plain loop.  The library's block-parallel scan must
-    give these bits.
+    First-order recursion s_j = mult[j] * s_{j-1} + rhs[j], s_{-1} = init;
+    ``mult`` has shape (L,) or (L, B) with per-orbit multipliers, ``rhs``
+    shape (L, ..., B).  Each block runs its own cumulative product and sum.
+    The library's scalar-rate scan (:func:`quasishadow.solver._affine_scan`)
+    must give these bits for ``mult = np.full(L, rate)``.
     """
     mult = np.asarray(mult, float)
     rhs = np.asarray(rhs, float)
@@ -114,13 +114,7 @@ def blocked_affine_scan(mult: np.ndarray, rhs: np.ndarray, init=0.0) -> np.ndarr
     carry = np.zeros(rhs.shape[1:]) + init
     for lo in range(0, L, _SCAN_BLOCK):
         hi = min(lo + _SCAN_BLOCK, L)
-        m = mult[lo:hi]
-        if np.min(np.abs(m)) < _SCAN_TINY:
-            for j in range(lo, hi):
-                carry = mult[j] * carry + rhs[j]
-                out[j] = carry
-            continue
-        q = _align(np.cumprod(m, axis=0), rhs.ndim)
+        q = _align(np.cumprod(mult[lo:hi], axis=0), rhs.ndim)
         block = q * (carry + np.cumsum(rhs[lo:hi] / q, axis=0))
         out[lo:hi] = block
         carry = block[-1]

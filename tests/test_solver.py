@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import quasishadow as qs
 from quasishadow.cli import to_json
 from quasishadow.errors import AdmissibilityError, ChartError, ConvergenceError
-from quasishadow.solver import _SCAN_BLOCK, _SCAN_TINY, _affine_scan
+from quasishadow.solver import _affine_scan, _rate_powers
 from quasishadow.systems import C, E_STABLE, LAM, MU, S, U
 
 from oracles import (
@@ -102,7 +102,9 @@ def test_transfer_annihilates_center(product_sys, rng):
     ops = qs.OrbitOperators(product_sys, orbit.points)
     pure_center = np.zeros((len(orbit), 3))
     pure_center[:, C] = rng.standard_normal(len(orbit))
-    assert np.array_equal(ops.apply_transfer(pure_center), np.zeros((len(orbit), 3)))
+    # eta = beta - A, so A v = 0 leaves eta(v) the bits of beta(v)
+    beta = ops.apply_beta(*ops.transversal(pure_center))
+    assert ops.eta(pure_center).tobytes() == beta.tobytes()
 
 
 def test_cross_blocks_small_for_tight_pseudo_orbits(skew_sys):
@@ -123,58 +125,69 @@ def test_cross_blocks_small_for_tight_pseudo_orbits(skew_sys):
 # -- P solve -------------------------------------------------------------
 
 
+SCAN_LENGTHS = [1, 63, 64, 65, 130, 401]  # one step, a block's neighbours, a tail, several blocks
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    blocks=st.integers(0, 4),
-    tail=st.sampled_from([0, 1, _SCAN_BLOCK - 1]),
+    L=st.sampled_from(SCAN_LENGTHS),
     batch=st.sampled_from([None, 1, 3]),
     middle=st.sampled_from([(), (2,)]),
-    tiny=st.sampled_from([None, "first", "last", "any"]),
-    tiny_value=st.sampled_from([0.0, -0.0, 1e-5, -0.5 * _SCAN_TINY, np.nextafter(_SCAN_TINY, 0.0)]),
     array_init=st.booleans(),
+    rate=st.floats(0.2, 1.5),
+    negative=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_affine_scan_matches_blocked_loop(
-    blocks, tail, batch, middle, tiny, tiny_value, array_init, seed
-):
-    # the block-parallel scan gives the bits of the loop over blocks, for
-    # lengths L = 0, 1 and -1 (mod 64), one or B multipliers per step, extra
-    # right-hand sides per orbit, and a zero or sub-_SCAN_TINY multiplier in
-    # the first, the last or any block; no step of either may warn
-    L = blocks * _SCAN_BLOCK + tail
-    if L == 0:
-        L = _SCAN_BLOCK
+def test_affine_scan_matches_blocked_loop(L, batch, middle, array_init, rate, negative, seed):
+    # the block-parallel scan with one scalar rate gives the bits of the loop
+    # over blocks fed that rate at every step, for every length, extra
+    # right-hand sides per orbit, and scalar or per-column init; no step of
+    # either may warn
+    rate = -rate if negative else rate
     r = np.random.default_rng(seed)
     orbits = () if batch is None else (batch,)
-    mult = r.uniform(0.2, 1.5, (L,) + orbits) * r.choice([-1.0, 1.0], (L,) + orbits)
-    if tiny is not None:
-        j = {"first": 0, "last": L - 1, "any": int(r.integers(L))}[tiny]
-        mult[(j,) + tuple(r.integers(n) for n in orbits)] = tiny_value
     rhs = r.standard_normal((L,) + middle + orbits)
     init = r.standard_normal(middle + orbits) if array_init else float(r.standard_normal())
     with np.errstate(all="raise"):
-        got = _affine_scan(mult, rhs, init)
-        want = blocked_affine_scan(mult, rhs, init)
-    assert got.shape == want.shape == rhs.shape
+        got = _affine_scan(rate, np.moveaxis(rhs, 0, -1), init)
+        want = np.moveaxis(blocked_affine_scan(np.full(L, rate), rhs, init), 0, -1)
+    assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
 
-def test_solve_p_identity_when_transfer_vanishes(product_sys, rng):
-    # the exact limits of the two recursions: alpha = 0 leaves the stable
-    # block its right-hand side, beta_u = inf leaves nothing on the unstable one
+@settings(max_examples=60, deadline=None)
+@given(L=st.sampled_from(SCAN_LENGTHS), rate=st.floats(0.2, 1.5), negative=st.booleans())
+def test_rate_powers_are_the_zero_rhs_blocked_scan(L, rate, negative):
+    # the homogeneous solution of a cycle, rate^(j+1) in closed form, gives
+    # the bits of the blocked scan of a zero right-hand side from 1, in every column
+    rate = -rate if negative else rate
+    with np.errstate(all="raise"):
+        got = _rate_powers(rate, L)
+        want = blocked_affine_scan(np.full(L, rate), np.zeros((L, 3)), init=1.0)
+    assert got.shape == (L,)
+    for col in want.T:
+        assert got.tobytes() == col.tobytes()
+
+
+def test_solve_p_scales_enter_as_ratios(product_sys, rng):
+    # the per-point scales n enter only through alpha_k = lam n[dst] / n[src]:
+    # unit scales give the bits of the constant splitting, and scaling every n
+    # by a power of two, which is exact, keeps the bits of the solve
     for cyclic in (False, True):
         if cyclic:
             orbit = _cyclic_noisy(product_sys, (0.11, 0.23, 0.5), 15)
         else:
             orbit = _noisy(product_sys, n=7)
         ops = qs.OrbitOperators(product_sys, orbit.points, cyclic=cyclic)
-        ops.alpha = np.zeros_like(ops.alpha)
-        ops.beta_u = np.full_like(ops.beta_u, np.inf)
         rhs = rng.standard_normal((len(orbit), 3))
-        out = ops.solve_p(rhs)
-        assert np.array_equal(out[:, C], -rhs[:, C])
-        assert np.array_equal(out[:, S], rhs[:, S])
-        assert np.array_equal(out[:, U], np.zeros(len(orbit)))
+        want = ops.solve_p(rhs)
+        ops.scales = np.ones((len(orbit), 2))
+        assert ops.solve_p(rhs).tobytes() == want.tobytes()
+        ops.scales = rng.uniform(0.5, 2.0, (len(orbit), 2))
+        want = ops.solve_p(rhs)
+        for power in (2.0**40, 2.0**-40):
+            ops.scales = ops.scales * power
+            assert ops.solve_p(rhs).tobytes() == want.tobytes()
 
 
 def test_solve_p_matches_dense_window(product_sys, rng):
@@ -199,39 +212,65 @@ def test_solve_p_matches_dense_cyclic(product_sys, rng):
     assert np.max(np.abs(out[:, U] - dense_block_cyclic(ops.beta_u, rhs[:, U]))) < 1e-12
 
 
+def _dense_blocks(ops, rhs):
+    """The stable and unstable blocks of P^{-1} rhs, shape (2, [B,] W), by dense LU solves per orbit fed ops.alpha / ops.beta_u."""
+    solve = (dense_block_cyclic, dense_block_cyclic) if ops.cyclic else (dense_stable_window, dense_unstable_window)
+    out = np.empty((2,) + rhs.shape[:-1])
+    for idx in np.ndindex(rhs.shape[:-2]):
+        out[(0,) + idx] = solve[0](ops.alpha[idx], rhs[idx + (slice(None), S)])
+        out[(1,) + idx] = solve[1](ops.beta_u[idx], rhs[idx + (slice(None), U)])
+    return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n_orbits=st.sampled_from([1, 3]),
     cyclic=st.booleans(),
     n=st.sampled_from([1, 2, 3, 64, 65, 130]),
-    tiny=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_solve_p_matches_dense_blocks(product_sys, n_orbits, cyclic, n, tiny, seed):
-    # per orbit against dense LU solves, over signs and sizes of both blocks;
-    # tiny stable multipliers run the plain loop of the scan
+def test_solve_p_matches_dense_blocks(product_sys, n_orbits, cyclic, n, seed):
+    # per orbit against dense LU solves, over signs and sizes of both rates
+    # and per-point scales; the dense solves read alpha_k = lam n_s[dst] / n_s[src]
+    # and beta_u_k = mu n_u[dst] / n_u[src]
     if n == 1 and not cyclic:
         n = 2
     rng = np.random.default_rng(seed)
     points = rng.random((n_orbits, n, 3))
     ops = qs.OrbitOperators(product_sys, points, cyclic=cyclic)
-    shape = ops.alpha.shape
-    sign = lambda: rng.choice([-1.0, 1.0], shape)  # noqa: E731
-    low = 1e-5 if tiny else 1e-3
-    ops.alpha = sign() * np.exp(rng.uniform(np.log(low), np.log(0.95), shape))
-    ops.beta_u = sign() * rng.uniform(1.05, 20.0, shape)
+    sign = lambda: rng.choice([-1.0, 1.0])  # noqa: E731
+    ops.rates = (sign() * np.exp(rng.uniform(np.log(1e-3), np.log(0.95))), sign() * rng.uniform(1.05, 20.0))
+    ops.scales = rng.uniform(0.5, 2.0, (n_orbits, n, 2))
+    ratio = ops.scales[:, ops.step_dst] / ops.scales[:, ops.step_src]
+    ops.alpha, ops.beta_u = ops.rates[0] * ratio[..., 0], ops.rates[1] * ratio[..., 1]
     rhs = rng.standard_normal((n_orbits, n, 3))
     out = ops.solve_p(rhs)
     assert np.array_equal(out[..., C], -rhs[..., C])
-    for b in range(n_orbits):
-        if cyclic:
-            s_dense = dense_block_cyclic(ops.alpha[b], rhs[b, :, S])
-            u_dense = dense_block_cyclic(ops.beta_u[b], rhs[b, :, U])
-        else:
-            s_dense = dense_stable_window(ops.alpha[b], rhs[b, :, S])
-            u_dense = dense_unstable_window(ops.beta_u[b], rhs[b, :, U])
-        assert np.max(np.abs(out[b, :, S] - s_dense)) < 1e-12
-        assert np.max(np.abs(out[b, :, U] - u_dense)) < 1e-12
+    dense = _dense_blocks(ops, rhs)
+    assert np.max(np.abs(out[..., S] - dense[0])) < 1e-12
+    assert np.max(np.abs(out[..., U] - dense[1])) < 1e-12
+
+
+@pytest.mark.parametrize("kappa", [0.02, 0.3])
+@pytest.mark.parametrize("cyclic", [False, True], ids=["window", "cycle"])
+@pytest.mark.parametrize("n_orbits", [1, 3])
+def test_solve_p_matches_dense_blocks_at_nonzero_kappa(kappa, cyclic, n_orbits):
+    # per-point frames: the solver scans r / n at the rates lam and 1 / mu and
+    # multiplies by n; dense LU solves fed the multipliers alpha and beta_u
+    # of the operators must agree to rounding, alone and batched
+    sys = qs.cat_circle_system(alpha=0.3, kappa=kappa)
+    x0 = (0.11, 0.23, 0.5)
+    points = np.stack([qs.generate_noisy(sys, x0, 65, 1e-4, seed=s).points for s in range(n_orbits)])
+    rng = np.random.default_rng(7)
+    for pts in (points[0], points):
+        ops = qs.OrbitOperators(sys, pts, cyclic=cyclic)
+        assert ops.scales is not None
+        rhs = rng.standard_normal(pts.shape)
+        out = ops.solve_p(rhs)
+        assert np.array_equal(out[..., C], -rhs[..., C])
+        dense = _dense_blocks(ops, rhs)
+        assert np.max(np.abs(out[..., S] - dense[0])) < 1e-12
+        assert np.max(np.abs(out[..., U] - dense[1])) < 1e-12
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.02])
@@ -723,10 +762,10 @@ def test_shadow_batch_failures_at_every_stage_match_solves_alone(skew_sys):
             raise ChartError("beta left the chart")
         return beta_at_zero(ops, d, gaps)
 
-    def failing_extract(ops, w, v_amb):
+    def failing_extract(ops, w, v_amb, norms):
         if holds(ops, orbits[3]):
             raise ChartError("extraction left the chart")
-        return extract(ops, w, v_amb)
+        return extract(ops, w, v_amb, norms)
 
     cfg = qs.SolverConfig(max_iterations=2)
     with (
@@ -776,10 +815,10 @@ def test_shadow_batch_raise_resolves_only_the_unfinished_orbits(skew_sys):
     ]
     extract = qs.solver._extract
 
-    def failing_extract(ops, w, v_amb):
+    def failing_extract(ops, w, v_amb, norms):
         if any(np.array_equal(pts, orbits[2].points) for pts in ops.points):
             raise ChartError("extraction left the chart")
-        return extract(ops, w, v_amb)
+        return extract(ops, w, v_amb, norms)
 
     with mock.patch.object(qs.solver, "_extract", failing_extract), _solo_spy() as spy:
         out = qs.shadow_batch(skew_sys, orbits)
@@ -866,6 +905,40 @@ def test_shadow_batch_matches_a_phi_loop_from_zero(kappa, case, noises, max_iter
                 fixed_point_from(sys, orbit, start, cfg, max_iterations)
         else:  # the gate refuses before any Phi step
             assert isinstance(res, AdmissibilityError)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kappa=st.sampled_from([0.0, 0.02]),
+    kind=st.sampled_from(["window", "cycle"]),
+    noises=st.lists(st.sampled_from([1e-6, 1e-4, 2e-3]), min_size=2, max_size=3),
+    n=st.sampled_from([12, 70]),
+    seed=st.integers(0, 2**16),
+)
+def test_shadow_batch_entries_have_their_solo_bits(kappa, kind, noises, n, seed):
+    # every row of a block scan runs on its own, so each entry of a batch,
+    # result or error, is what shadow gives its orbit alone, bit for bit;
+    # n = 70 puts the scans over a block boundary
+    sys = qs.cat_circle_system(0.3, kappa)
+    orbits = []
+    for i, noise in enumerate(noises):
+        x0 = np.random.default_rng([seed, i]).random(3)
+        if kind == "window":
+            orbits.append(qs.generate_noisy(sys, x0, n, noise, seed=seed + i))
+        else:
+            orbits.append(_phi_loop_cycle(sys, x0, n, noise, seed + i, False))
+    for orbit, res in zip(orbits, qs.shadow_batch(sys, orbits)):
+        try:
+            alone = qs.shadow(sys, orbit)
+        except qs.QuasiShadowError as exc:
+            alone = exc
+        assert type(res) is type(alone)
+        if isinstance(res, qs.ShadowResult):
+            for name in ("y", "corrections", "delta_history"):
+                assert _same_bits(getattr(res, name), getattr(alone, name))
+            assert to_json(res) == to_json(alone)
+        else:
+            assert str(res) == str(alone)
 
 
 def _same_bits(a, b) -> bool:

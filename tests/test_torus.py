@@ -1,8 +1,23 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import quasishadow as qs
 from quasishadow.errors import ChartError
+
+# finite coordinates where x - floor(x) needs care: signed zeros, the smallest
+# subnormals, a tiny negative that rounds up to 1.0, and one ulp below an integer
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1e-20]),
+    st.integers(-(2**40), 2**40).map(lambda k: math.nextafter(float(k), -math.inf)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5)
 
 
 def test_wrap_examples():
@@ -21,6 +36,31 @@ def test_wrap_rejects_nonfinite():
         qs.wrap([np.nan, 0.0, 0.0])
     with pytest.raises(ChartError):
         qs.wrap([0.0, np.inf, 0.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=hnp.arrays(np.float64, SHAPES, elements=FINITE))
+def test_wrap_is_np_mod_on_finite_input(x):
+    # the bits of np.mod(x, 1.0), whose 1.0 for tiny negative x resets to +0.0
+    want = np.mod(x, 1.0, out=np.empty(x.shape))
+    want[want == 1.0] = 0.0
+    got = qs.wrap(x)
+    assert got.shape == x.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=5), elements=FINITE),
+    bad=st.sampled_from([math.inf, -math.inf, math.nan]),
+    slot=st.integers(0, 2**16),
+)
+def test_wrap_refuses_non_finite_input_without_a_warning(x, bad, slot):
+    x.reshape(-1)[slot % x.size] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ChartError, match="non-finite"):
+            qs.wrap(x)
 
 
 def test_dist_examples():
