@@ -17,9 +17,10 @@ Cyclic orbits close it exactly with a rank-one correction.
 
 Sequence iterates are stored as coefficient arrays c of shape (W, 3), or
 (B, W, 3) for a batch of B orbits solved together, in the per-point
-(stable, center, unstable) frames.  The solver norm is
-max_k |center_k| + max_k |transversal_k|, the transversal parts taken as
-assembled ambient vectors.
+(stable, center, unstable) frames; like the batch's points and tangent
+vectors they are component-major (:func:`~quasishadow.torus.planar`).
+The solver norm is max_k |center_k| + max_k |transversal_k|, the
+transversal parts taken as assembled ambient vectors.
 
 Variants: ``tau1`` moves along the center direction and ``tau3`` along the
 center foliation, the paper's two statements.  The foliation is the vertical
@@ -55,7 +56,7 @@ from .systems import (
     Splitting,
     splitting_at,
 )
-from .torus import RHO0_DEFAULT, RHO_DEFAULT, dist, expmap, logmap, minimal_rep, norm, wrap
+from .torus import RHO0_DEFAULT, RHO_DEFAULT, dist, expmap, logmap, minimal_rep, norm, planar, wrap
 
 VARIANTS = ("tau1", "tau2", "tau3")
 
@@ -382,7 +383,7 @@ class OrbitOperators:
     # -- operators -----------------------------------------------------
 
     def apply_beta(self, v_amb: np.ndarray, norms: np.ndarray) -> np.ndarray:
-        """beta(v) in frame coordinates, scattered to the step target rows.
+        """beta(v) in frame coordinates, written to the step target rows.
 
         Takes the ambient transversal parts of v and their norms as
         :meth:`transversal` gives them, shape (..., W, 3) and (..., W); each
@@ -426,15 +427,16 @@ class OrbitOperators:
         0 in the theta column), and checks the size of that slide instead.
         """
         split, rho0 = self.split[..., self.step_dst], self.cfg.rho0
-        coeffs = split.coeffs(d)
+        out = planar(d.shape[:-2] + (self.n_points, 3))
+        if not self.cyclic:
+            out[..., 0, :] = 0.0
+        coeffs = split.coeffs(d, out=out[..., self.step_dst, :])
         what = "points at distance {:.6g} exceed chart radius"
         if self.cfg.variant == "tau2":
             coeffs[..., C] = 0.0
             gaps, what = norm(split.transversal(coeffs)), "fiber slide of size {:.6g} left the chart of radius"
         if gaps.size and float(gaps.max()) > rho0:
             raise ChartError(f"{what.format(float(gaps.max()))} {rho0}")
-        out = np.zeros(d.shape[:-2] + (self.n_points, 3))
-        out[..., self.step_dst, :] = coeffs
         return out
 
     def eta(self, v_coeffs: np.ndarray, transversal=None) -> np.ndarray:
@@ -477,8 +479,8 @@ class OrbitOperators:
         window's right edge pinned to zero.
         """
         lam, mu = self.rates
-        out = np.empty(rhs.shape)
-        out[..., C] = -rhs[..., C]
+        out = np.empty_like(rhs)
+        np.negative(rhs[..., C], out=out[..., C])
         s, t = rhs[..., S], rhs[..., U]
         if self.scales is not None:
             s, t = s / self.scales[..., 0], t / self.scales[..., 1]
@@ -491,7 +493,8 @@ class OrbitOperators:
         rev[..., self.step_dst] = -r * (1.0 / mu)
         out[..., U] = self._solve_block(1.0 / mu, rev)[..., ::-1]
         if self.scales is not None:
-            out[..., [S, U]] *= self.scales
+            out[..., S] *= self.scales[..., 0]
+            out[..., U] *= self.scales[..., 1]
         return out
 
     def phi(self, eta_v: np.ndarray) -> np.ndarray:
@@ -567,7 +570,7 @@ def shadow_batch(
 
     ``split`` is the :class:`Splitting` at the stacked points
     (:func:`splitting_at`), computed when not given.  Orbits of mixed
-    boundary types raise ValueError; no orbits give no entries.
+    boundary types or lengths raise ValueError; no orbits give no entries.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     if not orbits:
@@ -575,8 +578,12 @@ def shadow_batch(
     cyclic = orbits[0].cyclic
     if any(orbit.cyclic != cyclic for orbit in orbits):
         raise ValueError("orbits solved together must share one boundary type")
+    lengths = sorted({len(orbit.points) for orbit in orbits})
+    if len(lengths) > 1:
+        raise ValueError(f"orbits solved together must have one length, got lengths {lengths}")
     out: list = [None] * len(orbits)
-    points = np.stack([orbit.points for orbit in orbits])
+    points = planar((len(orbits), lengths[0], 3))
+    np.stack([orbit.points for orbit in orbits], out=points)
     for b in np.flatnonzero(~np.isfinite(points).all(axis=(1, 2))):
         k = orbits[b].k_start + int(np.argmin(np.isfinite(points[b]).all(axis=-1)))
         out[b] = ChartError(f"non-finite coordinate in orbit point k={k}")
@@ -668,25 +675,28 @@ def shadow_batch(
                     rows, fields = live, _extract(ops, w, trans, norms)
                 else:
                     rows, fields = live[done], _extract(ops.take(done), w[done], trans[done], norms[done])
-                for r, b in enumerate(rows):
-                    y, corrections, trace, center, step = (f[r] for f in fields)
-                    deltas = np.array([h[b] for h in history])
+                y, corrections, *maxima = fields
+                deltas = np.array(history).T[rows]  # one row of update norms per orbit
+                per_orbit = zip(
+                    rows.tolist(), gate[rows].tolist(), defect_index[rows].tolist(),
+                    deltas[:, -1].tolist(), *(m.tolist() for m in maxima),
+                )
+                for r, (b, bounds, at, final, trace, center, step) in enumerate(per_orbit):
                     diagnostics = ContractionBounds(
-                        *map(float, gate[b, :6]), bool(gate[b, 6]),
-                        iterations=len(deltas), final_residual=float(deltas[-1]),
+                        *bounds[:6], bool(bounds[6]), iterations=len(history), final_residual=final,
                     )
                     out[b] = ShadowResult(
                         variant=cfg.variant,
                         ks=orbits[b].ks,
                         x=orbits[b].points.copy(),
-                        y=y.copy(),
-                        corrections=corrections.copy(),
+                        y=y[r].copy(order="K"),
+                        corrections=corrections[r].copy(),
                         diagnostics=diagnostics,
-                        defect_index=int(defect_index[b]),
-                        max_trace_dist=float(trace),
-                        step_residual=float(step),
-                        center_residual=float(center),
-                        delta_history=deltas,
+                        defect_index=at,
+                        max_trace_dist=trace,
+                        step_residual=step,
+                        center_residual=center,
+                        delta_history=deltas[r].copy(),
                         cyclic=cyclic,
                     )
             ops, live, (w, trans, norms) = _narrow(ops, live, out, w, trans, norms)
@@ -732,7 +742,8 @@ def _extract(ops: OrbitOperators, w: np.ndarray, v_amb: np.ndarray, norms: np.nd
     to 1/2, so tau2 reads the chart by ``minimal_rep``, not ``logmap``.
     """
     X, rho0 = ops.points, ops.cfg.rho0
-    if np.any(norms > rho0):  # as expmap checks them
+    # as expmap checks them; fmax skips nan as the comparison does
+    if np.fmax.reduce(norms, axis=None) > rho0:
         raise ChartError(f"tangent vector norm {float(np.max(norms)):.6g} exceeds chart radius {rho0}")
     y = wrap(X + v_amb)
     max_trace = dist(X, y).max(axis=-1)

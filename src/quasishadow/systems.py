@@ -34,7 +34,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import ChartError, RateOrderError
-from .torus import minimal_rep, norm, wrap, wrap_float
+from .torus import minimal_rep, norm, planar, wrap, wrap_float
 
 CAT = np.array([[2.0, 1.0], [1.0, 1.0]])
 MU = float((3.0 + np.sqrt(5.0)) / 2.0)
@@ -114,25 +114,41 @@ class CatCircleSystem:
         return f"CatCircleSystem(alpha={self.alpha!r}, kappa={self.kappa!r}, shift={shift!r})"
 
     def forward(self, x) -> np.ndarray:
+        """F(x), wrapped, into a new array of x's layout.
+
+        CAT @ b runs one coordinate at a time: its products by 1 and 2 are
+        exact, so one rounded sum per coordinate gives the bits of the matrix
+        product in any summation order.
+        """
         x = np.asarray(x, float)
-        out = np.empty(x.shape)
-        out[..., 0], out[..., 1] = _cat(x[..., 0], x[..., 1])
-        out[..., 2] = x[..., 2] + self.alpha
+        out = np.empty_like(x)
+        b0, b1 = x[..., 0], x[..., 1]
+        u0, u1, u2 = out[..., 0], out[..., 1], out[..., 2]
+        np.multiply(b0, 2.0, out=u0)
+        np.add(u0, b1, out=u0)
+        np.add(b0, b1, out=u1)
+        np.add(x[..., 2], self.alpha, out=u2)
         if self.kappa != 0.0:
-            out[..., 2] += self.kappa * np.sin(2.0 * np.pi * x[..., 0])
+            np.add(u2, self.kappa * np.sin(2.0 * np.pi * b0), out=u2)
         if self._shifted:
             out += self.shift
         return wrap(out)
 
     def inverse(self, x) -> np.ndarray:
+        """F^-1(x), wrapped, into a new array of x's layout; CAT^-1 = [[1, -1], [-1, 2]]."""
         z = np.asarray(x, float)
         if self._shifted:
             z = z - self.shift
-        out = np.empty(z.shape)
-        out[..., 0], out[..., 1] = _cat_inv(z[..., 0], z[..., 1])
-        out[..., 2] = z[..., 2] - self.alpha
+        out = np.empty_like(z)
+        z0, z1 = z[..., 0], z[..., 1]
+        u0, u1, u2 = out[..., 0], out[..., 1], out[..., 2]
+        np.subtract(z0, z1, out=u0)
+        # -z0 + 2 z1, rounded once
+        np.multiply(z1, 2.0, out=u1)
+        np.subtract(u1, z0, out=u1)
+        np.subtract(z[..., 2], self.alpha, out=u2)
         if self.kappa != 0.0:
-            out[..., 2] -= self.kappa * np.sin(2.0 * np.pi * out[..., 0])
+            np.subtract(u2, self.kappa * np.sin(2.0 * np.pi * u0), out=u2)
         return wrap(out)
 
     def differential(self, x) -> np.ndarray:
@@ -249,20 +265,6 @@ def _backward_walk(sys: CatCircleSystem, p, n_steps: int, noise=None) -> array:
     return out
 
 
-def _cat(b0, b1):
-    """CAT @ (b0, b1), one coordinate at a time.
-
-    The products by 1 and 2 are exact, so one rounded sum per coordinate
-    gives the bits of the matrix product in any summation order.
-    """
-    return 2.0 * b0 + b1, b0 + b1
-
-
-def _cat_inv(z0, z1):
-    """CAT^-1 @ (z0, z1) with CAT^-1 = [[1, -1], [-1, 2]], one coordinate at a time."""
-    return z0 - z1, -z0 + 2.0 * z1
-
-
 def cat_circle_system(
     alpha: float = 0.0,
     kappa: float = 0.0,
@@ -288,7 +290,7 @@ _FRAME_ENTRIES = ((None, 0.0, None), (None, 0.0, None), (None, 1.0, None))
 _INVERSE_ENTRIES = ((None, None, 0.0), (None, None, 1.0), (None, None, 0.0))
 
 
-def _product(m: np.ndarray, v, entries, skip: int | None = None, rows=(0, 1, 2)) -> np.ndarray:
+def _product(m: np.ndarray, v, entries, skip: int | None = None, rows=(0, 1, 2), out=None) -> np.ndarray:
     """m @ v over the last axes, row i summed as ((0.0 + m_i0 v_0) + m_i2 v_2) + m_i1 v_1.
 
     numpy 2.4.6 sums the ``...ij,...j`` contraction of C-ordered operands
@@ -297,10 +299,12 @@ def _product(m: np.ndarray, v, entries, skip: int | None = None, rows=(0, 1, 2))
     column ``skip``: adding +-0.0 to a sum that starts from +0.0 keeps its
     bits for finite v.  An entry 1 adds v_j itself, and the trailing + 0.0
     gives the bits of the leading one.  Only the ``rows`` of m are summed,
-    into that many output columns.
+    into that many output columns of ``out``, a new component-major array
+    (:func:`~quasishadow.torus.planar`) when not given.
     """
     v = np.asarray(v, float)
-    out = np.empty(np.broadcast_shapes(m.shape[:-2], v.shape[:-1]) + (len(rows),))
+    if out is None:
+        out = planar(np.broadcast_shapes(m.shape[:-2], v.shape[:-1]) + (len(rows),))
     table = m.tolist() if m.ndim == 2 else entries
     for k, i in enumerate(rows):
         row, terms = table[i], []
@@ -376,8 +380,9 @@ class Splitting:
         slopes = None if self.slopes is None else self.slopes[key + (slice(None),)]
         return Splitting(self.frames[frame_key], self.frames_inv[frame_key], slopes)
 
-    def coeffs(self, vectors) -> np.ndarray:
-        return _product(self.frames_inv, vectors, _INVERSE_ENTRIES)
+    def coeffs(self, vectors, out=None) -> np.ndarray:
+        """Splitting coordinates frames_inv @ vectors, into ``out`` when given."""
+        return _product(self.frames_inv, vectors, _INVERSE_ENTRIES, out=out)
 
     def center_coeff(self, vectors) -> np.ndarray:
         """``coeffs(vectors)[..., C]``, with only the center row summed."""

@@ -20,6 +20,14 @@ and give the bits of their numpy spellings at a fraction of the cost:
 
 ``wrap`` of a scalar is a 0-d array, and ``norm`` of one vector is a
 numpy scalar, as with the numpy forms.
+
+Batch arrays (..., W, 3) of points, tangent vectors and frame
+coefficients are component-major (``planar``): the coordinate axis varies
+slowest in memory, so ``v[..., j]`` is one contiguous plane.  ``wrap`` and
+the system maps allocate with ``np.empty_like`` and ufuncs follow their
+operands, so the layout carries through.  No result depends on it: every
+sum over coordinates is spelled out in index order, and the reductions
+over points are exact maxima.
 """
 
 from __future__ import annotations
@@ -34,21 +42,29 @@ RHO0_DEFAULT = 0.5
 RHO_DEFAULT = 0.05
 
 
+def planar(shape) -> np.ndarray:
+    """An uninitialised float array of ``shape`` whose last axis varies slowest in memory."""
+    shape = tuple(shape)
+    return np.empty(shape[-1:] + shape[:-1]).transpose(*range(1, len(shape)), 0)
+
+
 def wrap(coords) -> np.ndarray:
     """Reduce coordinates mod 1 into [0, 1); rejects non-finite input.
 
     ``x - floor(x)``, the bits of ``np.mod(x, 1.0)``, into a new array
-    (0-d for scalar input).
+    of the input's layout (0-d for scalar input).
     """
     arr = np.asarray(coords, dtype=float)
-    out = np.floor(arr, out=np.empty(arr.shape))
+    out = np.floor(arr, out=np.empty_like(arr))
     with np.errstate(invalid="ignore"):
-        inside = np.subtract(arr, out, out=out) < 1.0
-    if not inside.all():
-        # x - floor(x) is nan for nan and +-inf, and rounds up to exactly 1.0 for tiny negative x
-        if np.isnan(out).any():
+        np.subtract(arr, out, out=out)
+    # x - floor(x) lies in [0, 1] for finite x, so one max tells all: it is nan
+    # for nan and +-inf, and exactly 1.0 where a tiny negative x rounds up
+    top = out.max() if out.size else 0.0
+    if not top < 1.0:
+        if top != 1.0:
             raise ChartError("non-finite coordinate in point")
-        out[~inside] = 0.0
+        out[out == 1.0] = 0.0
     return out
 
 
@@ -66,7 +82,7 @@ def wrap_float(v: float) -> float:
 def minimal_rep(delta) -> np.ndarray:
     """Shift each coordinate difference by an integer into [-1/2, 1/2]."""
     delta = np.asarray(delta, dtype=float)
-    return delta - np.round(delta)
+    return delta - np.rint(delta)  # what np.round runs for 0 decimals
 
 
 def norm(v, keepdims: bool = False) -> np.ndarray:
@@ -77,8 +93,9 @@ def norm(v, keepdims: bool = False) -> np.ndarray:
     """
     v = np.asarray(v, float)
     total = v[..., 0] * v[..., 0]
+    square = np.empty_like(total)
     for j in range(1, v.shape[-1]):
-        total = total + v[..., j] * v[..., j]
+        total += np.multiply(v[..., j], v[..., j], out=square)
     n = np.sqrt(total)
     return n[..., None] if keepdims else n
 

@@ -1074,6 +1074,13 @@ def test_shadow_batch_refuses_mixed_boundary_types(product_sys):
             qs.shadow_batch(product_sys, orbits)
 
 
+def test_shadow_batch_refuses_orbits_of_different_lengths(product_sys):
+    long, short = _noisy(product_sys, n=20), _noisy(product_sys, n=10)
+    for orbits in ([long, short], [short, long, short]):
+        with pytest.raises(ValueError, match=r"one length, got lengths \[21, 41\]"):
+            qs.shadow_batch(product_sys, orbits)
+
+
 def test_shadow_batch_of_no_orbits(product_sys):
     assert qs.shadow_batch(product_sys, []) == []
 
